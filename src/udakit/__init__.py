@@ -66,6 +66,7 @@ from .metrics import (
     FairnessReport,
     GROUP_BINS,
     PredictionSet,
+    UndefinedMetricError,
     accuracy,
     auroc,
     balanced_accuracy,

@@ -202,7 +202,7 @@ def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
     feats_t, acts_t = forward(extractor, xt)
     logits, c_acts = forward(classifier, feats_s)
     cls_loss, dlogits = cross_entropy(logits, ys)
-    c_grads, dfeat_cls = backward(classifier, c_acts, dlogits)
+    c_grad, dfeat_cls = backward(classifier, c_acts, dlogits)
 
     reverse = GradReverse(lam)
     dom_in = np.concatenate([reverse.forward(feats_s), reverse.forward(feats_t)], axis=0)
@@ -210,13 +210,13 @@ def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
                                  np.ones(len(xt), dtype=np.int64)])
     dom_logits, d_acts = forward(disc, dom_in)
     dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
-    d_grads, ddom_in = backward(disc, d_acts, ddl)
+    d_grad, ddom_in = backward(disc, d_acts, ddl)
     rev = reverse.backward(ddom_in)
 
-    f_grads_s, _ = backward(extractor, acts_s, dfeat_cls + rev[:len(xs)])
-    f_grads_t, _ = backward(extractor, acts_t, rev[len(xs):])
-    f_grads = [gs + gt for gs, gt in zip(f_grads_s, f_grads_t)]
-    return cls_loss, dom_loss, f_grads + c_grads + d_grads
+    f_grad, _ = backward(extractor, acts_s, dfeat_cls + rev[:len(xs)])
+    f_grad_t, _ = backward(extractor, acts_t, rev[len(xs):])
+    f_grad += f_grad_t
+    return cls_loss, dom_loss, [f_grad, c_grad, d_grad]
 
 
 def train_adda(source: DomainDataset, target: UnlabeledDomain,
@@ -266,19 +266,19 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
                                          np.ones(len(xt), dtype=np.int64)])
             dom_logits, d_acts = forward(disc, dom_in)
             dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
-            d_grads, _ = backward(disc, d_acts, ddl)
+            d_grad, _ = backward(disc, d_acts, ddl)
             accs.append(float(np.mean(np.argmax(dom_logits, axis=1) == dom_labels)))
-            sgd_step(disc_blocks, d_grads, disc_opt)
+            sgd_step(disc_blocks, [d_grad], disc_opt)
 
             # target-extractor step: make target features read as source
             feats_t, t_acts = forward(target_extractor, xt)
             inv_logits, d_acts = forward(disc, feats_t)
             inv_loss, ddl = cross_entropy(inv_logits, np.zeros(len(xt), dtype=np.int64))
             _, dfeat = backward(disc, d_acts, ddl)
-            t_grads, _ = backward(target_extractor, t_acts, dfeat)
+            t_grad, _ = backward(target_extractor, t_acts, dfeat)
             if not (np.isfinite(dom_loss) and np.isfinite(inv_loss)):
                 raise DivergenceError(f"non-finite loss at adaptation epoch {epoch}")
-            sgd_step(ext_blocks, t_grads, ext_opt)
+            sgd_step(ext_blocks, [t_grad], ext_opt)
             dom_losses.append(dom_loss)
             inv_losses.append(inv_loss)
         epoch_acc = float(np.mean(accs))
@@ -382,17 +382,17 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
         feats_s, acts_s = forward(extractor, xs)
         logits, c_acts = forward(classifier, feats_s)
         cls_loss, dlogits = cross_entropy(logits, ys)
-        c_grads, dfeat_cls = backward(classifier, c_acts, dlogits)
+        c_grad, dfeat_cls = backward(classifier, c_acts, dlogits)
 
         dom_in = np.concatenate([feats_s, feats_t], axis=0)
         dom_labels = np.concatenate([np.zeros(len(xs), dtype=np.int64),
                                      np.ones(len(xt), dtype=np.int64)])
         dom_logits, d_acts = forward(disc, dom_in)
         dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
-        d_grads, ddom_in = backward(disc, d_acts, ddl)
+        d_grad, ddom_in = backward(disc, d_acts, ddl)
         per_source.append({
             "cls_loss": cls_loss, "dom_loss": dom_loss, "acts_s": acts_s,
-            "c_grads": c_grads, "dfeat_cls": dfeat_cls, "d_grads": d_grads,
+            "c_grad": c_grad, "dfeat_cls": dfeat_cls, "d_grad": d_grad,
             "ddom_in": ddom_in, "n_s": len(xs),
         })
 
@@ -406,28 +406,27 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
         z = gamma * (e - e.max())
         w = np.exp(z) / np.exp(z).sum()
 
-    ext_grads = None
-    cls_grads = None
-    disc_grads: list[list[np.ndarray]] = []
+    # accumulate from the first source's terms, never from zeros, so that
+    # the sums (and the signs of zero entries) match term-by-term addition
+    disc_grads: list[np.ndarray] = []
     dfeat_t_total = np.zeros_like(feats_t)
     for k, p in enumerate(per_source):
         dfs = p["dfeat_cls"] + sign * lam * p["ddom_in"][:p["n_s"]]
-        f_grads_k, _ = backward(extractor, p["acts_s"], w[k] * dfs)
-        ext_grads = f_grads_k if ext_grads is None else [a + b for a, b in zip(ext_grads, f_grads_k)]
-        cls_k = [w[k] * g for g in p["c_grads"]]
-        cls_grads = cls_k if cls_grads is None else [a + b for a, b in zip(cls_grads, cls_k)]
-        disc_grads.append([w[k] * lam * g for g in p["d_grads"]])
+        f_grad_k, _ = backward(extractor, p["acts_s"], w[k] * dfs)
+        cls_k = w[k] * p["c_grad"]
+        if k == 0:
+            ext_grad, cls_grad = f_grad_k, cls_k
+        else:
+            ext_grad += f_grad_k
+            cls_grad += cls_k
+        disc_grads.append(w[k] * lam * p["d_grad"])
         dfeat_t_total += w[k] * sign * lam * p["ddom_in"][p["n_s"]:]
-    f_grads_t, _ = backward(extractor, acts_t, dfeat_t_total)
-    ext_grads = [a + b for a, b in zip(ext_grads, f_grads_t)]
+    ext_grad += backward(extractor, acts_t, dfeat_t_total)[0]
 
     parts = {"classification": float(np.mean([p["cls_loss"] for p in per_source])),
              "total": total}
     parts.update({f"domain_{k}": per_source[k]["dom_loss"] for k in range(len(per_source))})
-    flat = ext_grads + cls_grads
-    for dg in disc_grads:
-        flat += dg
-    return parts, flat
+    return parts, [ext_grad, cls_grad, *disc_grads]
 
 
 def _record_config(cfg: AdversarialConfig) -> dict:

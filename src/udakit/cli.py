@@ -2,7 +2,8 @@
 
 Subcommands: gen (domain specs -> dataset files), split, train (one cell),
 eval, fairness, diagnose (shift matrix), matrix (full grid). Exit codes:
-0 success, 1 configuration error, 2 runtime divergence (flagged in output).
+0 success, 1 configuration error, 2 runtime divergence or, for matrix, any
+flagged cell (divergence or an undefined metric; the flags are in the output).
 """
 
 from __future__ import annotations
@@ -234,9 +235,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    diverged = [c for c in report.cells if c.flags]
-    if diverged:
-        print(f"{len(diverged)} cells flagged divergence", file=sys.stderr)
+    flagged = [c for c in report.cells if c.flags]
+    if flagged:
+        print(f"{len(flagged)} cells flagged (divergence or undefined metric)",
+              file=sys.stderr)
         return 2
     return 0
 

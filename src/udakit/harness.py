@@ -31,6 +31,7 @@ from .data import (
 )
 from .metrics import (
     PredictionSet,
+    UndefinedMetricError,
     accuracy,
     auroc,
     fairness_report,
@@ -426,6 +427,8 @@ def run_matrix(cfg: ExperimentConfig, workers: int = 1) -> EvalReport:
                 values.append(value)
             except DivergenceError as err:
                 flags.append(f"repeat {repeat} diverged: {err}")
+            except UndefinedMetricError as err:
+                flags.append(f"repeat {repeat}: {err} in the target test split")
         if flags and values:
             flags.append(f"aggregated over {len(values)} of {cfg.repeats} repeats")
         return CellResult(target, scheme, source, values, seeds, flags)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "UndefinedMetricError",
     "PredictionSet",
     "FairnessReport",
     "GROUP_BINS",
@@ -38,6 +39,12 @@ GROUP_BINS: dict[str, tuple[tuple[float, float], ...]] = {
     "fst": ((0, 2), (2, 4), (4, 6)),
     "age": ((-math.inf, 30), (30, math.inf)),
 }
+
+
+class UndefinedMetricError(ValueError):
+    """Raised when a metric has no value on its input, e.g. AUROC on labels
+    of one class. A ValueError, so callers that treat any bad input alike
+    still do; the harness catches this one alone to flag a cell."""
 
 
 @dataclass
@@ -105,7 +112,7 @@ def auroc(scores: np.ndarray, y_binary: np.ndarray) -> float:
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUROC undefined: only one class present")
+        raise UndefinedMetricError("AUROC undefined: only one class present")
     ranks = _average_ranks(scores)
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -8,6 +8,7 @@ target batches, and predicts on the target by ensembling all classifiers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,19 +76,20 @@ def moment_distance_grads(features_a: np.ndarray,
     if a.shape[0] < 1 or b.shape[0] < 1:
         raise ValueError("feature batches must each have at least one row")
 
-    diff1 = a.mean(axis=0) - b.mean(axis=0)
-    diff2 = (a ** 2).mean(axis=0) - (b ** 2).mean(axis=0)
-    n1 = float(np.linalg.norm(diff1))
-    n2 = float(np.linalg.norm(diff2))
+    na, nb = a.shape[0], b.shape[0]
+    diff1 = a.sum(axis=0) / na - b.sum(axis=0) / nb
+    diff2 = (a ** 2).sum(axis=0) / na - (b ** 2).sum(axis=0) / nb
+    n1 = math.sqrt(diff1 @ diff1)
+    n2 = math.sqrt(diff2 @ diff2)
 
     da = np.zeros_like(a)
     db = np.zeros_like(b)
     if n1 > 0.0:
-        da += diff1 / (n1 * a.shape[0])
-        db -= diff1 / (n1 * b.shape[0])
+        da += diff1 / (n1 * na)
+        db -= diff1 / (n1 * nb)
     if n2 > 0.0:
-        da += (diff2 / n2) * (2.0 * a / a.shape[0])
-        db -= (diff2 / n2) * (2.0 * b / b.shape[0])
+        da += (diff2 / n2) * (2.0 * a / na)
+        db -= (diff2 / n2) * (2.0 * b / nb)
     return n1 + n2, da, db
 
 
@@ -196,7 +198,7 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
     feats_t, acts_t = forward(extractor, xt)
 
     feats_s, acts_s, cls_losses = [], [], []
-    c_grads: list[list[np.ndarray]] = []
+    c_grads: list[np.ndarray] = []
     dfeat_s = []
     for (xs, ys), head in zip(batches, classifiers):
         f, a = forward(extractor, xs)
@@ -245,25 +247,22 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
         for k, head in enumerate(classifiers):
             dlogits = _softmax_vjp(probs[k], dprobs[k])
             g, df = backward(head, t_acts_per_head[k], dlogits)
-            c_grads[k] = [a + discrepancy_weight * b for a, b in zip(c_grads[k], g)]
+            c_grads[k] += discrepancy_weight * g
             dfeat_t += discrepancy_weight * df
 
-    ext_grads = None
-    for k in range(n_sources):
-        g, _ = backward(extractor, acts_s[k], dfeat_s[k])
-        ext_grads = g if ext_grads is None else [a + b for a, b in zip(ext_grads, g)]
-    g_t, _ = backward(extractor, acts_t, dfeat_t)
-    ext_grads = [a + b for a, b in zip(ext_grads, g_t)]
+    # accumulate from the first source's term, never from zeros, so that the
+    # sums (and the signs of zero entries) match term-by-term addition
+    ext_grad, _ = backward(extractor, acts_s[0], dfeat_s[0])
+    for k in range(1, n_sources):
+        ext_grad += backward(extractor, acts_s[k], dfeat_s[k])[0]
+    ext_grad += backward(extractor, acts_t, dfeat_t)[0]
 
     total = (float(np.sum(cls_losses)) + align_weight * moment_total
              + discrepancy_weight * discrepancy)
     parts = {"classification": float(np.sum(cls_losses)), "moment": moment_total,
              "discrepancy": discrepancy, "total": total}
     parts.update(pair_terms)
-    flat = ext_grads
-    for g in c_grads:
-        flat = flat + g
-    return parts, flat
+    return parts, [ext_grad, *c_grads]
 
 
 def ensemble_predict(extractor: Mlp, classifiers: list[Mlp], x: np.ndarray,

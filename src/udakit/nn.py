@@ -46,7 +46,13 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class Mlp:
-    """Stack of affine layers; weights[i] is (out, in), biases[i] is (out,).
+    """Stack of affine layers whose parameters live in one flat vector.
+
+    params is one contiguous float64 vector laid out w0, b0, w1, b1, ...
+    (each weight row-major). weights[i] (out, in) and biases[i] (out,) are
+    views into it, so an in-place update of params is an update of every
+    layer. Construction always packs a fresh vector: the arrays passed in
+    are copied, never aliased.
 
     activations[i] is "relu" or "identity". The feature extractor uses relu
     on every layer (its output is a hidden activation); predictor heads end
@@ -56,6 +62,7 @@ class Mlp:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activations: list[str]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
@@ -69,6 +76,21 @@ class Mlp:
                 raise ValueError(f"layer {i}: unknown activation {act!r}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i}: non-finite parameters")
+        self._shapes = [w.shape for w in self.weights]
+        self.params = np.concatenate(
+            [a for w, b in zip(self.weights, self.biases) for a in (w.ravel(), b)],
+            dtype=np.float64)
+        self.weights, self.biases = self.layer_views(self.params)
+
+    def layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weights, biases) views into a vector laid out like params."""
+        weights, biases, start = [], [], 0
+        for out_dim, in_dim in self._shapes:
+            mid = start + out_dim * in_dim
+            weights.append(flat[start:mid].reshape(out_dim, in_dim))
+            biases.append(flat[mid:mid + out_dim])
+            start = mid + out_dim
+        return weights, biases
 
     @property
     def in_dim(self) -> int:
@@ -79,9 +101,7 @@ class Mlp:
         return self.weights[-1].shape[0]
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases],
-                   list(self.activations))
+        return Mlp(self.weights, self.biases, list(self.activations))
 
 
 def init_mlp(sizes: list[int], rng: np.random.Generator, final: str = "identity") -> Mlp:
@@ -111,38 +131,38 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     acts = [x]
     h = x
     for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if act == "relu":
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts[-1], acts
 
 
 def backward(mlp: Mlp, acts: list[np.ndarray],
-             grad_out: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+             grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate grad_out through a forward() activation trace.
 
-    Returns ([dW0, db0, dW1, db1, ...], grad wrt the input).
+    Returns (gradient wrt mlp.params, gradient wrt the input). The parameter
+    gradient is one flat array in the params layout (dW0, db0, dW1, db1, ...);
+    mlp.layer_views(grad) splits it per layer.
     """
+    grad = np.empty_like(mlp.params)
+    dws, dbs = mlp.layer_views(grad)
     g = grad_out
-    grads: list[np.ndarray] = []
     for i in range(len(mlp.weights) - 1, -1, -1):
         if mlp.activations[i] == "relu":
             g = g * (acts[i + 1] > 0.0)
-        grads.append(g.sum(axis=0))          # db
-        grads.append(g.T @ acts[i])          # dW
+        g.sum(axis=0, out=dbs[i])
+        np.matmul(g.T, acts[i], out=dws[i])
         g = g @ mlp.weights[i]
-    grads.reverse()
-    return grads, g
+    return grad, g
 
 
 def mlp_blocks(mlp: Mlp, prefix: str) -> list[tuple[str, np.ndarray]]:
-    """Named parameter arrays, in the same order backward() emits gradients."""
-    out = []
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out.append((f"{prefix}.w{i}", w))
-        out.append((f"{prefix}.b{i}", b))
-    return out
+    """The network's one named parameter block: (prefix, mlp.params), the
+    layout backward() emits its parameter gradient in."""
+    return [(prefix, mlp.params)]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -163,16 +183,20 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     if labels.shape != (n,) or (n and (labels.min() < 0 or labels.max() >= m)):
         raise ValueError("labels must be one id in [0, n_outputs) per row")
     z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(log_norm - z[np.arange(n), labels]))
-    grad = softmax(logits)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    e = np.exp(z)
+    norm = e.sum(axis=1)
+    rows = np.arange(n)
+    loss = float((np.log(norm) - z[rows, labels]).sum() / n)
+    grad = e / norm[:, None]
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad
 
 
 @dataclass
 class SgdState:
-    """SGD-with-momentum state; velocity buffers mirror the parameter blocks."""
+    """SGD-with-momentum state; velocity buffers mirror the parameter blocks
+    (one flat vector per network)."""
 
     learning_rate: float
     momentum: float
@@ -193,7 +217,12 @@ def init_sgd(blocks: list[tuple[str, np.ndarray]], learning_rate: float,
 
 def sgd_step(blocks: list[tuple[str, np.ndarray]], grads: list[np.ndarray],
              state: SgdState) -> None:
-    """One in-place momentum update: v <- m*v + g; p <- p - lr*v."""
+    """One in-place momentum update: v <- m*v + g; p <- p - lr*v.
+
+    Each block is usually one network's params vector (see mlp_blocks), so a
+    step loops over networks, not layers. Every gradient element is checked:
+    a non-finite one raises DivergenceError naming its block.
+    """
     if len(blocks) != len(grads) or len(blocks) != len(state.velocities):
         raise ValueError("blocks, grads, and velocities must align")
     for (name, param), grad, vel in zip(blocks, grads, state.velocities):
@@ -358,9 +387,9 @@ def _erm_step_grads(extractor: Mlp, classifier: Mlp, x: np.ndarray,
     feats, f_acts = forward(extractor, x)
     logits, c_acts = forward(classifier, feats)
     loss, dlogits = cross_entropy(logits, y)
-    c_grads, dfeats = backward(classifier, c_acts, dlogits)
-    f_grads, _ = backward(extractor, f_acts, dfeats)
-    return loss, f_grads + c_grads
+    c_grad, dfeats = backward(classifier, c_acts, dlogits)
+    f_grad, _ = backward(extractor, f_acts, dfeats)
+    return loss, [f_grad, c_grad]
 
 
 def predict(extractor: Mlp, classifier: Mlp,

@@ -178,13 +178,21 @@ def build_shift_matrix(domains: list[DomainDataset],
     if n_classes is None:
         n_classes = int(max(d.labels.max() for d in domains)) + 1
 
+    # sliced W1 is bit-for-bit symmetric (both orders project onto the same
+    # directions and integrate over the same merged breakpoints), so each
+    # unordered pair is measured once; chi-square is asymmetric
+    w1: dict[tuple[int, int], float] = {}
+    for i in range(len(domains)):
+        for j in range(i + 1, len(domains)):
+            w1[(i, j)] = w1[(j, i)] = wasserstein_feature_distance(
+                domains[i], domains[j], projections, seed)
     pairs: dict[tuple[str, str], PairShift] = {}
     for i, src in enumerate(domains):
         for j, tgt in enumerate(domains):
             if i == j:
                 continue
             pairs[(src.domain_id, tgt.domain_id)] = PairShift(
-                feature_distance=wasserstein_feature_distance(src, tgt, projections, seed),
+                feature_distance=w1[(i, j)],
                 label_distance=chi_square_label_divergence(src, tgt, epsilon, n_classes),
             )
 

@@ -7,7 +7,7 @@ import pytest
 from udakit import load_dataset
 from udakit.cli import main
 from udakit.data import spec_to_dict
-from test_harness import blob_spec
+from test_harness import blob_spec, one_class_target_config
 
 
 @pytest.fixture
@@ -132,6 +132,22 @@ class TestMatrixCommand:
         assert code == 2
         payload = json.loads(out.read_text())
         assert all(any("diverged" in f for f in c["flags"]) for c in payload["cells"])
+
+    def test_one_class_target_flags_cells_and_keeps_the_rest(self, tmp_path, capsys):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(one_class_target_config(repeats=1).to_dict()))
+        out = tmp_path / "report.json"
+        code = main(["matrix", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert "9 cells flagged" in capsys.readouterr().err
+        cells = json.loads(out.read_text())["cells"]
+        assert len(cells) == 27
+        for cell in cells:
+            if cell["target"] == "d2":
+                assert cell["values"] == []
+                assert cell["flags"][0].startswith("repeat 0: AUROC undefined")
+            else:
+                assert len(cell["values"]) == 1 and cell["flags"] == []
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "broken.json"

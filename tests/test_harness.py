@@ -28,6 +28,22 @@ def blob_spec(domain_id, seed, n=80, mean_shift=0.0, mix=(0.5, 0.5),
                       np.asarray(mix, float), groups, offsets, seed)
 
 
+def one_class_target_config(repeats=2):
+    """The pinned grid's domains with the third one holding class 0 only;
+    all seven scheme bases, trained briefly."""
+    mixes = [(0.8, 0.2), (0.55, 0.45), (1.0, 0.0)]
+    domains = [DomainSpec(f"d{i}", 300, 2,
+                          np.array([[0.0, 0.0], [2.6, 0.0]]) + np.array([0.4, 0.2]) * i,
+                          0.9, np.array(mixes[i]), np.array([1.0]), np.zeros((1, 2)),
+                          seed=40 + i)
+               for i in range(3)]
+    return ExperimentConfig(
+        task="binary", domains=domains, repeats=repeats, base_seed=7, n_classes=2,
+        schemes=["single-erm", "single-dann", "combined-erm", "rs-combined-dann",
+                 "rs-multi-m3sda", "multi-mdan", "combined-adda"],
+        train={"epochs": 2, "learning_rate": 3e-3, "momentum": 0.5})
+
+
 def quick_config(schemes, n_domains=2, repeats=1, **kw):
     domains = [blob_spec(f"d{i}", 10 + i, mean_shift=0.3 * i) for i in range(n_domains)]
     train = {"epochs": 3, "hidden_sizes": [8], "batch_size": 32}
@@ -187,6 +203,24 @@ class TestDeterminismAndAggregation:
             assert cell.values == []
             assert any("diverged" in f for f in cell.flags)
             assert cell.mean is None
+
+
+    def test_one_class_target_split_flags_only_its_cells(self):
+        cfg = one_class_target_config(repeats=2)
+        report = run_matrix(cfg)
+        assert len(report.cells) == 27
+        for cell in report.cells:
+            assert len(cell.seeds) == 2
+            if cell.target == "d2":
+                assert cell.values == [] and cell.mean is None
+                assert cell.flags == [
+                    f"repeat {r}: AUROC undefined: only one class present "
+                    "in the target test split" for r in range(2)]
+            else:
+                assert cell.flags == []
+                assert len(cell.values) == 2
+                assert all(0.0 <= v <= 1.0 for v in cell.values)
+        assert "d2" not in report.column_averages()["combined-erm"]
 
 
 class TestTargetLabelFirewall:

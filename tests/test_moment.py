@@ -9,6 +9,7 @@ from udakit import (
     TrainConfig,
     ensemble_predict,
     moment_distance,
+    moment_distance_grads,
     predict,
     train_m3sda,
 )
@@ -51,6 +52,22 @@ class TestMomentDistance:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="equal width"):
             moment_distance(rng.normal(size=(3, 2)), rng.normal(size=(3, 3)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_mean_norm_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        for na, nb, d in ((1, 1, 1), (64, 64, 32), (37, 5, 8)):
+            a = rng.normal(size=(na, d)) * rng.choice([1e-3, 1.0, 1e3])
+            b = rng.normal(size=(nb, d)) + 0.5
+            # the former formula, through the mean/norm wrappers
+            diff1 = a.mean(axis=0) - b.mean(axis=0)
+            diff2 = (a ** 2).mean(axis=0) - (b ** 2).mean(axis=0)
+            n1, n2 = float(np.linalg.norm(diff1)), float(np.linalg.norm(diff2))
+            ref_da = diff1 / (n1 * na) + (diff2 / n2) * (2.0 * a / na)
+            ref_db = -diff1 / (n1 * nb) - (diff2 / n2) * (2.0 * b / nb)
+            dist, da, db = moment_distance_grads(a, b)
+            assert dist == n1 + n2
+            assert np.array_equal(da, ref_da) and np.array_equal(db, ref_db)
 
     def test_gradients_match_finite_differences(self):
         assert moment_case(5) < 1e-4

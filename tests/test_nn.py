@@ -20,6 +20,7 @@ from udakit import (
     softmax,
     train_erm,
 )
+from udakit.nn import mlp_blocks
 from conftest import make_blobs
 from oracles import finite_difference, mlp_by_hand, relative_error
 
@@ -62,7 +63,110 @@ class TestForward:
             forward(mlp, np.array([[np.nan, 0.0]]))
 
 
+def _packed(mlp):
+    """weights/biases are views laid out w0, b0, w1, b1, ... in mlp.params."""
+    assert mlp.params.dtype == np.float64 and mlp.params.flags.c_contiguous
+    start = 0
+    for w, b in zip(mlp.weights, mlp.biases):
+        for arr in (w, b):
+            assert arr.base is mlp.params
+            assert np.shares_memory(arr, mlp.params[start:start + arr.size])
+            start += arr.size
+    return start == mlp.params.size
+
+
+class TestFlatParams:
+    def test_layout_and_views(self, rng):
+        mlp = init_mlp([3, 5, 2], rng)
+        assert _packed(mlp)
+        expected = np.concatenate([mlp.weights[0].ravel(), mlp.biases[0],
+                                   mlp.weights[1].ravel(), mlp.biases[1]])
+        assert np.array_equal(mlp.params, expected)
+
+    def test_construction_copies_its_inputs(self):
+        w = np.ones((2, 2))
+        mlp = Mlp([w], [np.zeros(2)], ["identity"])
+        w[0, 0] = 5.0
+        assert mlp.weights[0][0, 0] == 1.0
+
+    def test_sgd_step_visible_through_layer_views(self, rng):
+        mlp = init_mlp([2, 3, 2], rng)
+        blocks = mlp_blocks(mlp, "net")
+        assert len(blocks) == 1 and blocks[0][1] is mlp.params
+        before = [w.copy() for w in mlp.weights] + [b.copy() for b in mlp.biases]
+        grad = rng.normal(size=mlp.params.shape)
+        state = init_sgd(blocks, learning_rate=0.1, momentum=0.0)
+        sgd_step(blocks, [grad], state)
+        dws, dbs = mlp.layer_views(grad)
+        for old, new, g in zip(before, mlp.weights + mlp.biases, dws + dbs):
+            assert np.array_equal(new, old - 0.1 * g)
+        assert _packed(mlp)
+
+    def test_copy_is_independent_and_packed(self, rng):
+        mlp = init_mlp([2, 4, 2], rng)
+        twin = mlp.copy()
+        assert _packed(twin)
+        assert not np.shares_memory(twin.params, mlp.params)
+        assert np.array_equal(twin.params, mlp.params)
+        twin.params += 1.0
+        assert not np.array_equal(twin.weights[0], mlp.weights[0])
+
+    def test_load_model_packs_independent_vectors(self, tmp_path, rng):
+        ext = init_mlp([2, 4], rng, final="relu")
+        heads = [init_mlp([4, 2], rng) for _ in range(2)]
+        save_model(ModelBundle(ext, heads, None, {}, 0), tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json")
+        nets = [back.extractor, *back.classifiers]
+        assert all(_packed(m) for m in nets)
+        for i, a in enumerate(nets):
+            for b in nets[i + 1:]:
+                assert not np.shares_memory(a.params, b.params)
+        for orig, loaded in zip([ext, *heads], nets):
+            assert np.array_equal(orig.params, loaded.params)
+
+    def test_non_finite_anywhere_names_the_network(self, rng):
+        ext = init_mlp([2, 3], rng, final="relu")
+        head = init_mlp([3, 4, 2], rng)
+        blocks = mlp_blocks(ext, "extractor") + mlp_blocks(head, "classifier")
+        for bad in (np.nan, np.inf, -np.inf):
+            for pos in range(head.params.size):
+                grads = [np.zeros_like(ext.params), np.zeros_like(head.params)]
+                grads[1][pos] = bad
+                state = init_sgd(blocks, 0.1, 0.0)
+                with pytest.raises(DivergenceError, match="classifier"):
+                    sgd_step(blocks, grads, state)
+                assert state.step == 0
+        grads = [np.zeros_like(ext.params), np.zeros_like(head.params)]
+        grads[0][-1] = np.nan
+        with pytest.raises(DivergenceError, match="extractor"):
+            sgd_step(blocks, grads, init_sgd(blocks, 0.1, 0.0))
+
+
+def _two_pass_cross_entropy(logits, labels):
+    """The former formula: exponentials and softmax computed separately."""
+    n = logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    loss = float(np.mean(log_norm - z[np.arange(n), labels]))
+    grad = softmax(logits)
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
 class TestCrossEntropy:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_two_pass_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        for n, m in ((1, 2), (64, 2), (37, 4), (128, 7)):
+            logits = rng.normal(size=(n, m)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1))
+            logits[: max(1, n // 4)] *= 1e3          # rows of magnitude 1e3
+            labels = rng.integers(0, m, size=n)
+            loss, grad = cross_entropy(logits, labels)
+            ref_loss, ref_grad = _two_pass_cross_entropy(logits, labels)
+            assert np.array_equal(loss, ref_loss)
+            assert np.array_equal(grad, ref_grad)
+
+
     def test_saturated_correct_is_near_zero(self):
         logits = np.array([[1e6, 0.0], [0.0, 1e6]])
         loss, _ = cross_entropy(logits, np.array([0, 1]))
@@ -151,11 +255,11 @@ class TestBackward:
 
         out, acts = forward(mlp, x)
         _, dlogits = cross_entropy(out, labels)
-        grads, _ = backward(mlp, acts, dlogits)
-        fd = finite_difference(loss_fn, mlp.weights + mlp.biases)
-        # backward emits [dW0, db0, dW1, db1, ...]; regroup to match
-        analytic = grads[0::2] + grads[1::2]
-        assert relative_error(analytic, fd) < 1e-4
+        grad, _ = backward(mlp, acts, dlogits)
+        # perturbing the flat vector perturbs every layer's weight and bias view
+        fd = finite_difference(loss_fn, [mlp.params])
+        assert grad.shape == mlp.params.shape
+        assert relative_error([grad], fd) < 1e-4
 
     def test_input_gradient(self, rng):
         mlp = init_mlp([2, 4, 3], rng)

@@ -190,6 +190,31 @@ class TestBuildShiftMatrix:
         assert len(report.pairs) == 30
         assert all(s != t for s, t in report.pairs)
 
+    def test_w1_measured_once_per_unordered_pair(self, monkeypatch):
+        import udakit.shift as shift
+
+        # unequal sizes take the merged-breakpoint path; two equal sizes the other
+        domains = [make_blobs(f"d{i}", 30 + i, n=n) for i, n in enumerate((40, 55, 55, 70))]
+        calls = []
+
+        def counting(a, b, projections=256, seed=0):
+            calls.append((a.domain_id, b.domain_id))
+            return wasserstein_feature_distance(a, b, projections, seed)
+
+        monkeypatch.setattr(shift, "wasserstein_feature_distance", counting)
+        report = build_shift_matrix(domains, projections=16, seed=2)
+        n = len(domains)
+        assert len(calls) == n * (n - 1) // 2
+        assert len({frozenset(c) for c in calls}) == len(calls)
+        for s in domains:
+            for t in domains:
+                if s is t:
+                    continue
+                d = report.pairs[(s.domain_id, t.domain_id)].feature_distance
+                assert d == report.pairs[(t.domain_id, s.domain_id)].feature_distance
+                # the stored value is what measuring this order would give, bit for bit
+                assert d == wasserstein_feature_distance(s, t, 16, 2)
+
     def test_missing_error_pairs_listed(self):
         domains = [make_blobs(f"d{i}", i, n=40) for i in range(3)]
         table = {("d0", "d1"): 0.2}
