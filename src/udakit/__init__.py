@@ -47,8 +47,6 @@ from .nn import (
 from .adversarial import (
     AdversarialConfig,
     AdversarialResult,
-    GradReverse,
-    grad_reverse,
     soft_aggregate,
     train_adda,
     train_dann,

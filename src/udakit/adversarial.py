@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DomainDataset, UnlabeledDomain, weighted_sampler_weights
+from .data import DomainDataset, UnlabeledDomain, require_unlabeled
 from .nn import (
-    DivergenceError,
     Mlp,
     RunRecord,
     TrainConfig,
@@ -28,7 +27,10 @@ from .nn import (
     init_mlp,
     init_sgd,
     mlp_blocks,
+    multi_source_batches,
+    record_config,
     resolve_n_classes,
+    run_epochs,
     seed_streams,
     sgd_step,
     train_erm,
@@ -37,8 +39,6 @@ from .nn import (
 __all__ = [
     "AdversarialConfig",
     "AdversarialResult",
-    "GradReverse",
-    "grad_reverse",
     "soft_aggregate",
     "train_dann",
     "train_adda",
@@ -77,27 +77,6 @@ class AdversarialConfig:
         self.disc_hidden = tuple(int(h) for h in self.disc_hidden)
 
 
-class GradReverse:
-    """Identity in the forward pass; multiplies the upstream gradient by
-    -scale on the way back."""
-
-    def __init__(self, scale: float):
-        if scale < 0:
-            raise ValueError("scale must be >= 0")
-        self.scale = float(scale)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return -self.scale * grad
-
-
-def grad_reverse(x: np.ndarray, scale: float) -> np.ndarray:
-    """Forward half of the reversal: returns x unchanged."""
-    return GradReverse(scale).forward(x)
-
-
 def soft_aggregate(values: Sequence[float], gamma: float) -> float:
     """Smoothed maximum (1/gamma)*log(mean(exp(gamma*v))).
 
@@ -120,22 +99,9 @@ class AdversarialResult:
     source_extractor: Mlp | None = None  # two-stage scheme keeps its stage-1 extractor
 
 
-def _require_unlabeled(target: object) -> UnlabeledDomain:
-    if isinstance(target, DomainDataset):
-        raise TypeError(
-            "target must be an UnlabeledDomain view; call .unlabeled() on the "
-            "dataset so target labels cannot be read"
-        )
-    if not isinstance(target, UnlabeledDomain):
-        raise TypeError(f"target must be an UnlabeledDomain, got {type(target).__name__}")
-    if target.n_samples == 0:
-        raise ValueError("target domain is empty")
-    return target
-
-
 def _domain_weight_at(cfg: AdversarialConfig, step: int, total_steps: int) -> float:
     if cfg.schedule == "constant":
-        return cfg.domain_weight
+        return float(cfg.domain_weight)
     ramp_steps = max(1.0, cfg.ramp_fraction * total_steps)
     return cfg.domain_weight * min(1.0, step / ramp_steps)
 
@@ -145,14 +111,12 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     """Single-pass reversal training.
 
     Each step minimizes source cross-entropy while the discriminator learns
-    to tell source features from target features; the reversal layer feeds
-    the extractor the negated, domain_weight-scaled domain gradient, pushing
+    to tell source features from target features; the extractor gets the
+    negated, domain_weight-scaled domain gradient (gradient reversal), pushing
     features toward domain invariance. With domain_weight = 0 the classifier
     trajectory is exactly the no-adaptation one (same seed, same batching).
     """
-    target = _require_unlabeled(target)
-    if source.dim != target.dim:
-        raise ValueError("source and target feature dimensions differ")
+    target = require_unlabeled(target, [source])
     tcfg = cfg.train
     n_classes = resolve_n_classes(tcfg, source.labels)
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
@@ -162,28 +126,20 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
               + mlp_blocks(disc, "discriminator"))
     opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
 
-    steps_per_epoch = -(-source.n_samples // tcfg.batch_size)
-    total_steps = tcfg.epochs * steps_per_epoch
-    record = RunRecord("dann", tcfg.seed, _record_config(cfg),
+    total_steps = tcfg.epochs * -(-source.n_samples // tcfg.batch_size)
+    record = RunRecord("dann", tcfg.seed, record_config(cfg),
                        {"classification": [], "domain": []})
-    step = 0
-    for epoch in range(tcfg.epochs):
-        cls_losses, dom_losses = [], []
-        for idx in epoch_batches(rng_batch, source.labels, tcfg.batch_size,
-                                 tcfg.resample, n_classes):
-            lam = _domain_weight_at(cfg, step, total_steps)
-            xt = target.features[rng_tgt.choice(target.n_samples, size=idx.size)]
-            cls_loss, dom_loss, grads = _dann_step_grads(
-                extractor, classifier, disc,
-                source.features[idx], source.labels[idx], xt, lam)
-            if not (np.isfinite(cls_loss) and np.isfinite(dom_loss)):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            sgd_step(blocks, grads, opt)
-            cls_losses.append(cls_loss)
-            dom_losses.append(dom_loss)
-            step += 1
-        record.epoch_losses["classification"].append(float(np.mean(cls_losses)))
-        record.epoch_losses["domain"].append(float(np.mean(dom_losses)))
+
+    def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
+        xt = target.features[rng_tgt.choice(target.n_samples, size=idx.size)]
+        cls_loss, dom_loss, grads = _dann_step_grads(
+            extractor, classifier, disc, source.features[idx], source.labels[idx], xt,
+            _domain_weight_at(cfg, opt.step, total_steps))
+        return {"classification": cls_loss, "domain": dom_loss}, grads
+
+    run_epochs(record, blocks, opt, tcfg.epochs,
+               lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
+                                     tcfg.resample, n_classes), step)
     if tcfg.epochs:
         record.final["classification_loss"] = record.epoch_losses["classification"][-1]
         record.final["domain_loss"] = record.epoch_losses["domain"][-1]
@@ -196,7 +152,9 @@ def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
     """Gradients for one reversal step.
 
     The discriminator trains on the plain binary domain loss; the extractor
-    receives classifier gradient minus lam times the domain-branch gradient.
+    receives classifier gradient minus lam times the domain-branch gradient
+    (the reversal is that sign and scale, applied to the discriminator's
+    input gradient).
     """
     feats_s, acts_s = forward(extractor, xs)
     feats_t, acts_t = forward(extractor, xt)
@@ -204,14 +162,13 @@ def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
     cls_loss, dlogits = cross_entropy(logits, ys)
     c_grad, dfeat_cls = backward(classifier, c_acts, dlogits)
 
-    reverse = GradReverse(lam)
-    dom_in = np.concatenate([reverse.forward(feats_s), reverse.forward(feats_t)], axis=0)
+    dom_in = np.concatenate([feats_s, feats_t], axis=0)
     dom_labels = np.concatenate([np.zeros(len(xs), dtype=np.int64),
                                  np.ones(len(xt), dtype=np.int64)])
     dom_logits, d_acts = forward(disc, dom_in)
     dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
     d_grad, ddom_in = backward(disc, d_acts, ddl)
-    rev = reverse.backward(ddom_in)
+    rev = -lam * ddom_in
 
     f_grad, _ = backward(extractor, acts_s, dfeat_cls + rev[:len(xs)])
     f_grad_t, _ = backward(extractor, acts_t, rev[len(xs):])
@@ -229,9 +186,7 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     steps on the label-inverted discriminator loss. Inference composes the
     target extractor with the frozen source classifier.
     """
-    target = _require_unlabeled(target)
-    if source.dim != target.dim:
-        raise ValueError("source and target feature dimensions differ")
+    target = require_unlabeled(target, [source])
     tcfg = cfg.train
     pretrain = cfg.pretrain_epochs if cfg.pretrain_epochs is not None else tcfg.epochs
     adapt = cfg.adapt_epochs if cfg.adapt_epochs is not None else tcfg.epochs
@@ -249,44 +204,42 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     adapt_lr = cfg.adapt_learning_rate if cfg.adapt_learning_rate is not None else tcfg.learning_rate
     ext_opt = init_sgd(ext_blocks, adapt_lr, tcfg.momentum)
 
-    record = RunRecord("adda", tcfg.seed, _record_config(cfg),
+    record = RunRecord("adda", tcfg.seed, record_config(cfg),
                        {"classification": list(stage1.record.epoch_losses["classification"]),
                         "domain": [], "alignment": [], "discriminator_accuracy": []})
-    for epoch in range(adapt):
-        dom_losses, inv_losses, accs = [], [], []
-        for idx in epoch_batches(rng_batch, source.labels, tcfg.batch_size,
-                                 tcfg.resample, n_classes):
-            xt = target.features[rng_tgt.choice(target.n_samples, size=idx.size)]
 
-            # discriminator step: source features are frozen stage-1 outputs
-            feats_s, _ = forward(source_extractor, source.features[idx])
-            feats_t, _ = forward(target_extractor, xt)
-            dom_in = np.concatenate([feats_s, feats_t], axis=0)
-            dom_labels = np.concatenate([np.zeros(idx.size, dtype=np.int64),
-                                         np.ones(len(xt), dtype=np.int64)])
-            dom_logits, d_acts = forward(disc, dom_in)
-            dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
-            d_grad, _ = backward(disc, d_acts, ddl)
-            accs.append(float(np.mean(np.argmax(dom_logits, axis=1) == dom_labels)))
-            sgd_step(disc_blocks, [d_grad], disc_opt)
+    def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
+        xt = target.features[rng_tgt.choice(target.n_samples, size=idx.size)]
 
-            # target-extractor step: make target features read as source
-            feats_t, t_acts = forward(target_extractor, xt)
-            inv_logits, d_acts = forward(disc, feats_t)
-            inv_loss, ddl = cross_entropy(inv_logits, np.zeros(len(xt), dtype=np.int64))
-            _, dfeat = backward(disc, d_acts, ddl)
-            t_grad, _ = backward(target_extractor, t_acts, dfeat)
-            if not (np.isfinite(dom_loss) and np.isfinite(inv_loss)):
-                raise DivergenceError(f"non-finite loss at adaptation epoch {epoch}")
-            sgd_step(ext_blocks, [t_grad], ext_opt)
-            dom_losses.append(dom_loss)
-            inv_losses.append(inv_loss)
-        epoch_acc = float(np.mean(accs))
-        record.epoch_losses["domain"].append(float(np.mean(dom_losses)))
-        record.epoch_losses["alignment"].append(float(np.mean(inv_losses)))
-        record.epoch_losses["discriminator_accuracy"].append(epoch_acc)
-        if epoch_acc > 0.99:
-            record.warnings.append(f"discriminator accuracy {epoch_acc:.3f} > 0.99 through epoch {epoch}")
+        # discriminator step, on its own optimiser: source features are
+        # frozen stage-1 outputs
+        feats_s, _ = forward(source_extractor, source.features[idx])
+        feats_t, _ = forward(target_extractor, xt)
+        dom_in = np.concatenate([feats_s, feats_t], axis=0)
+        dom_labels = np.concatenate([np.zeros(idx.size, dtype=np.int64),
+                                     np.ones(len(xt), dtype=np.int64)])
+        dom_logits, d_acts = forward(disc, dom_in)
+        dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
+        d_grad, _ = backward(disc, d_acts, ddl)
+        acc = float(np.mean(np.argmax(dom_logits, axis=1) == dom_labels))
+        sgd_step(disc_blocks, [d_grad], disc_opt)
+
+        # target-extractor gradient (run_epochs applies it): make target
+        # features read as source
+        feats_t, t_acts = forward(target_extractor, xt)
+        inv_logits, d_acts = forward(disc, feats_t)
+        inv_loss, ddl = cross_entropy(inv_logits, np.zeros(len(xt), dtype=np.int64))
+        _, dfeat = backward(disc, d_acts, ddl)
+        t_grad, _ = backward(target_extractor, t_acts, dfeat)
+        return {"domain": dom_loss, "alignment": inv_loss,
+                "discriminator_accuracy": acc}, [t_grad]
+
+    run_epochs(record, ext_blocks, ext_opt, adapt,
+               lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
+                                     tcfg.resample, n_classes), step)
+    record.warnings += [f"discriminator accuracy {acc:.3f} > 0.99 through epoch {epoch}"
+                        for epoch, acc in enumerate(record.epoch_losses["discriminator_accuracy"])
+                        if acc > 0.99]
     record.final["classification_loss"] = stage1.record.final["classification_loss"]
     if adapt:
         record.final["domain_loss"] = record.epoch_losses["domain"][-1]
@@ -306,14 +259,11 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     """
     if len(sources) < 2:
         raise ValueError("train_mdan needs at least 2 sources; use train_dann for one source")
-    target = _require_unlabeled(target)
-    dim = sources[0].dim
-    if any(s.dim != dim for s in sources) or target.dim != dim:
-        raise ValueError("all sources and the target must share one feature dimension")
+    target = require_unlabeled(target, sources)
     tcfg = cfg.train
     n_classes = resolve_n_classes(tcfg, *[s.labels for s in sources])
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
-    extractor, classifier = build_model(dim, n_classes, tcfg, rng_init)
+    extractor, classifier = build_model(target.dim, n_classes, tcfg, rng_init)
     discs = [init_mlp([tcfg.hidden_sizes[-1], *cfg.disc_hidden, 2], rng_disc, final="identity")
              for _ in sources]
 
@@ -322,45 +272,24 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
         blocks += mlp_blocks(d, f"discriminator{k}")
     opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
 
-    steps_per_epoch = -(-max(s.n_samples for s in sources) // tcfg.batch_size)
-    total_steps = tcfg.epochs * steps_per_epoch
+    total_steps = tcfg.epochs * -(-max(s.n_samples for s in sources) // tcfg.batch_size)
     loss_keys = {"classification": [], "total": []}
     loss_keys.update({f"domain_{k}": [] for k in range(len(sources))})
-    record = RunRecord("mdan", tcfg.seed, _record_config(cfg), loss_keys)
+    record = RunRecord("mdan", tcfg.seed, record_config(cfg), loss_keys)
 
-    weights_per_source = [
-        None if not tcfg.resample else _balanced_p(s.labels, n_classes)
-        for s in sources
-    ]
-    step = 0
-    for epoch in range(tcfg.epochs):
-        trace = {k: [] for k in loss_keys}
-        for _ in range(steps_per_epoch):
-            lam = _domain_weight_at(cfg, step, total_steps)
-            xt = target.features[rng_tgt.choice(target.n_samples, size=tcfg.batch_size)]
-            batches = []
-            for s, p in zip(sources, weights_per_source):
-                idx = rng_batch.choice(s.n_samples, size=tcfg.batch_size, replace=True, p=p)
-                batches.append((s.features[idx], s.labels[idx]))
-            parts, grads = _mdan_step_grads(extractor, classifier, discs, batches, xt,
-                                            lam, cfg.gamma, cfg.hard_max)
-            if not np.isfinite(parts["total"]):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            sgd_step(blocks, grads, opt)
-            for key in trace:
-                trace[key].append(parts[key])
-            step += 1
-        for key in trace:
-            record.epoch_losses[key].append(float(np.mean(trace[key])))
+    def step(batch) -> tuple[dict[str, float], list[np.ndarray]]:
+        batches, xt = batch
+        return _mdan_step_grads(extractor, classifier, discs, batches, xt,
+                                _domain_weight_at(cfg, opt.step, total_steps),
+                                cfg.gamma, cfg.hard_max)
+
+    run_epochs(record, blocks, opt, tcfg.epochs,
+               multi_source_batches(sources, target, tcfg, n_classes, rng_batch, rng_tgt),
+               step)
     if tcfg.epochs:
         record.final["classification_loss"] = record.epoch_losses["classification"][-1]
         record.final["total_loss"] = record.epoch_losses["total"][-1]
     return AdversarialResult(extractor, classifier, discs, record)
-
-
-def _balanced_p(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    w = weighted_sampler_weights(labels, n_classes)
-    return w / w.sum()
 
 
 def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
@@ -428,18 +357,3 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
     parts.update({f"domain_{k}": per_source[k]["dom_loss"] for k in range(len(per_source))})
     return parts, [ext_grad, cls_grad, *disc_grads]
 
-
-def _record_config(cfg: AdversarialConfig) -> dict:
-    payload = cfg.train.to_dict()
-    payload.update({
-        "domain_weight": cfg.domain_weight,
-        "schedule": cfg.schedule,
-        "ramp_fraction": cfg.ramp_fraction,
-        "disc_hidden": list(cfg.disc_hidden),
-        "gamma": cfg.gamma,
-        "hard_max": cfg.hard_max,
-        "pretrain_epochs": cfg.pretrain_epochs,
-        "adapt_epochs": cfg.adapt_epochs,
-        "adapt_learning_rate": cfg.adapt_learning_rate,
-    })
-    return payload

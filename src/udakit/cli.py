@@ -2,8 +2,11 @@
 
 Subcommands: gen (domain specs -> dataset files), split, train (one cell),
 eval, fairness, diagnose (shift matrix), matrix (full grid). Exit codes:
-0 success, 1 configuration error, 2 runtime divergence or, for matrix, any
-flagged cell (divergence or an undefined metric; the flags are in the output).
+0 success, 1 configuration error, 2 runtime divergence (a non-finite loss,
+gradient or overflowed activation) or an undefined metric. matrix and
+fairness still write their output when a training diverged or a metric was
+undefined, with the flags in it, and then exit 2; fairness_report's own
+notes (e.g. a skipped class) do not change the exit code.
 """
 
 from __future__ import annotations
@@ -24,19 +27,14 @@ from .data import (
 )
 from .harness import (
     ExperimentConfig,
-    cell_seed,
     emit_report,
     export_features,
     load_experiment_config,
-    materialize_domains,
+    open_grid,
     parse_scheme,
+    run_cell,
     run_fairness,
     run_matrix,
-    train_cell,
-    _build_configs,
-    _evaluate,
-    _global_classes,
-    _global_groups,
 )
 from .metrics import PredictionSet, accuracy, auroc, save_predictions
 from .moment import ensemble_predict
@@ -137,36 +135,43 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write text to the --out path, or to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     base, _ = parse_scheme(args.scheme)
-    splits = materialize_domains(cfg)
-    if args.target not in splits:
-        raise ValueError(f"unknown target {args.target!r}; have {sorted(splits)}")
+    grid = open_grid(cfg, [args.scheme])
+    if args.target not in grid.splits:
+        raise ValueError(f"unknown target {args.target!r}; have {grid.ids}")
     if base.startswith("single"):
         if not args.source:
             raise ValueError("single-source schemes need --source")
         source_label = args.source
-        if source_label not in splits or source_label == args.target:
+        if source_label not in grid.splits or source_label == args.target:
             raise ValueError(f"source must be a non-target domain, got {source_label!r}")
     else:
         source_label = "combined" if base.startswith("combined") else "all"
-    n_classes = _global_classes(cfg, splits)
-    n_groups = _global_groups(splits)
-    seed = cell_seed(cfg.base_seed, f"{args.target}|{args.scheme}|{source_label}", args.repeat)
 
-    model = train_cell(splits, args.target, args.scheme, source_label, cfg, n_classes, seed)
-    value, _ = _evaluate(model, splits[args.target].test, cfg.task, n_classes, n_groups)
+    run = run_cell(grid, args.target, args.scheme, source_label, args.repeat)
+    if run.flag is not None:
+        print(f"udakit: {run.flag}", file=sys.stderr)
+        return 2
+    model = run.model
 
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{args.target}.{args.scheme}.{source_label}.r{args.repeat}"
-    tcfg, _, _ = _build_configs(cfg, args.scheme, n_classes, seed)
-    save_model(model.bundle(tcfg), out_dir / f"{stem}.model.json")
+    save_model(model.bundle(), out_dir / f"{stem}.model.json")
     save_run_record(model.record, out_dir / f"{stem}.record.json",
                     model_ref=f"{stem}.model.json")
     metrics = {"metric": "auroc" if cfg.task == "binary" else "accuracy",
-               "value": value, "seed": seed, "target": args.target,
+               "value": run.score, "seed": run.seed, "target": args.target,
                "scheme": args.scheme, "source": source_label}
     (out_dir / f"{stem}.metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -205,10 +210,11 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     matrix = run_fairness(cfg, workers=args.workers)
     text = json.dumps(matrix.to_dict(), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
+    failed = sum(c.failed_runs for c in matrix.cells)
+    if failed:
+        print(f"{failed} trainings flagged (divergence or undefined metric)", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -231,10 +237,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     report = run_matrix(cfg, workers=args.workers)
     text = emit_report(report, args.format)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     flagged = [c for c in report.cells if c.flags]
     if flagged:
         print(f"{len(flagged)} cells flagged (divergence or undefined metric)",

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "DomainDataset",
     "UnlabeledDomain",
+    "require_unlabeled",
     "DomainSpec",
     "SplitPair",
     "CLASS_NAMES",
@@ -27,6 +28,7 @@ __all__ = [
     "stratified_split",
     "concat_domains",
     "weighted_sampler_weights",
+    "class_balanced_probabilities",
     "save_dataset",
     "load_dataset",
     "save_spec",
@@ -136,6 +138,23 @@ class UnlabeledDomain:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+
+def require_unlabeled(target: object, sources: list[DomainDataset]) -> UnlabeledDomain:
+    """The target as an adaptation trainer may see it: a non-empty
+    UnlabeledDomain (never a labeled DomainDataset) of the sources' width."""
+    if isinstance(target, DomainDataset):
+        raise TypeError(
+            "target must be an UnlabeledDomain view; call .unlabeled() on the "
+            "dataset so target labels cannot be read"
+        )
+    if not isinstance(target, UnlabeledDomain):
+        raise TypeError(f"target must be an UnlabeledDomain, got {type(target).__name__}")
+    if target.n_samples == 0:
+        raise ValueError("target domain is empty")
+    if any(s.dim != target.dim for s in sources):
+        raise ValueError("all sources and the target must share one feature dimension")
+    return target
 
 
 @dataclass
@@ -269,6 +288,13 @@ def weighted_sampler_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
         raise ValueError(f"labels must lie in [0, {n_classes})")
     counts = np.bincount(labels, minlength=n_classes)
     return 1.0 / (n_classes * counts[labels].astype(np.float64))
+
+
+def class_balanced_probabilities(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """weighted_sampler_weights normalized to sum to 1: the per-sample draw
+    probabilities of class-balanced resampling."""
+    w = weighted_sampler_weights(labels, n_classes)
+    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import hashlib
 import json
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -27,9 +28,11 @@ from .data import (
     generate_domain,
     load_dataset,
     spec_from_dict,
+    spec_to_dict,
     stratified_split,
 )
 from .metrics import (
+    FairnessReport,
     PredictionSet,
     UndefinedMetricError,
     accuracy,
@@ -59,7 +62,12 @@ __all__ = [
     "load_experiment_config",
     "materialize_domains",
     "cell_seed",
+    "Grid",
+    "open_grid",
+    "TrainedCell",
     "train_cell",
+    "CellRun",
+    "run_cell",
     "run_matrix",
     "run_fairness",
     "emit_report",
@@ -71,9 +79,8 @@ SCHEME_BASES = (
     "combined-adda", "multi-mdan", "multi-m3sda",
 )
 
-_ADV_KEYS = {"domain_weight", "schedule", "ramp_fraction", "disc_hidden", "gamma",
-             "hard_max", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate"}
-_MOMENT_KEYS = {"align_weight", "discrepancy_weight", "ensemble", "holdout_ratio"}
+_ADV_KEYS = set(AdversarialConfig.__dataclass_fields__) - {"train"}
+_MOMENT_KEYS = set(MomentConfig.__dataclass_fields__) - {"train"}
 _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
 
 
@@ -138,22 +145,11 @@ class ExperimentConfig:
         return ExperimentConfig(**payload)
 
     def to_dict(self) -> dict:
-        from .data import spec_to_dict
-
-        return {
-            "task": self.task,
-            "schemes": list(self.schemes),
-            "domains": None if self.domains is None else [spec_to_dict(s) for s in self.domains],
-            "dataset_paths": self.dataset_paths,
-            "repeats": self.repeats,
-            "base_seed": self.base_seed,
-            "split_ratio": self.split_ratio,
-            "n_classes": self.n_classes,
-            "train": self.train,
-            "scheme_overrides": self.scheme_overrides,
-            "fairness_bins": self.fairness_bins,
-            "fairness_schemes": self.fairness_schemes,
-        }
+        payload = {f: getattr(self, f) for f in self.__dataclass_fields__}
+        payload["schemes"] = list(self.schemes)
+        if self.domains is not None:
+            payload["domains"] = [spec_to_dict(s) for s in self.domains]
+        return payload
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
@@ -164,14 +160,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _stable_hash(text: str) -> int:
-    return zlib.crc32(text.encode())
-
-
 def cell_seed(base_seed: int, cell_key: str, repeat: int) -> int:
     """base + repeat + hash(cell key), kept in the nonnegative 63-bit range
     so no two cells accidentally share a seed stream."""
-    return (base_seed + repeat + _stable_hash(cell_key)) % (2 ** 63)
+    return (base_seed + repeat + zlib.crc32(cell_key.encode())) % (2 ** 63)
 
 
 def materialize_domains(cfg: ExperimentConfig) -> dict[str, SplitPair]:
@@ -203,31 +195,62 @@ def materialize_domains(cfg: ExperimentConfig) -> dict[str, SplitPair]:
     return splits
 
 
-def _global_classes(cfg: ExperimentConfig, splits: dict[str, SplitPair]) -> int:
-    if cfg.n_classes is not None:
-        n = int(cfg.n_classes)
-    else:
-        n = int(max(max(p.train.labels.max(initial=0), p.test.labels.max(initial=0))
-                    for p in splits.values())) + 1
-    if cfg.task == "binary" and n != 2:
-        raise ValueError(f"binary task needs exactly 2 classes, found {n}")
-    return n
+@dataclass
+class Grid:
+    """An experiment made ready to train: its config, the fixed split of
+    every domain, and the class and group counts over all of them."""
+
+    cfg: ExperimentConfig
+    splits: dict[str, SplitPair]
+    n_classes: int
+    n_groups: int
+
+    @property
+    def ids(self) -> list[str]:
+        return sorted(self.splits)
+
+    def predictions(self, model: TrainedCell, data: DomainDataset, groups: np.ndarray,
+                    n_groups: int) -> PredictionSet:
+        scores = model.scores(data.features)
+        pos = scores[:, 1] if self.n_classes == 2 else None
+        return PredictionSet(data.labels, np.argmax(scores, axis=1), groups,
+                             self.n_classes, n_groups, pos)
+
+    def task_metric(self, model: TrainedCell, target: str) -> float:
+        """AUROC (binary) or accuracy (multiclass) on the target's test split."""
+        test = self.splits[target].test
+        pred = self.predictions(model, test, test.sensitive, self.n_groups)
+        return auroc(pred.scores, test.labels) if self.cfg.task == "binary" else accuracy(pred)
+
+    def fairness(self, model: TrainedCell, target: str) -> FairnessReport:
+        """fairness_report over the target's full data (train and test rows),
+        with the sensitive attribute banded through cfg.fairness_bins if given."""
+        split = self.splits[target]
+        full = concat_domains([split.train, split.test])
+        groups = (group_partition(full.sensitive, self.cfg.fairness_bins)
+                  if self.cfg.fairness_bins is not None else full.sensitive)
+        return fairness_report(self.predictions(model, full, groups, int(groups.max()) + 1))
 
 
-def _global_groups(splits: dict[str, SplitPair]) -> int:
-    return int(max(max(p.train.sensitive.max(initial=0), p.test.sensitive.max(initial=0))
-                   for p in splits.values())) + 1
+def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
+    """Check the schemes against the task, materialize the domains, and count
+    classes (cfg.n_classes when set) and sensitive groups."""
+    if cfg.task == "multiclass":
+        for scheme in schemes:
+            if parse_scheme(scheme)[0] == "single-dann":
+                raise ValueError(
+                    "single-source UDA is rejected for multiclass tasks (target classes "
+                    "may be absent from a single source); use combined or multi schemes")
+    splits = materialize_domains(cfg)
 
+    def count(attr: str) -> int:
+        return 1 + int(max(getattr(d, attr).max(initial=0)
+                           for p in splits.values() for d in (p.train, p.test)))
 
-def _check_task_schemes(cfg: ExperimentConfig, schemes: list[str]) -> None:
-    if cfg.task != "multiclass":
-        return
-    for scheme in schemes:
-        base, _ = parse_scheme(scheme)
-        if base == "single-dann":
-            raise ValueError(
-                "single-source UDA is rejected for multiclass tasks (target classes "
-                "may be absent from a single source); use combined or multi schemes")
+    n_classes = int(cfg.n_classes) if cfg.n_classes is not None else count("labels")
+    if cfg.task == "binary" and n_classes != 2:
+        raise ValueError(f"binary task needs exactly 2 classes, found {n_classes}")
+    return Grid(cfg, splits, n_classes, count("sensitive"))
 
 
 # single-source arms default to a gentler rate; any explicit setting wins
@@ -250,13 +273,15 @@ def _build_configs(cfg: ExperimentConfig, scheme: str, n_classes: int,
 
 @dataclass
 class TrainedCell:
-    """A trained model plus how to predict with it."""
+    """A trained model, how to predict with it, and the TrainConfig and
+    RunRecord that produced it."""
 
     extractor: Mlp
     classifiers: list[Mlp]
+    train_config: TrainConfig
+    record: RunRecord
     ensemble_rule: str = "single"
     source_accuracies: list[float] | None = None
-    record: object = None
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         if self.ensemble_rule == "single":
@@ -265,7 +290,7 @@ class TrainedCell:
                                 rule=self.ensemble_rule,
                                 accuracies=self.source_accuracies)[0]
 
-    def bundle(self, train_config: TrainConfig) -> ModelBundle:
+    def bundle(self) -> ModelBundle:
         weights = None
         if self.ensemble_rule == "accuracy" and self.source_accuracies:
             total = sum(self.source_accuracies)
@@ -273,7 +298,7 @@ class TrainedCell:
         elif self.ensemble_rule == "uniform":
             weights = [1.0 / len(self.classifiers)] * len(self.classifiers)
         return ModelBundle(self.extractor, self.classifiers, weights,
-                           train_config.to_dict(), train_config.seed)
+                           self.train_config.to_dict(), self.train_config.seed)
 
 
 def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
@@ -282,44 +307,68 @@ def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
     """Train one (target, scheme, source) cell with target labels hidden."""
     base, _ = parse_scheme(scheme)
     tcfg, adv, mom = _build_configs(cfg, scheme, n_classes, seed)
-    target_unlabeled = splits[target_id].train.unlabeled()
-    source_ids = [d for d in splits if d != target_id]
-
+    target = splits[target_id].train.unlabeled()
+    sources = [splits[d].train for d in splits if d != target_id]
     if base.startswith("single"):
-        source = splits[source_label].train
-        if base == "single-erm":
-            res = train_erm(source, tcfg)
-            return TrainedCell(res.extractor, [res.classifier], record=res.record)
-        res = train_dann(source, target_unlabeled, AdversarialConfig(train=tcfg, **adv))
-        return TrainedCell(res.extractor, [res.classifier], record=res.record)
+        sources = [splits[source_label].train]
+    elif base.startswith("combined"):
+        sources = [concat_domains(sources)]
 
-    if base.startswith("combined"):
-        combined = concat_domains([splits[d].train for d in source_ids])
-        if base == "combined-erm":
-            res = train_erm(combined, tcfg)
-            return TrainedCell(res.extractor, [res.classifier], record=res.record)
-        acfg = AdversarialConfig(train=tcfg, **adv)
-        res = (train_dann if base == "combined-dann" else train_adda)(
-            combined, target_unlabeled, acfg)
-        return TrainedCell(res.extractor, [res.classifier], record=res.record)
-
-    sources = [splits[d].train for d in source_ids]
-    if base == "multi-mdan":
-        res = train_mdan(sources, target_unlabeled, AdversarialConfig(train=tcfg, **adv))
-        return TrainedCell(res.extractor, [res.classifier], record=res.record)
-    mres = train_m3sda(sources, target_unlabeled, MomentConfig(train=tcfg, **mom))
-    return TrainedCell(mres.extractor, mres.classifiers, mres.ensemble_rule,
-                       mres.source_accuracies, mres.record)
+    if base == "multi-m3sda":
+        mres = train_m3sda(sources, target, MomentConfig(train=tcfg, **mom))
+        return TrainedCell(mres.extractor, mres.classifiers, tcfg, mres.record,
+                           mres.ensemble_rule, mres.source_accuracies)
+    if base.endswith("-erm"):
+        res = train_erm(sources[0], tcfg)
+    elif base == "multi-mdan":
+        res = train_mdan(sources, target, AdversarialConfig(train=tcfg, **adv))
+    else:
+        trainer = train_adda if base == "combined-adda" else train_dann
+        res = trainer(sources[0], target, AdversarialConfig(train=tcfg, **adv))
+    return TrainedCell(res.extractor, [res.classifier], tcfg, res.record)
 
 
-def _evaluate(model: TrainedCell, data: DomainDataset, task: str, n_classes: int,
-              n_groups: int) -> tuple[float, PredictionSet]:
-    scores = model.scores(data.features)
-    y_pred = np.argmax(scores, axis=1)
-    pos = scores[:, 1] if n_classes == 2 else None
-    pred = PredictionSet(data.labels, y_pred, data.sensitive, n_classes, n_groups, pos)
-    value = auroc(pos, data.labels) if task == "binary" else accuracy(pred)
-    return value, pred
+@dataclass
+class CellRun:
+    """One (cell, repeat): its seed, then its model and score, or the flag
+    that replaced them when training diverged or the metric was undefined."""
+
+    seed: int
+    model: TrainedCell | None = None
+    score: Any = None
+    flag: str | None = None
+
+
+def run_cell(grid: Grid, target: str, scheme: str, source: str, repeat: int,
+             fairness: bool = False) -> CellRun:
+    """Train and score one (cell, repeat): the path of run_matrix,
+    run_fairness and CLI train alike.
+
+    The plain score is grid.task_metric on the target's test split; with
+    fairness=True it is grid.fairness over the full target, and the seed key
+    gains a "fairness:" prefix. A DivergenceError or UndefinedMetricError
+    becomes the run's flag instead of propagating.
+    """
+    key = f"{'fairness:' if fairness else ''}{target}|{scheme}|{source}"
+    seed = cell_seed(grid.cfg.base_seed, key, repeat)
+    label = f"repeat {repeat}" + (f" source {source}" if fairness and source != "-" else "")
+    try:
+        model = train_cell(grid.splits, target, scheme, source, grid.cfg, grid.n_classes, seed)
+        score = grid.fairness(model, target) if fairness else grid.task_metric(model, target)
+        return CellRun(seed, model, score)
+    except DivergenceError as err:
+        return CellRun(seed, flag=f"{label} diverged: {err}")
+    except UndefinedMetricError as err:
+        where = "full target" if fairness else "target test split"
+        return CellRun(seed, flag=f"{label}: {err} in the {where}")
+
+
+def _pool_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """fn over items, on a thread pool of that many workers when above 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 @dataclass
@@ -340,11 +389,7 @@ class CellResult:
         return float(np.std(self.values)) if self.values else None
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target, "scheme": self.scheme, "source": self.source,
-            "values": self.values, "seeds": self.seeds, "flags": self.flags,
-            "mean": self.mean, "std": self.std,
-        }
+        return {**asdict(self), "mean": self.mean, "std": self.std}
 
 
 @dataclass
@@ -383,28 +428,15 @@ class EvalReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "metric": self.metric,
-            "domain_ids": self.domain_ids,
-            "schemes": self.schemes,
-            "repeats": self.repeats,
-            "base_seed": self.base_seed,
-            "config_hash": self.config_hash,
-            "cells": [c.to_dict() for c in self.cells],
-            "column_averages": self.column_averages(),
-            "row_averages": self.row_averages(),
-        }
+        return {**asdict(self), "cells": [c.to_dict() for c in self.cells],
+                "column_averages": self.column_averages(),
+                "row_averages": self.row_averages()}
 
 
 def run_matrix(cfg: ExperimentConfig, workers: int = 1) -> EvalReport:
     """Train and evaluate every (target, scheme, source) cell of the grid."""
-    _check_task_schemes(cfg, cfg.schemes)
-    splits = materialize_domains(cfg)
-    n_classes = _global_classes(cfg, splits)
-    n_groups = _global_groups(splits)
-    ids = sorted(splits)
-
+    grid = open_grid(cfg, cfg.schemes)
+    ids = grid.ids
     jobs: list[tuple[str, str, str]] = []
     for scheme in cfg.schemes:
         base, _ = parse_scheme(scheme)
@@ -415,29 +447,14 @@ def run_matrix(cfg: ExperimentConfig, workers: int = 1) -> EvalReport:
                 jobs.append((target, scheme, "combined" if base.startswith("combined") else "all"))
 
     def run_job(job: tuple[str, str, str]) -> CellResult:
-        target, scheme, source = job
-        key = f"{target}|{scheme}|{source}"
-        values, seeds, flags = [], [], []
-        for repeat in range(cfg.repeats):
-            seed = cell_seed(cfg.base_seed, key, repeat)
-            seeds.append(seed)
-            try:
-                model = train_cell(splits, target, scheme, source, cfg, n_classes, seed)
-                value, _ = _evaluate(model, splits[target].test, cfg.task, n_classes, n_groups)
-                values.append(value)
-            except DivergenceError as err:
-                flags.append(f"repeat {repeat} diverged: {err}")
-            except UndefinedMetricError as err:
-                flags.append(f"repeat {repeat}: {err} in the target test split")
+        runs = [run_cell(grid, *job, repeat) for repeat in range(cfg.repeats)]
+        values = [r.score for r in runs if r.flag is None]
+        flags = [r.flag for r in runs if r.flag is not None]
         if flags and values:
             flags.append(f"aggregated over {len(values)} of {cfg.repeats} repeats")
-        return CellResult(target, scheme, source, values, seeds, flags)
+        return CellResult(*job, values, [r.seed for r in runs], flags)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(job) for job in jobs]
+    results = _pool_map(run_job, jobs, workers)
     results.sort(key=lambda c: (c.scheme, c.target, c.source))
     metric = "auroc" if cfg.task == "binary" else "accuracy"
     return EvalReport(cfg.task, metric, ids, list(cfg.schemes), cfg.repeats,
@@ -453,26 +470,23 @@ class FairnessCell:
     target: str
     scheme: str
     quality_basis: str
-    values: dict[str, list[float]]          # pqd/dpm/eom/quality per repeat
+    values: dict[str, list[float]]          # pqd/dpm/eom/quality per surviving repeat
     seeds: list[int]
     sources_averaged: int
     flags: list[str]
-    last_report: dict | None = None         # full tables from the last repeat
+    last_report: dict | None = None         # full tables from the last surviving run
+    failed_runs: int = 0                    # (repeat, source) runs flagged, not scored
 
     def summary(self) -> dict:
         stats = {}
         for key, vals in sorted(self.values.items()):
-            stats[key] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
+            stats[key] = ({"mean": float(np.mean(vals)), "std": float(np.std(vals))}
+                          if vals else {"mean": None, "std": None})
         return stats
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target, "scheme": self.scheme,
-            "quality_basis": self.quality_basis, "values": self.values,
-            "seeds": self.seeds, "sources_averaged": self.sources_averaged,
-            "flags": self.flags, "summary": self.summary(),
-            "last_report": self.last_report,
-        }
+        payload = {k: v for k, v in asdict(self).items() if k != "failed_runs"}
+        return {**payload, "summary": self.summary()}
 
 
 @dataclass
@@ -486,68 +500,47 @@ class FairnessMatrix:
                 "cells": [c.to_dict() for c in self.cells]}
 
 
-def _full_target(split: SplitPair) -> DomainDataset:
-    """Train and test rows back together, for group-level evaluation."""
-    full = concat_domains([split.train, split.test])
-    return DomainDataset(split.train.domain_id, full.features, full.labels,
-                         full.sensitive, full.sample_ids)
-
-
 def run_fairness(cfg: ExperimentConfig, workers: int = 1) -> FairnessMatrix:
     """Group-fairness evaluation of the configured schemes on each target.
 
     Single-source schemes report the average over their per-source runs; the
     sensitive attribute is banded through cfg.fairness_bins when given,
-    otherwise the stored group ids are used directly.
+    otherwise the stored group ids are used directly. A (repeat, source) run
+    that diverges or has an undefined metric is flagged and counted in
+    failed_runs; each repeat averages its surviving sources.
     """
     schemes = cfg.fairness_schemes if cfg.fairness_schemes is not None else cfg.schemes
-    _check_task_schemes(cfg, schemes)
-    splits = materialize_domains(cfg)
-    n_classes = _global_classes(cfg, splits)
-    ids = sorted(splits)
+    grid = open_grid(cfg, schemes)
 
-    def run_one(target: str, scheme: str) -> FairnessCell:
+    def run_one(pair: tuple[str, str]) -> FairnessCell:
+        target, scheme = pair
         base, _ = parse_scheme(scheme)
-        full = _full_target(splits[target])
-        groups = (group_partition(full.sensitive, cfg.fairness_bins)
-                  if cfg.fairness_bins is not None else full.sensitive)
-        n_groups = int(groups.max()) + 1
-        sources = [d for d in ids if d != target] if base.startswith("single") else ["-"]
+        sources = [d for d in grid.ids if d != target] if base.startswith("single") else ["-"]
         values: dict[str, list[float]] = {"pqd": [], "dpm": [], "eom": [], "quality": []}
-        seeds, flags = [], []
-        basis = "auto"
-        last: dict | None = None
+        seeds, flags, failed = [], [], 0
+        basis, last = "auto", None
         for repeat in range(cfg.repeats):
-            per_source: dict[str, list[float]] = {k: [] for k in values}
+            reports = []
             for source in sources:
-                key = f"fairness:{target}|{scheme}|{source}"
-                seed = cell_seed(cfg.base_seed, key, repeat)
-                seeds.append(seed)
-                model = train_cell(splits, target, scheme, source, cfg, n_classes, seed)
-                scores = model.scores(full.features)
-                pos = scores[:, 1] if n_classes == 2 else None
-                pred = PredictionSet(full.labels, np.argmax(scores, axis=1), groups,
-                                     n_classes, n_groups, pos)
-                report = fairness_report(pred)
-                basis = report.quality_basis
-                per_source["pqd"].append(report.pqd)
-                per_source["dpm"].append(report.dpm)
-                per_source["eom"].append(report.eom)
-                per_source["quality"].append(report.quality)
-                for flag in report.flags:
+                run = run_cell(grid, target, scheme, source, repeat, fairness=True)
+                seeds.append(run.seed)
+                if run.flag is not None:
+                    flags.append(run.flag)
+                    failed += 1
+                    continue
+                reports.append(run.score)
+                for flag in run.score.flags:
                     if flag not in flags:
                         flags.append(flag)
-                last = report.to_dict()
-            for k in values:
-                values[k].append(float(np.mean(per_source[k])))
-        return FairnessCell(target, scheme, basis, values, seeds, len(sources), flags, last)
+            if reports:
+                basis, last = reports[-1].quality_basis, reports[-1].to_dict()
+                for k in values:
+                    values[k].append(float(np.mean([getattr(r, k) for r in reports])))
+        return FairnessCell(target, scheme, basis, values, seeds, len(sources), flags, last,
+                            failed)
 
-    pairs = [(target, scheme) for scheme in schemes for target in ids]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda p: run_one(*p), pairs))
-    else:
-        cells = [run_one(*p) for p in pairs]
+    cells = _pool_map(run_one, [(target, scheme) for scheme in schemes for target in grid.ids],
+                      workers)
     cells.sort(key=lambda c: (c.scheme, c.target))
     return FairnessMatrix(cfg.task, cfg.config_hash(), cells)
 

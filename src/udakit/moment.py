@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DomainDataset, UnlabeledDomain, stratified_split
+from .data import DomainDataset, UnlabeledDomain, require_unlabeled, stratified_split
 from .nn import (
-    DivergenceError,
     Mlp,
     RunRecord,
     TrainConfig,
@@ -25,12 +24,13 @@ from .nn import (
     init_mlp,
     init_sgd,
     mlp_blocks,
+    multi_source_batches,
+    record_config,
     resolve_n_classes,
+    run_epochs,
     seed_streams,
-    sgd_step,
     softmax,
 )
-from .adversarial import _require_unlabeled, _balanced_p
 
 __all__ = [
     "MomentConfig",
@@ -118,10 +118,7 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
     """
     if len(sources) < 2:
         raise ValueError("train_m3sda needs at least 2 sources")
-    target = _require_unlabeled(target)
-    dim = sources[0].dim
-    if any(s.dim != dim for s in sources) or target.dim != dim:
-        raise ValueError("all sources and the target must share one feature dimension")
+    target = require_unlabeled(target, sources)
     tcfg = cfg.train
     n_classes = resolve_n_classes(tcfg, *[s.labels for s in sources])
     rng_init, rng_batch, rng_tgt, rng_aux = seed_streams(tcfg.seed)
@@ -136,7 +133,7 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
     else:
         train_sources = list(sources)
 
-    extractor = init_mlp([dim, *tcfg.hidden_sizes], rng_init, final="relu")
+    extractor = init_mlp([target.dim, *tcfg.hidden_sizes], rng_init, final="relu")
     classifiers = [init_mlp([tcfg.hidden_sizes[-1], n_classes], rng_init, final="identity")
                    for _ in sources]
     blocks = mlp_blocks(extractor, "extractor")
@@ -149,30 +146,16 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
         keys[f"moment:src{k}|target"] = []
         for l in range(k + 1, len(sources)):
             keys[f"moment:src{k}|src{l}"] = []
-    record = RunRecord("m3sda", tcfg.seed, _record_config(cfg), keys)
+    record = RunRecord("m3sda", tcfg.seed, record_config(cfg), keys)
 
-    weights_per_source = [
-        None if not tcfg.resample else _balanced_p(s.labels, n_classes)
-        for s in train_sources
-    ]
-    steps_per_epoch = -(-max(s.n_samples for s in train_sources) // tcfg.batch_size)
-    for epoch in range(tcfg.epochs):
-        trace = {k: [] for k in keys}
-        for _ in range(steps_per_epoch):
-            xt = target.features[rng_tgt.choice(target.n_samples, size=tcfg.batch_size)]
-            batches = []
-            for s, p in zip(train_sources, weights_per_source):
-                idx = rng_batch.choice(s.n_samples, size=tcfg.batch_size, replace=True, p=p)
-                batches.append((s.features[idx], s.labels[idx]))
-            parts, grads = _m3sda_step_grads(extractor, classifiers, batches, xt,
-                                             cfg.align_weight, cfg.discrepancy_weight)
-            if not np.isfinite(parts["total"]):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            sgd_step(blocks, grads, opt)
-            for key in trace:
-                trace[key].append(parts[key])
-        for key in trace:
-            record.epoch_losses[key].append(float(np.mean(trace[key])))
+    def step(batch) -> tuple[dict[str, float], list[np.ndarray]]:
+        batches, xt = batch
+        return _m3sda_step_grads(extractor, classifiers, batches, xt,
+                                 cfg.align_weight, cfg.discrepancy_weight)
+
+    run_epochs(record, blocks, opt, tcfg.epochs,
+               multi_source_batches(train_sources, target, tcfg, n_classes, rng_batch, rng_tgt),
+               step)
     if tcfg.epochs:
         record.final["classification_loss"] = record.epoch_losses["classification"][-1]
         record.final["total_loss"] = record.epoch_losses["total"][-1]
@@ -295,13 +278,3 @@ def ensemble_predict(extractor: Mlp, classifiers: list[Mlp], x: np.ndarray,
         scores = p if scores is None else scores + p
     return scores, np.argmax(scores, axis=1)
 
-
-def _record_config(cfg: MomentConfig) -> dict:
-    payload = cfg.train.to_dict()
-    payload.update({
-        "align_weight": cfg.align_weight,
-        "discrepancy_weight": cfg.discrepancy_weight,
-        "ensemble": cfg.ensemble,
-        "holdout_ratio": cfg.holdout_ratio,
-    })
-    return payload

@@ -1,20 +1,25 @@
-"""Small fully-connected networks with analytic gradients.
+"""Small fully-connected networks with analytic gradients, and run_epochs,
+the training loop of all five trainers.
 
 Everything is float64 numpy so gradients can be checked against central
 finite differences. A model is three pieces: a feature extractor (rectifier
 MLP whose output is the feature vector), a label predictor, and, for the
-adversarial trainers, one or more domain discriminators.
+adversarial trainers, one or more domain discriminators. A trainer (ERM
+here, DANN/ADDA/MDAN in adversarial, M3SDA in moment) is a model build plus
+a step function handed to run_epochs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .data import DomainDataset, weighted_sampler_weights
+from .data import DomainDataset, UnlabeledDomain, class_balanced_probabilities
 
 __all__ = [
     "Mlp",
@@ -24,6 +29,7 @@ __all__ = [
     "ErmResult",
     "ModelBundle",
     "DivergenceError",
+    "NonFiniteInputError",
     "init_mlp",
     "forward",
     "backward",
@@ -31,6 +37,9 @@ __all__ = [
     "cross_entropy",
     "init_sgd",
     "sgd_step",
+    "run_epochs",
+    "record_config",
+    "multi_source_batches",
     "train_erm",
     "predict",
     "extract_features",
@@ -42,6 +51,11 @@ __all__ = [
 
 class DivergenceError(RuntimeError):
     """Raised when training produces a non-finite loss or gradient."""
+
+
+class NonFiniteInputError(DivergenceError, ValueError):
+    """Non-finite network input. Datasets reject non-finite features, so in
+    training this is an overflowed activation: a divergence."""
 
 
 @dataclass
@@ -127,7 +141,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     if x.ndim != 2 or x.shape[1] != mlp.in_dim:
         raise ValueError(f"input shape {x.shape} does not match first layer ({mlp.in_dim} columns)")
     if not np.isfinite(x).all():
-        raise ValueError("non-finite network input")
+        raise NonFiniteInputError("non-finite network input")
     acts = [x]
     h = x
     for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
@@ -257,16 +271,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "hidden_sizes": list(self.hidden_sizes),
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "resample": self.resample,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
 
     @staticmethod
     def from_dict(payload: dict) -> "TrainConfig":
@@ -289,14 +294,7 @@ class RunRecord:
     final: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "config": self.config,
-            "epoch_losses": self.epoch_losses,
-            "warnings": self.warnings,
-            "final": self.final,
-        }
+        return asdict(self)
 
 
 def save_run_record(record: RunRecord, path: str | Path,
@@ -323,11 +321,65 @@ def epoch_batches(rng: np.random.Generator, labels: np.ndarray, batch_size: int,
     """
     n = labels.shape[0]
     if resample:
-        w = weighted_sampler_weights(labels, n_classes)
-        idx = rng.choice(n, size=n, replace=True, p=w / w.sum())
+        idx = rng.choice(n, size=n, replace=True, p=class_balanced_probabilities(labels, n_classes))
     else:
         idx = rng.permutation(n)
     return [idx[s:s + batch_size] for s in range(0, n, batch_size)]
+
+
+def multi_source_batches(sources: list[DomainDataset], target: UnlabeledDomain,
+                         cfg: TrainConfig, n_classes: int, rng_batch: np.random.Generator,
+                         rng_tgt: np.random.Generator) -> Callable[[], Iterable]:
+    """run_epochs' batches() for a multi-source trainer: ceil(largest source /
+    batch_size) steps, each ([(x, y) per source], target x) of batch_size rows
+    drawn with replacement (class-balanced sources when cfg.resample)."""
+    probs = [class_balanced_probabilities(s.labels, n_classes) if cfg.resample else None
+             for s in sources]
+    steps = -(-max(s.n_samples for s in sources) // cfg.batch_size)
+
+    def epoch():
+        for _ in range(steps):
+            xt = target.features[rng_tgt.choice(target.n_samples, size=cfg.batch_size)]
+            batches = []
+            for s, p in zip(sources, probs):
+                idx = rng_batch.choice(s.n_samples, size=cfg.batch_size, replace=True, p=p)
+                batches.append((s.features[idx], s.labels[idx]))
+            yield batches, xt
+
+    return epoch
+
+
+def run_epochs(record: RunRecord, blocks: list[tuple[str, np.ndarray]], opt: SgdState,
+               epochs: int, batches: Callable[[], Iterable],
+               step: Callable[[object], tuple[dict[str, float], list[np.ndarray]]]) -> None:
+    """The training loop of every trainer.
+
+    Each epoch iterates over batches(); step(batch) returns named losses and
+    one gradient per block. A non-finite loss raises DivergenceError before
+    that step updates anything; otherwise sgd_step applies the gradients
+    (opt.step counts the steps). Each loss's epoch mean is appended to
+    record.epoch_losses[name].
+    """
+    for epoch in range(epochs):
+        trace: dict[str, list[float]] = {}
+        for batch in batches():
+            losses, grads = step(batch)
+            for name, value in losses.items():
+                if not math.isfinite(value):
+                    raise DivergenceError(f"non-finite {name} loss at epoch {epoch}")
+            sgd_step(blocks, grads, opt)
+            for name, value in losses.items():
+                trace.setdefault(name, []).append(value)
+        for name, values in trace.items():
+            record.epoch_losses.setdefault(name, []).append(float(np.mean(values)))
+
+
+def record_config(cfg) -> dict:
+    """A trainer config as one flat dict for its RunRecord: the fields of
+    cfg.train, then cfg's own fields (tuples as lists)."""
+    own = {k: list(v) if isinstance(v, tuple) else v
+           for k, v in asdict(cfg).items() if k != "train"}
+    return {**cfg.train.to_dict(), **own}
 
 
 def resolve_n_classes(cfg: TrainConfig, *label_arrays: np.ndarray) -> int:
@@ -366,17 +418,15 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ErmResult:
     opt = init_sgd(blocks, cfg.learning_rate, cfg.momentum)
 
     record = RunRecord("erm", cfg.seed, cfg.to_dict(), {"classification": []})
-    for epoch in range(cfg.epochs):
-        losses = []
-        for idx in epoch_batches(rng_batch, source.labels, cfg.batch_size,
-                                 cfg.resample, n_classes):
-            loss, grads = _erm_step_grads(extractor, classifier,
-                                          source.features[idx], source.labels[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            sgd_step(blocks, grads, opt)
-            losses.append(loss)
-        record.epoch_losses["classification"].append(float(np.mean(losses)))
+
+    def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
+        loss, grads = _erm_step_grads(extractor, classifier,
+                                      source.features[idx], source.labels[idx])
+        return {"classification": loss}, grads
+
+    run_epochs(record, blocks, opt, cfg.epochs,
+               lambda: epoch_batches(rng_batch, source.labels, cfg.batch_size,
+                                     cfg.resample, n_classes), step)
     record.final["classification_loss"] = (
         record.epoch_losses["classification"][-1] if cfg.epochs else float("nan"))
     return ErmResult(extractor, classifier, record)

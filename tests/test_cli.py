@@ -2,12 +2,18 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from udakit import load_dataset
+from udakit import DomainSpec, load_dataset
 from udakit.cli import main
 from udakit.data import spec_to_dict
-from test_harness import blob_spec, one_class_target_config
+from test_harness import (
+    blob_spec,
+    diverging_fairness_config,
+    one_class_target_config,
+    overflow_config,
+)
 
 
 @pytest.fixture
@@ -149,6 +155,29 @@ class TestMatrixCommand:
             else:
                 assert len(cell["values"]) == 1 and cell["flags"] == []
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflow_counts_as_divergence(self, tmp_path, capsys):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(overflow_config().to_dict()))
+        out = tmp_path / "report.json"
+        code = main(["matrix", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert "6 cells flagged" in capsys.readouterr().err
+        cells = json.loads(out.read_text())["cells"]
+        assert [c["scheme"] for c in cells if c["flags"]] == ["single-erm"] * 6
+        assert all(len(c["values"]) == 1 for c in cells if c["scheme"] == "combined-erm")
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_train_divergence_exit_code(self, tmp_path, capsys):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(overflow_config().to_dict()))
+        out = tmp_path / "runs"
+        code = main(["train", "--config", str(config_path), "--target", "d0",
+                     "--scheme", "single-erm", "--source", "d1", "--out", str(out)])
+        assert code == 2
+        assert "repeat 0 diverged: non-finite network input" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text(json.dumps({"task": "binary", "schemes": ["nope"]}))
@@ -173,6 +202,37 @@ class TestFairnessCommand:
         payload = json.loads(out.read_text())
         assert len(payload["cells"]) == 3
         assert all("pqd" in c["values"] for c in payload["cells"])
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_failed_trainings_still_write_output_and_exit_2(self, tmp_path, capsys):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(diverging_fairness_config().to_dict()))
+        out = tmp_path / "fairness.json"
+        assert main(["fairness", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "6 trainings flagged" in capsys.readouterr().err
+        cells = json.loads(out.read_text())["cells"]
+        assert len(cells) == 6
+        for cell in cells:
+            if cell["scheme"] == "single-erm":
+                assert len(cell["flags"]) == 2 and cell["summary"]["pqd"]["mean"] is None
+            else:
+                assert cell["flags"] == [] and len(cell["values"]["pqd"]) == 1
+
+    def test_fairness_notes_keep_exit_code_zero(self, tmp_path):
+        # d0 holds no class-2 rows, so its fairness report notes the absent class
+        specs = [DomainSpec(f"d{i}", 90, 2, np.array([[0, 0], [2.5, 0], [1.2, 2.2]]), 0.5,
+                            np.array(mix), np.array([0.6, 0.4]),
+                            np.array([[0.0, 0.0], [0.0, 0.8]]), seed=60 + i)
+                 for i, mix in enumerate([(0.5, 0.5, 0.0), (0.3, 0.3, 0.4), (0.4, 0.3, 0.3)])]
+        config = {"task": "multiclass", "schemes": ["combined-erm"], "n_classes": 3,
+                  "domains": [spec_to_dict(s) for s in specs], "repeats": 1,
+                  "train": {"epochs": 3, "hidden_sizes": [8]}}
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "fairness.json"
+        assert main(["fairness", "--config", str(config_path), "--out", str(out)]) == 0
+        d0 = next(c for c in json.loads(out.read_text())["cells"] if c["target"] == "d0")
+        assert "class 2 absent from every group's true labels" in d0["flags"]
 
 
 class TestDiagnoseCommand:

@@ -15,7 +15,9 @@ from udakit import (
     save_dataset,
     stratified_split,
 )
+import udakit.harness as harness
 from udakit.harness import CellResult, EvalReport, cell_seed, parse_scheme
+from udakit.nn import DivergenceError
 from conftest import make_blobs
 
 
@@ -28,10 +30,10 @@ def blob_spec(domain_id, seed, n=80, mean_shift=0.0, mix=(0.5, 0.5),
                       np.asarray(mix, float), groups, offsets, seed)
 
 
-def one_class_target_config(repeats=2):
-    """The pinned grid's domains with the third one holding class 0 only;
-    all seven scheme bases, trained briefly."""
-    mixes = [(0.8, 0.2), (0.55, 0.45), (1.0, 0.0)]
+def pinned_grid_config(schemes, repeats=1, mixes=((0.8, 0.2), (0.55, 0.45), (0.3, 0.7)),
+                       epochs=60, **kw):
+    """The pinned grid: three 300-sample domains (seeds 40 to 42), base seed 7,
+    learning rate 3e-3, momentum 0.5."""
     domains = [DomainSpec(f"d{i}", 300, 2,
                           np.array([[0.0, 0.0], [2.6, 0.0]]) + np.array([0.4, 0.2]) * i,
                           0.9, np.array(mixes[i]), np.array([1.0]), np.zeros((1, 2)),
@@ -39,9 +41,33 @@ def one_class_target_config(repeats=2):
                for i in range(3)]
     return ExperimentConfig(
         task="binary", domains=domains, repeats=repeats, base_seed=7, n_classes=2,
-        schemes=["single-erm", "single-dann", "combined-erm", "rs-combined-dann",
-                 "rs-multi-m3sda", "multi-mdan", "combined-adda"],
-        train={"epochs": 2, "learning_rate": 3e-3, "momentum": 0.5})
+        schemes=list(schemes),
+        train={"epochs": epochs, "learning_rate": 3e-3, "momentum": 0.5}, **kw)
+
+
+def one_class_target_config(repeats=2):
+    """The pinned grid's domains with the third one holding class 0 only;
+    all seven scheme bases, trained briefly."""
+    return pinned_grid_config(
+        ["single-erm", "single-dann", "combined-erm", "rs-combined-dann",
+         "rs-multi-m3sda", "multi-mdan", "combined-adda"],
+        repeats=repeats, mixes=((0.8, 0.2), (0.55, 0.45), (1.0, 0.0)), epochs=2)
+
+
+def overflow_config():
+    """The pinned grid with single-erm at a learning rate whose update
+    overflows the parameters; combined-erm stays healthy."""
+    return pinned_grid_config(
+        ["single-erm", "combined-erm"],
+        scheme_overrides={"single-erm": {"learning_rate": 1e100, "epochs": 5}})
+
+
+def diverging_fairness_config():
+    """Three 80-sample blob domains; single-erm diverges at learning rate 1e9."""
+    return quick_config(["single-erm", "combined-erm"], n_domains=3,
+                        train={"epochs": 15},
+                        scheme_overrides={"single-erm": {"learning_rate": 1e9,
+                                                         "epochs": 30}})
 
 
 def quick_config(schemes, n_domains=2, repeats=1, **kw):
@@ -180,6 +206,13 @@ class TestDeterminismAndAggregation:
                                                   n_domains=3), workers=4), "canonical")
         assert seq == par
 
+    def test_workers_do_not_change_fairness_results(self):
+        def text(workers):
+            cfg = quick_config(["single-erm", "combined-erm"], n_domains=3, repeats=2)
+            return json.dumps(run_fairness(cfg, workers=workers).to_dict(), sort_keys=True)
+
+        assert text(1) == text(4)
+
     def test_aggregates_match_independent_recompute(self):
         report = run_matrix(quick_config(["single-erm"], n_domains=3, repeats=3))
         for cell in report.cells:
@@ -221,6 +254,17 @@ class TestDeterminismAndAggregation:
                 assert len(cell.values) == 2
                 assert all(0.0 <= v <= 1.0 for v in cell.values)
         assert "d2" not in report.column_averages()["combined-erm"]
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflowing_network_is_flagged_as_divergence(self):
+        report = run_matrix(overflow_config())
+        assert len(report.cells) == 9
+        for cell in report.cells:
+            if cell.scheme == "single-erm":
+                assert cell.values == []
+                assert cell.flags == ["repeat 0 diverged: non-finite network input"]
+            else:
+                assert cell.flags == [] and len(cell.values) == 1
 
 
 class TestTargetLabelFirewall:
@@ -292,6 +336,48 @@ class TestRunFairness:
         for cell in matrix.cells:
             assert cell.sources_averaged == 2
             assert len(cell.values["pqd"]) == 2  # one averaged value per repeat
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverging_trainings_are_flagged_and_the_rest_kept(self):
+        matrix = run_fairness(diverging_fairness_config())
+        assert len(matrix.cells) == 6
+        for cell in matrix.cells:
+            payload = json.loads(json.dumps(cell.to_dict()))
+            if cell.scheme == "single-erm":
+                assert cell.failed_runs == 2 and cell.last_report is None
+                assert all(v == [] for v in cell.values.values())
+                others = [d for d in ("d0", "d1", "d2") if d != cell.target]
+                assert [f.split(":")[0] for f in cell.flags] == [
+                    f"repeat 0 source {d} diverged" for d in others]
+                assert all(s == {"mean": None, "std": None}
+                           for s in payload["summary"].values())
+            else:
+                assert cell.failed_runs == 0 and cell.flags == []
+                assert all(len(v) == 1 for v in cell.values.values())
+                assert all(s["mean"] is not None for s in payload["summary"].values())
+
+    def test_repeat_averages_its_surviving_sources(self, monkeypatch):
+        cfg = quick_config(["single-erm"], n_domains=3, repeats=2)
+        healthy = run_fairness(cfg)
+        train_cell = harness.train_cell
+
+        def failing_d1(splits, target, scheme, source, *args):
+            if source == "d1":
+                raise DivergenceError("non-finite classification loss at epoch 0")
+            return train_cell(splits, target, scheme, source, *args)
+
+        monkeypatch.setattr(harness, "train_cell", failing_d1)
+        lossy = run_fairness(quick_config(["single-erm"], n_domains=3, repeats=2))
+        for before, after in zip(healthy.cells, lossy.cells):
+            if after.target == "d1":
+                assert after.values == before.values and after.failed_runs == 0
+                continue
+            assert after.failed_runs == 2 and after.sources_averaged == 2
+            assert after.flags[:2] == [
+                f"repeat {r} source d1 diverged: non-finite classification loss at epoch 0"
+                for r in range(2)]
+            assert all(len(v) == 2 for v in after.values.values())
+            assert after.values != before.values
 
     def test_fairness_bins_applied(self):
         domains = [blob_spec(f"d{i}", i, groups=(0.5, 0.5),

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from udakit import (
+    AdversarialConfig,
     DivergenceError,
+    MomentConfig,
     Mlp,
     ModelBundle,
     TrainConfig,
@@ -18,9 +20,13 @@ from udakit import (
     save_model,
     sgd_step,
     softmax,
+    train_adda,
+    train_dann,
     train_erm,
+    train_m3sda,
+    train_mdan,
 )
-from udakit.nn import mlp_blocks
+from udakit.nn import NonFiniteInputError, RunRecord, mlp_blocks, run_epochs
 from conftest import make_blobs
 from oracles import finite_difference, mlp_by_hand, relative_error
 
@@ -61,6 +67,12 @@ class TestForward:
         mlp = init_mlp([2, 2], rng)
         with pytest.raises(ValueError, match="non-finite"):
             forward(mlp, np.array([[np.nan, 0.0]]))
+
+    def test_non_finite_input_is_a_divergence(self, rng):
+        mlp = init_mlp([2, 2], rng)
+        with pytest.raises(NonFiniteInputError) as exc:
+            forward(mlp, np.array([[np.inf, 0.0]]))
+        assert isinstance(exc.value, DivergenceError) and isinstance(exc.value, ValueError)
 
 
 def _packed(mlp):
@@ -310,6 +322,95 @@ class TestTrainErm:
         data = make_blobs("d", 0, n=5)
         with pytest.raises(ValueError, match="empty"):
             train_erm(data.subset(np.array([], dtype=int)), TrainConfig(n_classes=2))
+
+
+class TestRunEpochs:
+    """The shared training loop, driven by a fake step on one parameter:
+    three batches per epoch, gradient 1, learning rate 1, no momentum."""
+
+    def setup_method(self):
+        self.w = np.zeros(1)
+        self.blocks = [("w", self.w)]
+        self.opt = init_sgd(self.blocks, 1.0, 0.0)
+        self.record = RunRecord("fake", 0, {})
+        self.seen = []
+
+    def _run(self, epochs, losses_at):
+        def step(batch):
+            self.seen.append(batch)
+            return losses_at(len(self.seen) - 1, batch), [np.array([1.0])]
+
+        run_epochs(self.record, self.blocks, self.opt, epochs, lambda: [1.0, 2.0, 6.0], step)
+
+    def test_records_epoch_means_and_steps_every_batch(self):
+        self._run(2, lambda i, b: {"a": b, "b": b + i})
+        assert self.seen == [1.0, 2.0, 6.0] * 2
+        assert self.record.epoch_losses == {"a": [3.0, 3.0], "b": [4.0, 7.0]}
+        assert self.opt.step == 6 and self.w[0] == -6.0
+
+    def test_appends_to_existing_traces(self):
+        self.record.epoch_losses = {"a": [9.0], "kept": [1.0]}
+        self._run(1, lambda i, b: {"a": b})
+        assert self.record.epoch_losses == {"a": [9.0, 3.0], "kept": [1.0]}
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_loss_raises_before_its_update(self, name, bad):
+        def losses(i, b):
+            # the fifth step is epoch 1's second batch
+            return {"a": b, "b": b, name: bad} if i == 4 else {"a": b, "b": b}
+
+        with pytest.raises(DivergenceError, match=f"non-finite {name} loss at epoch 1"):
+            self._run(3, losses)
+        assert len(self.seen) == 5 and self.opt.step == 4 and self.w[0] == -4.0
+        assert self.record.epoch_losses == {"a": [3.0], "b": [3.0]}
+
+    def test_zero_epochs_never_draws(self):
+        self._run(0, lambda i, b: {"a": b})
+        assert self.seen == [] and self.record.epoch_losses == {}
+        assert self.opt.step == 0 and self.w[0] == 0.0
+
+    @pytest.mark.parametrize("trainer", ["erm", "dann", "adda", "mdan", "m3sda"])
+    def test_zero_epoch_records_keep_empty_loss_keys(self, trainer):
+        s1, s2 = make_blobs("s1", 1, n=40), make_blobs("s2", 2, n=40)
+        tgt = make_blobs("t", 3, n=40).unlabeled()
+        train = TrainConfig(n_classes=2, epochs=0, hidden_sizes=(4,))
+        if trainer == "erm":
+            record, keys = train_erm(s1, train).record, ["classification"]
+        elif trainer == "dann":
+            record = train_dann(s1, tgt, AdversarialConfig(train=train)).record
+            keys = ["classification", "domain"]
+        elif trainer == "adda":
+            record = train_adda(s1, tgt, AdversarialConfig(train=train)).record
+            keys = ["classification", "domain", "alignment", "discriminator_accuracy"]
+        elif trainer == "mdan":
+            record = train_mdan([s1, s2], tgt, AdversarialConfig(train=train)).record
+            keys = ["classification", "total", "domain_0", "domain_1"]
+        else:
+            record = train_m3sda([s1, s2], tgt, MomentConfig(train=train)).record
+            keys = ["classification", "moment", "discrepancy", "total",
+                    "moment:src0|target", "moment:src0|src1", "moment:src1|target"]
+        assert list(record.epoch_losses) == keys
+        assert all(v == [] for v in record.epoch_losses.values())
+        assert record.warnings == []
+
+
+class TestOverflow:
+    """A learning rate that overflows the parameters: the gradients stay
+    finite, the next forward pass sees infinite features."""
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("momentum", [0.0, 0.5, 0.9])
+    def test_train_erm_raises_divergence(self, momentum):
+        cfg = TrainConfig(learning_rate=1e100, momentum=momentum, epochs=20)
+        with pytest.raises(DivergenceError):
+            train_erm(make_blobs("s", 0, n=120), cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_train_dann_raises_divergence(self):
+        cfg = AdversarialConfig(train=TrainConfig(learning_rate=1e200, epochs=20))
+        with pytest.raises(DivergenceError):
+            train_dann(make_blobs("s", 0, n=120), make_blobs("t", 1, n=120).unlabeled(), cfg)
 
 
 class TestPredict:
