@@ -37,7 +37,7 @@ def main():
         json.dump(cfg.to_dict(), fh, indent=2)
     print("wrote experiment.json; running the grid (3 repeats per cell)...\n")
 
-    report = run_matrix(cfg, workers=2)
+    report = run_matrix(cfg)
     print(emit_report(report, "table"))
     print("cells are percent mean±std over repeats; * marks column bests "
           "(ties within 0.05 points), ! marks flagged cells")

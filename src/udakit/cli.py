@@ -58,42 +58,50 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the base seed")
-    common.add_argument("--out", type=str, default=None, help="output path or directory")
-    common.add_argument("--config", type=str, default=None, help="experiment or spec file")
-    common.add_argument("--workers", type=int, default=1, help="worker pool size")
-    common.add_argument("--format", choices=("canonical", "table"), default="canonical")
+    def flag(*names: str, **kw) -> argparse.ArgumentParser:
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*names, **kw)
+        return holder
+
+    # each subcommand takes only the shared flags it reads
+    seed = flag("--seed", type=int, default=None, help="override the base seed")
+    out = flag("--out", type=str, default=None, help="output path or directory")
+    config = flag("--config", type=str, default=None, help="experiment or spec file")
+    workers = flag("--workers", type=int, default=1,
+                   help="accepted and ignored: cells run one after another")
+    fmt = flag("--format", choices=("canonical", "table"), default="canonical")
 
     parser = _Parser(prog="udakit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate datasets from domain specs")
+    sub.add_parser("gen", parents=[seed, out, config], help="generate datasets from domain specs")
 
-    p = sub.add_parser("split", parents=[common], help="stratified train/test split")
+    p = sub.add_parser("split", parents=[seed, out], help="stratified train/test split")
     p.add_argument("--data", required=True)
     p.add_argument("--ratio", type=float, default=0.2)
 
-    p = sub.add_parser("train", parents=[common], help="train one experiment cell")
+    p = sub.add_parser("train", parents=[seed, out, config], help="train one experiment cell")
     p.add_argument("--target", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--source", default=None, help="source domain (single-* schemes)")
     p.add_argument("--repeat", type=int, default=0)
     p.add_argument("--features-out", default=None, help="export target-test features")
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a saved model on a dataset")
+    p = sub.add_parser("eval", parents=[out], help="evaluate a saved model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--features-out", default=None)
 
-    sub.add_parser("fairness", parents=[common], help="group-fairness evaluation")
+    sub.add_parser("fairness", parents=[seed, out, config, workers],
+                   help="group-fairness evaluation")
 
-    p = sub.add_parser("diagnose", parents=[common], help="pairwise shift matrix")
+    p = sub.add_parser("diagnose", parents=[seed, out], help="pairwise shift matrix")
     p.add_argument("--data", nargs="+", required=True, help="two or more dataset files")
     p.add_argument("--errors", default=None, help="source,target,test_error table to join")
     p.add_argument("--projections", type=int, default=256)
 
-    sub.add_parser("matrix", parents=[common], help="run the full experiment grid")
+    sub.add_parser("matrix", parents=[seed, out, config, workers, fmt],
+                   help="run the full experiment grid")
     return parser
 
 
@@ -176,7 +184,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     (out_dir / f"{stem}.metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     if args.features_out:
-        export_features(model.extractor, splits[args.target].test, args.features_out)
+        export_features(model.extractor, grid.splits[args.target].test, args.features_out)
     print(json.dumps(metrics, sort_keys=True))
     return 0
 
@@ -208,7 +216,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_fairness(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    matrix = run_fairness(cfg, workers=args.workers)
+    matrix = run_fairness(cfg)
     text = json.dumps(matrix.to_dict(), indent=2, sort_keys=True) + "\n"
     _write(text, args.out)
     failed = sum(c.failed_runs for c in matrix.cells)
@@ -235,7 +243,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report = run_matrix(cfg, workers=args.workers)
+    report = run_matrix(cfg)
     text = emit_report(report, args.format)
     _write(text, args.out)
     flagged = [c for c in report.cells if c.flags]

@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .data import (
     concat_domains,
     generate_domain,
     load_dataset,
+    save_dataset,
     spec_from_dict,
     spec_to_dict,
     stratified_split,
@@ -363,14 +364,6 @@ def run_cell(grid: Grid, target: str, scheme: str, source: str, repeat: int,
         return CellRun(seed, flag=f"{label}: {err} in the {where}")
 
 
-def _pool_map(fn: Callable, items: Iterable, workers: int) -> list:
-    """fn over items, on a thread pool of that many workers when above 1."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 @dataclass
 class CellResult:
     target: str
@@ -433,7 +426,7 @@ class EvalReport:
                 "row_averages": self.row_averages()}
 
 
-def run_matrix(cfg: ExperimentConfig, workers: int = 1) -> EvalReport:
+def run_matrix(cfg: ExperimentConfig) -> EvalReport:
     """Train and evaluate every (target, scheme, source) cell of the grid."""
     grid = open_grid(cfg, cfg.schemes)
     ids = grid.ids
@@ -446,15 +439,14 @@ def run_matrix(cfg: ExperimentConfig, workers: int = 1) -> EvalReport:
             else:
                 jobs.append((target, scheme, "combined" if base.startswith("combined") else "all"))
 
-    def run_job(job: tuple[str, str, str]) -> CellResult:
+    results = []
+    for job in jobs:
         runs = [run_cell(grid, *job, repeat) for repeat in range(cfg.repeats)]
         values = [r.score for r in runs if r.flag is None]
         flags = [r.flag for r in runs if r.flag is not None]
         if flags and values:
             flags.append(f"aggregated over {len(values)} of {cfg.repeats} repeats")
-        return CellResult(*job, values, [r.seed for r in runs], flags)
-
-    results = _pool_map(run_job, jobs, workers)
+        results.append(CellResult(*job, values, [r.seed for r in runs], flags))
     results.sort(key=lambda c: (c.scheme, c.target, c.source))
     metric = "auroc" if cfg.task == "binary" else "accuracy"
     return EvalReport(cfg.task, metric, ids, list(cfg.schemes), cfg.repeats,
@@ -500,7 +492,7 @@ class FairnessMatrix:
                 "cells": [c.to_dict() for c in self.cells]}
 
 
-def run_fairness(cfg: ExperimentConfig, workers: int = 1) -> FairnessMatrix:
+def run_fairness(cfg: ExperimentConfig) -> FairnessMatrix:
     """Group-fairness evaluation of the configured schemes on each target.
 
     Single-source schemes report the average over their per-source runs; the
@@ -511,9 +503,8 @@ def run_fairness(cfg: ExperimentConfig, workers: int = 1) -> FairnessMatrix:
     """
     schemes = cfg.fairness_schemes if cfg.fairness_schemes is not None else cfg.schemes
     grid = open_grid(cfg, schemes)
-
-    def run_one(pair: tuple[str, str]) -> FairnessCell:
-        target, scheme = pair
+    cells = []
+    for scheme, target in product(schemes, grid.ids):
         base, _ = parse_scheme(scheme)
         sources = [d for d in grid.ids if d != target] if base.startswith("single") else ["-"]
         values: dict[str, list[float]] = {"pqd": [], "dpm": [], "eom": [], "quality": []}
@@ -536,11 +527,8 @@ def run_fairness(cfg: ExperimentConfig, workers: int = 1) -> FairnessMatrix:
                 basis, last = reports[-1].quality_basis, reports[-1].to_dict()
                 for k in values:
                     values[k].append(float(np.mean([getattr(r, k) for r in reports])))
-        return FairnessCell(target, scheme, basis, values, seeds, len(sources), flags, last,
-                            failed)
-
-    cells = _pool_map(run_one, [(target, scheme) for scheme in schemes for target in grid.ids],
-                      workers)
+        cells.append(FairnessCell(target, scheme, basis, values, seeds, len(sources), flags,
+                                  last, failed))
     cells.sort(key=lambda c: (c.scheme, c.target))
     return FairnessMatrix(cfg.task, cfg.config_hash(), cells)
 
@@ -613,16 +601,8 @@ def emit_report(report: EvalReport, fmt: str = "canonical") -> str:
 
 
 def export_features(extractor: Mlp, data: DomainDataset, path: str | Path) -> None:
-    """Write extractor features for external plotting tools.
-
-    CSV layout mirrors dataset files: id,domain,label,sensitive,f0..f{k-1}.
-    """
+    """Write extractor features for external plotting tools, as a dataset
+    file (id,domain,label,sensitive,f0..f{k-1}) through save_dataset."""
     feats = extract_features(extractor, data.features)
-    header = ["id", "domain", "label", "sensitive"] + [f"f{j}" for j in range(feats.shape[1])]
-    lines = [",".join(header)]
-    for i in range(data.n_samples):
-        row = [data.sample_ids[i], data.domain_id, str(int(data.labels[i])),
-               str(int(data.sensitive[i]))]
-        row += [repr(float(v)) for v in feats[i]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_dataset(DomainDataset(data.domain_id, feats, data.labels, data.sensitive,
+                               data.sample_ids), path)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +165,10 @@ def _group_quality(pred: PredictionSet, basis: str) -> list[float]:
 
 def pqd(pred: PredictionSet, basis: str = "auto") -> float:
     """Worst-to-best ratio of per-group prediction quality."""
-    qualities = _group_quality(pred, _resolve_basis(pred, basis))
+    return _pqd_of(_group_quality(pred, _resolve_basis(pred, basis)))
+
+
+def _pqd_of(qualities: list[float]) -> float:
     top = max(qualities)
     if top == 0.0:
         raise ValueError("PQD undefined: best group quality is 0")
@@ -183,11 +186,17 @@ def _rate_ratio(values: list[float]) -> float:
 
 def dpm(pred: PredictionSet) -> float:
     """Average over classes of the cross-group prediction-rate ratio."""
-    groups = _group_indices(pred)
-    ratios = []
-    for cls in range(pred.n_classes):
-        rates = [float(np.mean(pred.y_pred[idx] == cls)) for idx in groups]
-        ratios.append(_rate_ratio(rates))
+    return _dpm_of(_prediction_rates(pred))
+
+
+def _prediction_rates(pred: PredictionSet) -> list[list[float]]:
+    """Fraction of each group predicted as each class, [group][class]."""
+    return [[float(np.mean(pred.y_pred[idx] == cls)) for cls in range(pred.n_classes)]
+            for idx in _group_indices(pred)]
+
+
+def _dpm_of(rates: list[list[float]]) -> float:
+    ratios = [_rate_ratio(list(column)) for column in zip(*rates)]
     return sum(ratios) / len(ratios)
 
 
@@ -264,17 +273,7 @@ class FairnessReport:
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "pqd": self.pqd,
-            "dpm": self.dpm,
-            "eom": self.eom,
-            "quality_basis": self.quality_basis,
-            "quality": self.quality,
-            "per_group_quality": self.per_group_quality,
-            "prediction_rates": self.prediction_rates,
-            "recall_table": self.recall_table,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 def fairness_report(pred: PredictionSet, basis: str = "auto",
@@ -282,17 +281,15 @@ def fairness_report(pred: PredictionSet, basis: str = "auto",
     """Compute PQD/DPM/EOM together with the tables behind them."""
     basis = _resolve_basis(pred, basis)
     per_group = _group_quality(pred, basis)
-    groups = _group_indices(pred)
-    rates = [[float(np.mean(pred.y_pred[idx] == cls)) for cls in range(pred.n_classes)]
-             for idx in groups]
+    rates = _prediction_rates(pred)
     eom_value, recall_table, flags = _eom_details(pred, strict)
     if basis == "accuracy":
         overall = accuracy(pred)
     else:
         overall = auroc(pred.scores, pred.y_true)
     return FairnessReport(
-        pqd=pqd(pred, basis),
-        dpm=dpm(pred),
+        pqd=_pqd_of(per_group),
+        dpm=_dpm_of(rates),
         eom=eom_value,
         quality_basis=basis,
         quality=overall,

@@ -357,19 +357,24 @@ def run_epochs(record: RunRecord, blocks: list[tuple[str, np.ndarray]], opt: Sgd
     Each epoch iterates over batches(); step(batch) returns named losses and
     one gradient per block. A non-finite loss raises DivergenceError before
     that step updates anything; otherwise sgd_step applies the gradients
-    (opt.step counts the steps). Each loss's epoch mean is appended to
+    (opt.step counts the steps). Any DivergenceError of an epoch, from the
+    loss check, step or sgd_step, is re-raised as its own type with
+    " at epoch N" appended. Each loss's epoch mean is appended to
     record.epoch_losses[name].
     """
     for epoch in range(epochs):
         trace: dict[str, list[float]] = {}
-        for batch in batches():
-            losses, grads = step(batch)
-            for name, value in losses.items():
-                if not math.isfinite(value):
-                    raise DivergenceError(f"non-finite {name} loss at epoch {epoch}")
-            sgd_step(blocks, grads, opt)
-            for name, value in losses.items():
-                trace.setdefault(name, []).append(value)
+        try:
+            for batch in batches():
+                losses, grads = step(batch)
+                for name, value in losses.items():
+                    if not math.isfinite(value):
+                        raise DivergenceError(f"non-finite {name} loss")
+                sgd_step(blocks, grads, opt)
+                for name, value in losses.items():
+                    trace.setdefault(name, []).append(value)
+        except DivergenceError as err:
+            raise type(err)(f"{err} at epoch {epoch}") from err
         for name, values in trace.items():
             record.epoch_losses.setdefault(name, []).append(float(np.mean(values)))
 

@@ -76,6 +76,16 @@ class TestTrainEval:
         assert metrics["metric"] == "auroc"
         assert 0.0 <= metrics["value"] <= 1.0
 
+    def test_train_exports_target_test_features(self, workspace, capsys):
+        tmp, _, config_path = workspace
+        feats = tmp / "feats.csv"
+        code = main(["train", "--config", str(config_path), "--target", "d0",
+                     "--scheme", "combined-erm", "--out", str(tmp / "runs"),
+                     "--features-out", str(feats)])
+        assert code == 0
+        assert feats.read_text().startswith("id,domain,label,sensitive,f0,")
+        assert load_dataset(feats).n_samples == 16
+
     def test_single_scheme_requires_source(self, workspace):
         tmp, _, config_path = workspace
         assert main(["train", "--config", str(config_path), "--target", "d0",
@@ -175,7 +185,7 @@ class TestMatrixCommand:
         code = main(["train", "--config", str(config_path), "--target", "d0",
                      "--scheme", "single-erm", "--source", "d1", "--out", str(out)])
         assert code == 2
-        assert "repeat 0 diverged: non-finite network input" in capsys.readouterr().err
+        assert "repeat 0 diverged: non-finite network input at epoch 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):
@@ -187,6 +197,23 @@ class TestMatrixCommand:
         with pytest.raises(SystemExit) as exc:
             main(["matrix", "--format", "pdf"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "m.json", "--data", "d.csv", "--workers", "2"],
+        ["eval", "--model", "m.json", "--data", "d.csv", "--seed", "1"],
+        ["eval", "--model", "m.json", "--data", "d.csv", "--config", "c.json"],
+        ["split", "--data", "d.csv", "--config", "c.json"],
+        ["diagnose", "--data", "a.csv", "b.csv", "--config", "c.json"],
+        ["gen", "--config", "s.json", "--workers", "2"],
+        ["train", "--config", "c.json", "--target", "d0", "--scheme", "combined-erm",
+         "--format", "table"],
+        ["fairness", "--config", "c.json", "--format", "table"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFairnessCommand:

@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from udakit import (
+    DomainDataset,
     DomainSpec,
     TrainConfig,
     ExperimentConfig,
     emit_report,
+    extract_features,
+    init_mlp,
+    load_dataset,
     run_fairness,
     run_matrix,
     save_dataset,
     stratified_split,
 )
 import udakit.harness as harness
+from udakit.cli import main
 from udakit.harness import CellResult, EvalReport, cell_seed, parse_scheme
 from udakit.nn import DivergenceError
 from conftest import make_blobs
@@ -199,19 +204,24 @@ class TestDeterminismAndAggregation:
         text_b = emit_report(run_matrix(cfg_b), "canonical")
         assert text_a == text_b
 
-    def test_workers_do_not_change_results(self):
+    @staticmethod
+    def _cli_bytes(tmp_path, command, cfg, workers):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / f"{command}.workers{workers}.json"
+        assert main([command, "--config", str(config), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        return out.read_bytes()
+
+    def test_workers_do_not_change_results(self, tmp_path):
         cfg = quick_config(["single-erm", "combined-erm"], n_domains=3)
-        seq = emit_report(run_matrix(cfg, workers=1), "canonical")
-        par = emit_report(run_matrix(quick_config(["single-erm", "combined-erm"],
-                                                  n_domains=3), workers=4), "canonical")
-        assert seq == par
+        assert (self._cli_bytes(tmp_path, "matrix", cfg, 1)
+                == self._cli_bytes(tmp_path, "matrix", cfg, 4))
 
-    def test_workers_do_not_change_fairness_results(self):
-        def text(workers):
-            cfg = quick_config(["single-erm", "combined-erm"], n_domains=3, repeats=2)
-            return json.dumps(run_fairness(cfg, workers=workers).to_dict(), sort_keys=True)
-
-        assert text(1) == text(4)
+    def test_workers_do_not_change_fairness_results(self, tmp_path):
+        cfg = quick_config(["single-erm", "combined-erm"], n_domains=3, repeats=2)
+        assert (self._cli_bytes(tmp_path, "fairness", cfg, 1)
+                == self._cli_bytes(tmp_path, "fairness", cfg, 4))
 
     def test_aggregates_match_independent_recompute(self):
         report = run_matrix(quick_config(["single-erm"], n_domains=3, repeats=3))
@@ -262,7 +272,7 @@ class TestDeterminismAndAggregation:
         for cell in report.cells:
             if cell.scheme == "single-erm":
                 assert cell.values == []
-                assert cell.flags == ["repeat 0 diverged: non-finite network input"]
+                assert cell.flags == ["repeat 0 diverged: non-finite network input at epoch 0"]
             else:
                 assert cell.flags == [] and len(cell.values) == 1
 
@@ -388,6 +398,20 @@ class TestRunFairness:
                                train={"epochs": 2, "hidden_sizes": [8]})
         matrix = run_fairness(cfg)
         assert all(np.allclose(c.values["pqd"], 1.0) for c in matrix.cells)
+
+
+class TestExportFeatures:
+    def test_bytes_equal_save_dataset_of_the_feature_rows(self, tmp_path):
+        data = make_blobs("d", 3, n=30)
+        extractor = init_mlp([2, 5], np.random.default_rng(0), final="relu")
+        harness.export_features(extractor, data, tmp_path / "features.csv")
+        feats = extract_features(extractor, data.features)
+        save_dataset(DomainDataset("d", feats, data.labels, data.sensitive, data.sample_ids),
+                     tmp_path / "rows.csv")
+        text = (tmp_path / "features.csv").read_text()
+        assert text == (tmp_path / "rows.csv").read_text()
+        assert text.startswith("id,domain,label,sensitive,f0,f1,f2,f3,f4\n")
+        assert np.array_equal(load_dataset(tmp_path / "features.csv").features, feats)
 
 
 class TestEmitReport:

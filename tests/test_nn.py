@@ -365,6 +365,28 @@ class TestRunEpochs:
         assert len(self.seen) == 5 and self.opt.step == 4 and self.w[0] == -4.0
         assert self.record.epoch_losses == {"a": [3.0], "b": [3.0]}
 
+    def test_divergence_inside_a_step_keeps_its_type_and_names_its_epoch(self):
+        def losses(i, b):
+            if i == 4:
+                raise NonFiniteInputError("non-finite network input")
+            return {"a": b}
+
+        with pytest.raises(NonFiniteInputError) as exc:
+            self._run(3, losses)
+        assert str(exc.value) == "non-finite network input at epoch 1"
+        assert len(self.seen) == 5 and self.opt.step == 4
+
+    def test_non_finite_gradient_names_its_epoch(self):
+        grads = iter([1.0] * 7 + [np.nan])
+
+        def step(batch):
+            return {"a": batch}, [np.array([next(grads)])]
+
+        with pytest.raises(DivergenceError) as exc:
+            run_epochs(self.record, self.blocks, self.opt, 3, lambda: [1.0, 2.0, 6.0], step)
+        assert str(exc.value) == "non-finite gradient in w at epoch 2"
+        assert self.opt.step == 7 and self.w[0] == -7.0
+
     def test_zero_epochs_never_draws(self):
         self._run(0, lambda i, b: {"a": b})
         assert self.seen == [] and self.record.epoch_losses == {}
