@@ -214,7 +214,7 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
         # discriminator step, on its own optimiser: source features are
         # frozen stage-1 outputs
         feats_s, _ = forward(source_extractor, source.features[idx])
-        feats_t, _ = forward(target_extractor, xt)
+        feats_t, t_acts = forward(target_extractor, xt)
         dom_in = np.concatenate([feats_s, feats_t], axis=0)
         dom_labels = np.concatenate([np.zeros(idx.size, dtype=np.int64),
                                      np.ones(len(xt), dtype=np.int64)])
@@ -225,8 +225,8 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
         sgd_step(disc_blocks, [d_grad], disc_opt)
 
         # target-extractor gradient (run_epochs applies it): make target
-        # features read as source
-        feats_t, t_acts = forward(target_extractor, xt)
+        # features read as source; the extractor has not moved since the
+        # forward pass above, so its trace is reused
         inv_logits, d_acts = forward(disc, feats_t)
         inv_loss, ddl = cross_entropy(inv_logits, np.zeros(len(xt), dtype=np.int64))
         _, dfeat = backward(disc, d_acts, ddl)

@@ -306,13 +306,15 @@ def save_dataset(data: DomainDataset, path: str | Path) -> None:
     path = Path(path)
     header = ["id", "domain", "label", "sensitive"] + [f"f{j}" for j in range(data.dim)]
     lines = [",".join(header)]
-    for i in range(data.n_samples):
-        sid = data.sample_ids[i]
+    # tolist() hands back Python ints and floats, so no cell goes through a
+    # numpy scalar; features convert a row at a time, which keeps only one
+    # row's float objects alive
+    for sid, label, group, feats in zip(data.sample_ids, data.labels.tolist(),
+                                        data.sensitive.tolist(), data.features):
         if "," in sid or "\n" in sid:
             raise ValueError(f"sample id {sid!r} contains a delimiter")
-        row = [sid, data.domain_id, str(int(data.labels[i])), str(int(data.sensitive[i]))]
-        row += [repr(float(v)) for v in data.features[i]]
-        lines.append(",".join(row))
+        lines.append(",".join([sid, data.domain_id, str(label), str(group),
+                               *map(repr, feats.tolist())]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -36,24 +36,59 @@ def _features_of(data) -> np.ndarray:
         raise ValueError("features must be a 2-D matrix")
     if feats.shape[0] == 0:
         raise ValueError("empty dataset")
+    if not np.isfinite(feats).all():
+        raise ValueError("features must be finite")
     return feats
 
 
-def _w1_exact_1d(u: np.ndarray, v: np.ndarray) -> float:
-    """Exact W1 between two 1-D empirical distributions.
+# projections are sorted _PROJECTION_BLOCK at a time into one reused buffer,
+# which stays small next to the projection matrices; each transposing copy
+# reads a band of _ROW_BAND rows, which stays in cache, instead of striding
+# down whole columns
+_PROJECTION_BLOCK = 8
+_ROW_BAND = 256
+
+
+def _sort_columns_into(out: np.ndarray, cols: np.ndarray) -> None:
+    """Write each column of `cols` into a row of `out`, then sort the rows."""
+    for r0 in range(0, cols.shape[0], _ROW_BAND):
+        out[:, r0:r0 + _ROW_BAND] = cols[r0:r0 + _ROW_BAND].T
+    out.sort()
+
+
+def _w1_per_projection(proj_a: np.ndarray, proj_b: np.ndarray) -> list[float]:
+    """Exact 1-D W1 between column k of proj_a and column k of proj_b, for every k.
 
     Equal sizes reduce to the mean absolute difference of matched order
-    statistics; unequal sizes integrate the CDF gap over merged breakpoints.
+    statistics. Unequal sizes integrate the CDF gap over the merged
+    breakpoints: a stable argsort merges the two sorted samples, and a
+    running count of first-sample entries in that order gives both CDFs.
+    Where values tie the breakpoint gap is 0, so how ties are counted does
+    not change any term. Each projection's terms are summed as one
+    contiguous 1-D array, so the pairwise summation order, and with it every
+    bit of the result, is that of a one-projection-at-a-time loop.
     """
-    u = np.sort(u)
-    v = np.sort(v)
-    if u.size == v.size:
-        return float(np.mean(np.abs(u - v)))
-    merged = np.sort(np.concatenate([u, v]))
-    deltas = np.diff(merged)
-    cdf_u = np.searchsorted(u, merged[:-1], side="right") / u.size
-    cdf_v = np.searchsorted(v, merged[:-1], side="right") / v.size
-    return float(np.sum(np.abs(cdf_u - cdf_v) * deltas))
+    na, nb = proj_a.shape[0], proj_b.shape[0]
+    n_proj = proj_a.shape[1]
+    steps = np.arange(1, na + nb)
+    buffer = np.empty((min(_PROJECTION_BLOCK, n_proj), na + nb))
+    values: list[float] = []
+    for k0 in range(0, n_proj, _PROJECTION_BLOCK):
+        k1 = min(k0 + _PROJECTION_BLOCK, n_proj)
+        block = buffer[:k1 - k0]
+        u, v = block[:, :na], block[:, na:]
+        _sort_columns_into(u, proj_a[:, k0:k1])
+        _sort_columns_into(v, proj_b[:, k0:k1])
+        if na == nb:
+            values.extend(float(np.mean(gaps)) for gaps in np.abs(u - v))
+            continue
+        for runs in block:
+            order = np.argsort(runs, kind="stable")
+            cnt_u = np.cumsum(order < na)[:-1]
+            cnt_v = steps - cnt_u
+            deltas = np.diff(runs[order])
+            values.append(float(np.sum(np.abs(cnt_u / na - cnt_v / nb) * deltas)))
+    return values
 
 
 def _mean_abs_projection(dim: int) -> float:
@@ -80,13 +115,13 @@ def wasserstein_feature_distance(a, b, projections: int = 256, seed: int = 0) ->
         raise ValueError("projections must be >= 1")
     dim = fa.shape[1]
     if dim == 1:
-        return _w1_exact_1d(fa[:, 0], fb[:, 0])
+        return _w1_per_projection(fa, fb)[0]
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((projections, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    proj_a = fa @ directions.T
-    proj_b = fb @ directions.T
-    total = sum(_w1_exact_1d(proj_a[:, k], proj_b[:, k]) for k in range(projections))
+    # one product per cloud: products over subsets of directions can round
+    # differently in the last bit
+    total = sum(_w1_per_projection(fa @ directions.T, fb @ directions.T))
     return total / projections / _mean_abs_projection(dim)
 
 
@@ -236,14 +271,29 @@ def save_shift_summary(report: ShiftReport, path: str | Path) -> None:
 
 
 def load_error_table(path: str | Path) -> dict[tuple[str, str], float]:
-    """Read `source,target,test_error` rows."""
+    """Read `source,target,test_error` rows: one row per pair, finite errors.
+
+    Every rejected row is named by its line number in the file (the header
+    is line 1).
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "source,target,test_error":
         raise ValueError(f"{path}: malformed error-table header")
     table: dict[tuple[str, str], float] = {}
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
-        s, t, e = ln.split(",")
-        table[(s, t)] = float(e)
+        fields = ln.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"{path}: line {lineno}: {len(fields)} fields, expected 3")
+        s, t, e = fields
+        try:
+            err = float(e)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric test error {e!r}") from None
+        if not math.isfinite(err):
+            raise ValueError(f"{path}: line {lineno}: test error {e!r} is not finite")
+        if (s, t) in table:
+            raise ValueError(f"{path}: line {lineno}: duplicate pair {s}->{t}")
+        table[(s, t)] = err
     return table

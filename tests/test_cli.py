@@ -292,3 +292,24 @@ class TestDiagnoseCommand:
         assert code == 0
         summary = json.loads(out.with_suffix(".json").read_text())
         assert summary["pearson_label_error"] is not None
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("d1,d0,nan", "line 4: test error 'nan' is not finite"),
+        ("d0,d1,0.5", "line 4: duplicate pair d0->d1"),
+        ("d1,d0", "line 4: 2 fields, expected 3"),
+    ], ids=["nan", "duplicate", "two-fields"])
+    def test_bad_error_table_is_a_config_error(self, workspace, capsys, bad_row, message):
+        tmp, spec_path, _ = workspace
+        main(["gen", "--config", str(spec_path), "--out", str(tmp / "data")])
+        files = [str(tmp / "data" / f"d{i}.csv") for i in range(3)]
+        rows = ["source,target,test_error", "d0,d1,0.1", "d0,d2,0.2", bad_row]
+        rows += [f"d{s},d{t},0.3" for s, t in ((1, 2), (2, 0), (2, 1))]
+        if "d1,d0," not in bad_row:
+            rows.append("d1,d0,0.4")
+        (tmp / "errors.csv").write_text("\n".join(rows) + "\n")
+        out = tmp / "shift_bad"
+        code = main(["diagnose", "--data", *files, "--errors", str(tmp / "errors.csv"),
+                     "--projections", "8", "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.with_suffix(".json").exists()

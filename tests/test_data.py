@@ -237,6 +237,30 @@ class TestDatasetFiles:
         assert np.array_equal(back.sensitive, data.sensitive)
         assert back.sample_ids == data.sample_ids
 
+    def test_bytes_equal_the_per_cell_numpy_scalar_formula(self, tmp_path):
+        # the former writer, kept as the reference: every cell went through a
+        # numpy scalar (int(labels[i]), float(features[i, j]))
+        data = make_blobs("domain-a", 11, n=53, groups=(0.5, 0.5),
+                          group_offsets=[(0, 0), (1e-300, -3e17)])
+        data.features[0] = [0.1 + 0.2, -0.0]
+        data.features[1] = [5e-324, 1.7976931348623157e308]
+        header = ["id", "domain", "label", "sensitive"] + [f"f{j}" for j in range(data.dim)]
+        lines = [",".join(header)]
+        for i in range(data.n_samples):
+            row = [data.sample_ids[i], data.domain_id, str(int(data.labels[i])),
+                   str(int(data.sensitive[i]))]
+            row += [repr(float(v)) for v in data.features[i]]
+            lines.append(",".join(row))
+        path = tmp_path / "d.csv"
+        save_dataset(data, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_delimiter_in_sample_id_rejected(self, tmp_path):
+        data = make_blobs("domain-a", 3, n=4)
+        data.sample_ids = (*data.sample_ids[:2], "x,y", data.sample_ids[3])
+        with pytest.raises(ValueError, match="contains a delimiter"):
+            save_dataset(data, tmp_path / "d.csv")
+
     def test_header_only_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,domain,label,sensitive,f0\n")

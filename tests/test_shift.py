@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,40 @@ from udakit import (
     save_shift_summary,
     wasserstein_feature_distance,
 )
+from udakit import shift
 from conftest import make_blobs
 from oracles import transport_cost_lp
+
+
+def w1_exact_1d_reference(u, v):
+    """The former per-projection kernel: sort both samples, sort their
+    concatenation, and read both CDFs off two searchsorted passes."""
+    u = np.sort(u)
+    v = np.sort(v)
+    if u.size == v.size:
+        return float(np.mean(np.abs(u - v)))
+    merged = np.sort(np.concatenate([u, v]))
+    deltas = np.diff(merged)
+    cdf_u = np.searchsorted(u, merged[:-1], side="right") / u.size
+    cdf_v = np.searchsorted(v, merged[:-1], side="right") / v.size
+    return float(np.sum(np.abs(cdf_u - cdf_v) * deltas))
+
+
+def sliced_w1_reference(a, b, projections, seed):
+    """The former sliced W1: one reference kernel call per projection column."""
+    a = np.asarray(getattr(a, "features", a), dtype=np.float64)
+    b = np.asarray(getattr(b, "features", b), dtype=np.float64)
+    dim = a.shape[1]
+    if dim == 1:
+        return w1_exact_1d_reference(a[:, 0], b[:, 0])
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((projections, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    proj_a = a @ directions.T
+    proj_b = b @ directions.T
+    total = sum(w1_exact_1d_reference(proj_a[:, k], proj_b[:, k]) for k in range(projections))
+    return total / projections / (math.gamma(dim / 2.0)
+                                  / (math.sqrt(math.pi) * math.gamma((dim + 1) / 2.0)))
 
 
 class TestWasserstein:
@@ -106,6 +140,62 @@ class TestWasserstein:
     def test_empty_dataset(self, rng):
         with pytest.raises(ValueError, match="empty"):
             wasserstein_feature_distance(np.zeros((0, 2)), rng.normal(size=(5, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_non_finite_features_rejected_in_either_position(self, rng, bad, dim):
+        clean = rng.normal(size=(6, dim))
+        dirty = rng.normal(size=(5, dim))
+        dirty[2, dim - 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            wasserstein_feature_distance(dirty, clean)
+        with pytest.raises(ValueError, match="features must be finite"):
+            wasserstein_feature_distance(clean, dirty)
+
+
+class TestWassersteinBitIdentity:
+    """Every distance equals the former per-projection kernel's, bit for bit."""
+
+    BLOCK = shift._PROJECTION_BLOCK
+
+    def assert_same(self, a, b, projections, seed):
+        got = wasserstein_feature_distance(a, b, projections, seed)
+        assert got == sliced_w1_reference(a, b, projections, seed)
+        assert got == wasserstein_feature_distance(b, a, projections, seed)
+
+    @pytest.mark.parametrize("sizes", [(37, 61), (61, 37), (50, 50), (1, 9), (1, 1), (300, 299)])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16])
+    def test_random_clouds(self, sizes, dim):
+        rng = np.random.default_rng(sizes[0] * 1000 + sizes[1] + dim)
+        a = rng.normal(size=(sizes[0], dim)) * 2.0
+        b = rng.normal(size=(sizes[1], dim)) * 0.7 + rng.normal(size=dim)
+        self.assert_same(a, b, projections=48, seed=dim)
+
+    @pytest.mark.parametrize("equal_sizes", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_ties(self, equal_sizes, dim):
+        rng = np.random.default_rng(11 + dim)
+        a = np.round(rng.normal(size=(80, dim)), 1)
+        b = np.round(rng.normal(size=(80 if equal_sizes else 130, dim)) + 0.2, 1)
+        # shared values across and within samples
+        b[:10] = a[:10]
+        self.assert_same(a, b, projections=40, seed=4)
+        if dim == 1:
+            # the projected values themselves tie in 1-D
+            assert len(np.unique(np.concatenate([a, b]))) < len(a) + len(b)
+
+    def test_projection_counts_off_the_block_size(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(90, 4))
+        b = rng.normal(size=(70, 4)) + 0.5
+        for projections in (1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, 3 * self.BLOCK + 5):
+            self.assert_same(a, b, projections, seed=projections)
+
+    def test_domain_datasets_and_more_rows_than_one_row_band(self):
+        a = make_blobs("a", 21, n=shift._ROW_BAND + 37)
+        b = make_blobs("b", 22, n=2 * shift._ROW_BAND + 1, mix=[0.3, 0.7])
+        self.assert_same(a, b, projections=20, seed=3)
+        self.assert_same(a.features, a.features[::-1].copy(), projections=20, seed=3)
 
 
 class TestChiSquare:
@@ -256,3 +346,42 @@ class TestBuildShiftMatrix:
             "source,target,test_error\nd0,d1,0.25\nd1,d0,0.4\n")
         back = load_error_table(tmp_path / "errors.csv")
         assert back == {("d0", "d1"): 0.25, ("d1", "d0"): 0.4}
+
+
+class TestLoadErrorTable:
+    def write(self, tmp_path, *rows):
+        path = tmp_path / "errors.csv"
+        path.write_text("\n".join(["source,target,test_error", *rows]) + "\n")
+        return path
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = self.write(tmp_path, "d0,d1,0.25", "", "d1,d0,0.5")
+        assert load_error_table(path) == {("d0", "d1"): 0.25, ("d1", "d0"): 0.5}
+
+    def test_malformed_header(self, tmp_path):
+        path = tmp_path / "errors.csv"
+        path.write_text("source,target,error\nd0,d1,0.25\n")
+        with pytest.raises(ValueError, match="malformed error-table header"):
+            load_error_table(path)
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_error_names_its_line(self, tmp_path, value):
+        path = self.write(tmp_path, "d0,d1,0.25", f"d1,d0,{value}")
+        with pytest.raises(ValueError, match=rf"line 3: test error '{value}' is not finite"):
+            load_error_table(path)
+
+    def test_non_numeric_error_names_its_line(self, tmp_path):
+        path = self.write(tmp_path, "d0,d1,high")
+        with pytest.raises(ValueError, match=r"line 2: non-numeric test error 'high'"):
+            load_error_table(path)
+
+    def test_duplicate_pair_names_its_line(self, tmp_path):
+        path = self.write(tmp_path, "d0,d1,0.25", "d1,d0,0.4", "d0,d1,0.3")
+        with pytest.raises(ValueError, match=r"line 4: duplicate pair d0->d1"):
+            load_error_table(path)
+
+    @pytest.mark.parametrize("row, n_fields", [("d0,d1", 2), ("d0,d1,0.2,0.3", 4), ("d0", 1)])
+    def test_wrong_field_count_names_its_line(self, tmp_path, row, n_fields):
+        path = self.write(tmp_path, "d1,d0,0.4", row)
+        with pytest.raises(ValueError, match=rf"line 3: {n_fields} fields, expected 3"):
+            load_error_table(path)
