@@ -32,13 +32,14 @@ from .harness import (
     load_experiment_config,
     open_grid,
     parse_scheme,
+    prediction_set,
     run_cell,
     run_fairness,
     run_matrix,
+    scheme_sources,
 )
-from .metrics import PredictionSet, accuracy, auroc, save_predictions
-from .moment import ensemble_predict
-from .nn import DivergenceError, load_model, predict, save_model, save_run_record
+from .metrics import accuracy, auroc, save_predictions
+from .nn import DivergenceError, load_model, save_model, save_run_record
 from .shift import (
     build_shift_matrix,
     load_error_table,
@@ -153,18 +154,18 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    base, _ = parse_scheme(args.scheme)
+    single = parse_scheme(args.scheme)[0].startswith("single")
+    if single and args.source is None:
+        raise ValueError("single-source schemes need --source")
+    if not single and args.source is not None:
+        raise ValueError(f"--source applies to single-* schemes only, not {args.scheme}")
     grid = open_grid(cfg, [args.scheme])
     if args.target not in grid.splits:
         raise ValueError(f"unknown target {args.target!r}; have {grid.ids}")
-    if base.startswith("single"):
-        if not args.source:
-            raise ValueError("single-source schemes need --source")
-        source_label = args.source
-        if source_label not in grid.splits or source_label == args.target:
-            raise ValueError(f"source must be a non-target domain, got {source_label!r}")
-    else:
-        source_label = "combined" if base.startswith("combined") else "all"
+    labels = scheme_sources(args.scheme, grid.ids, args.target)
+    source_label = args.source if single else labels[0]
+    if source_label not in labels:
+        raise ValueError(f"source must be a non-target domain, got {source_label!r}")
 
     run = run_cell(grid, args.target, args.scheme, source_label, args.repeat)
     if run.flag is not None:
@@ -175,7 +176,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{args.target}.{args.scheme}.{source_label}.r{args.repeat}"
-    save_model(model.bundle(), out_dir / f"{stem}.model.json")
+    save_model(model, out_dir / f"{stem}.model.json")
     save_run_record(model.record, out_dir / f"{stem}.record.json",
                     model_ref=f"{stem}.model.json")
     metrics = {"metric": "auroc" if cfg.task == "binary" else "accuracy",
@@ -192,20 +193,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     bundle = load_model(args.model)
     data = load_dataset(args.data)
-    if len(bundle.classifiers) == 1:
-        scores, y_pred = predict(bundle.extractor, bundle.classifiers[0], data.features)
-    else:
-        scores, y_pred = ensemble_predict(
-            bundle.extractor, bundle.classifiers, data.features,
-            rule="accuracy" if bundle.ensemble_weights else "uniform",
-            accuracies=bundle.ensemble_weights)
-    n_classes = bundle.classifiers[0].out_dim
-    n_groups = int(data.sensitive.max()) + 1
-    pos = scores[:, 1] if n_classes == 2 else None
-    pred = PredictionSet(data.labels, y_pred, data.sensitive, n_classes, n_groups, pos)
+    pred = prediction_set(bundle, data, data.sensitive, int(data.sensitive.max()) + 1)
     metrics = {"accuracy": accuracy(pred), "n_samples": data.n_samples}
-    if pos is not None and len(np.unique(data.labels)) == 2:
-        metrics["auroc"] = auroc(pos, data.labels)
+    if pred.scores is not None and len(np.unique(data.labels)) == 2:
+        metrics["auroc"] = auroc(pred.scores, data.labels)
     if args.out:
         save_predictions(pred, data.sample_ids, args.out)
     if args.features_out:

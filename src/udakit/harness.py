@@ -41,14 +41,13 @@ from .metrics import (
     fairness_report,
     group_partition,
 )
-from .moment import MomentConfig, ensemble_predict, train_m3sda
+from .moment import MomentConfig, train_m3sda
 from .nn import (
     DivergenceError,
     Mlp,
     ModelBundle,
     TrainConfig,
     extract_features,
-    predict,
     train_erm,
 )
 
@@ -65,7 +64,8 @@ __all__ = [
     "cell_seed",
     "Grid",
     "open_grid",
-    "TrainedCell",
+    "prediction_set",
+    "scheme_sources",
     "train_cell",
     "CellRun",
     "run_cell",
@@ -80,9 +80,11 @@ SCHEME_BASES = (
     "combined-adda", "multi-mdan", "multi-m3sda",
 )
 
-_ADV_KEYS = set(AdversarialConfig.__dataclass_fields__) - {"train"}
-_MOMENT_KEYS = set(MomentConfig.__dataclass_fields__) - {"train"}
 _TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
+_ADV_KEYS = set(AdversarialConfig.__dataclass_fields__) - {"train"}
+# the settings each trainer reads beside TrainConfig's, by the scheme base's trainer name
+_TRAINER_KEYS = {"erm": set(), "dann": _ADV_KEYS, "adda": _ADV_KEYS, "mdan": _ADV_KEYS,
+                 "m3sda": set(MomentConfig.__dataclass_fields__) - {"train"}}
 
 
 def parse_scheme(name: str) -> tuple[str, bool]:
@@ -129,10 +131,12 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown train settings {sorted(unknown)}")
         for scheme, over in self.scheme_overrides.items():
-            parse_scheme(scheme)
-            bad = set(over) - _TRAIN_KEYS - _ADV_KEYS - _MOMENT_KEYS
+            base, _ = parse_scheme(scheme)
+            allowed = _TRAIN_KEYS | _TRAINER_KEYS[base.split("-")[1]]
+            bad = set(over) - allowed
             if bad:
-                raise ValueError(f"unknown override keys {sorted(bad)} for {scheme}")
+                raise ValueError(f"unknown override keys {sorted(bad)} for {scheme}; "
+                                 f"its trainer reads {sorted(allowed)}")
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
@@ -210,27 +214,30 @@ class Grid:
     def ids(self) -> list[str]:
         return sorted(self.splits)
 
-    def predictions(self, model: TrainedCell, data: DomainDataset, groups: np.ndarray,
-                    n_groups: int) -> PredictionSet:
-        scores = model.scores(data.features)
-        pos = scores[:, 1] if self.n_classes == 2 else None
-        return PredictionSet(data.labels, np.argmax(scores, axis=1), groups,
-                             self.n_classes, n_groups, pos)
-
-    def task_metric(self, model: TrainedCell, target: str) -> float:
+    def task_metric(self, model: ModelBundle, target: str) -> float:
         """AUROC (binary) or accuracy (multiclass) on the target's test split."""
         test = self.splits[target].test
-        pred = self.predictions(model, test, test.sensitive, self.n_groups)
+        pred = prediction_set(model, test, test.sensitive, self.n_groups)
         return auroc(pred.scores, test.labels) if self.cfg.task == "binary" else accuracy(pred)
 
-    def fairness(self, model: TrainedCell, target: str) -> FairnessReport:
+    def fairness(self, model: ModelBundle, target: str) -> FairnessReport:
         """fairness_report over the target's full data (train and test rows),
         with the sensitive attribute banded through cfg.fairness_bins if given."""
         split = self.splits[target]
         full = concat_domains([split.train, split.test])
         groups = (group_partition(full.sensitive, self.cfg.fairness_bins)
                   if self.cfg.fairness_bins is not None else full.sensitive)
-        return fairness_report(self.predictions(model, full, groups, int(groups.max()) + 1))
+        return fairness_report(prediction_set(model, full, groups, int(groups.max()) + 1))
+
+
+def prediction_set(model: ModelBundle, data: DomainDataset, groups: np.ndarray,
+                   n_groups: int) -> PredictionSet:
+    """The model's argmax labels on data, with positive-class scores when it
+    has two classes."""
+    scores = model.scores(data.features)
+    pos = scores[:, 1] if scores.shape[1] == 2 else None
+    return PredictionSet(data.labels, np.argmax(scores, axis=1), groups, scores.shape[1],
+                         n_groups, pos)
 
 
 def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
@@ -259,55 +266,35 @@ SINGLE_SOURCE_LEARNING_RATE = 1e-4
 
 
 def _build_configs(cfg: ExperimentConfig, scheme: str, n_classes: int,
-                   seed: int) -> tuple[TrainConfig, dict, dict]:
+                   seed: int) -> tuple[TrainConfig, dict]:
+    """The scheme's TrainConfig, and its overrides of the settings that only
+    its trainer reads."""
     base, resample = parse_scheme(scheme)
     settings = dict(cfg.train)
     if base.startswith("single") and "learning_rate" not in settings:
         settings["learning_rate"] = SINGLE_SOURCE_LEARNING_RATE
-    overrides = dict(cfg.scheme_overrides.get(scheme, {}))
-    adv = {k: overrides.pop(k) for k in list(overrides) if k in _ADV_KEYS}
-    mom = {k: overrides.pop(k) for k in list(overrides) if k in _MOMENT_KEYS}
-    settings.update(overrides)
+    overrides = cfg.scheme_overrides.get(scheme, {})
+    settings.update({k: v for k, v in overrides.items() if k in _TRAIN_KEYS})
     settings.update({"n_classes": n_classes, "resample": resample, "seed": seed})
-    return TrainConfig.from_dict(settings), adv, mom
+    trainer = {k: v for k, v in overrides.items() if k not in _TRAIN_KEYS}
+    return TrainConfig.from_dict(settings), trainer
 
 
-@dataclass
-class TrainedCell:
-    """A trained model, how to predict with it, and the TrainConfig and
-    RunRecord that produced it."""
-
-    extractor: Mlp
-    classifiers: list[Mlp]
-    train_config: TrainConfig
-    record: RunRecord
-    ensemble_rule: str = "single"
-    source_accuracies: list[float] | None = None
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        if self.ensemble_rule == "single":
-            return predict(self.extractor, self.classifiers[0], x)[0]
-        return ensemble_predict(self.extractor, self.classifiers, x,
-                                rule=self.ensemble_rule,
-                                accuracies=self.source_accuracies)[0]
-
-    def bundle(self) -> ModelBundle:
-        weights = None
-        if self.ensemble_rule == "accuracy" and self.source_accuracies:
-            total = sum(self.source_accuracies)
-            weights = [a / total for a in self.source_accuracies]
-        elif self.ensemble_rule == "uniform":
-            weights = [1.0 / len(self.classifiers)] * len(self.classifiers)
-        return ModelBundle(self.extractor, self.classifiers, weights,
-                           self.train_config.to_dict(), self.train_config.seed)
+def scheme_sources(scheme: str, ids: list[str], target: str) -> list[str]:
+    """The source labels of a scheme's cells on one target: every other
+    domain for single-source schemes, else "combined" or "all"."""
+    base, _ = parse_scheme(scheme)
+    if base.startswith("single"):
+        return [d for d in ids if d != target]
+    return ["combined" if base.startswith("combined") else "all"]
 
 
 def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
                source_label: str, cfg: ExperimentConfig, n_classes: int,
-               seed: int) -> TrainedCell:
+               seed: int) -> ModelBundle:
     """Train one (target, scheme, source) cell with target labels hidden."""
     base, _ = parse_scheme(scheme)
-    tcfg, adv, mom = _build_configs(cfg, scheme, n_classes, seed)
+    tcfg, trainer_settings = _build_configs(cfg, scheme, n_classes, seed)
     target = splits[target_id].train.unlabeled()
     sources = [splits[d].train for d in splits if d != target_id]
     if base.startswith("single"):
@@ -316,17 +303,17 @@ def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
         sources = [concat_domains(sources)]
 
     if base == "multi-m3sda":
-        mres = train_m3sda(sources, target, MomentConfig(train=tcfg, **mom))
-        return TrainedCell(mres.extractor, mres.classifiers, tcfg, mres.record,
-                           mres.ensemble_rule, mres.source_accuracies)
+        mres = train_m3sda(sources, target, MomentConfig(train=tcfg, **trainer_settings))
+        return ModelBundle(mres.extractor, mres.classifiers, mres.ensemble_weights,
+                           tcfg.to_dict(), seed, mres.record)
     if base.endswith("-erm"):
         res = train_erm(sources[0], tcfg)
     elif base == "multi-mdan":
-        res = train_mdan(sources, target, AdversarialConfig(train=tcfg, **adv))
+        res = train_mdan(sources, target, AdversarialConfig(train=tcfg, **trainer_settings))
     else:
         trainer = train_adda if base == "combined-adda" else train_dann
-        res = trainer(sources[0], target, AdversarialConfig(train=tcfg, **adv))
-    return TrainedCell(res.extractor, [res.classifier], tcfg, res.record)
+        res = trainer(sources[0], target, AdversarialConfig(train=tcfg, **trainer_settings))
+    return ModelBundle(res.extractor, [res.classifier], None, tcfg.to_dict(), seed, res.record)
 
 
 @dataclass
@@ -335,7 +322,7 @@ class CellRun:
     that replaced them when training diverged or the metric was undefined."""
 
     seed: int
-    model: TrainedCell | None = None
+    model: ModelBundle | None = None
     score: Any = None
     flag: str | None = None
 
@@ -430,14 +417,8 @@ def run_matrix(cfg: ExperimentConfig) -> EvalReport:
     """Train and evaluate every (target, scheme, source) cell of the grid."""
     grid = open_grid(cfg, cfg.schemes)
     ids = grid.ids
-    jobs: list[tuple[str, str, str]] = []
-    for scheme in cfg.schemes:
-        base, _ = parse_scheme(scheme)
-        for target in ids:
-            if base.startswith("single"):
-                jobs += [(target, scheme, src) for src in ids if src != target]
-            else:
-                jobs.append((target, scheme, "combined" if base.startswith("combined") else "all"))
+    jobs = [(target, scheme, source) for scheme in cfg.schemes for target in ids
+            for source in scheme_sources(scheme, ids, target)]
 
     results = []
     for job in jobs:

@@ -16,6 +16,7 @@ import numpy as np
 from .data import DomainDataset, UnlabeledDomain, require_unlabeled, stratified_split
 from .nn import (
     Mlp,
+    ModelBundle,
     RunRecord,
     TrainConfig,
     backward,
@@ -103,7 +104,7 @@ def _softmax_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 class M3sdaResult:
     extractor: Mlp
     classifiers: list[Mlp]
-    ensemble_rule: str
+    ensemble_weights: list[float]    # cfg.ensemble's weights, one per classifier
     source_accuracies: list[float] | None
     record: RunRecord
 
@@ -168,7 +169,8 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
             logits, _ = forward(head, feats)
             source_accuracies.append(float(np.mean(np.argmax(logits, axis=1) == held.labels)))
         record.final["source_accuracies"] = list(source_accuracies)
-    return M3sdaResult(extractor, classifiers, cfg.ensemble, source_accuracies, record)
+    weights = _ensemble_weights(len(classifiers), cfg.ensemble, source_accuracies)
+    return M3sdaResult(extractor, classifiers, weights, source_accuracies, record)
 
 
 def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
@@ -248,6 +250,22 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
     return parts, [ext_grad, *c_grads]
 
 
+def _ensemble_weights(n: int, rule: str, accuracies: list[float] | None) -> list[float]:
+    """uniform: 1/n each. accuracy: the held-out accuracies scaled to sum to 1."""
+    if n == 0:
+        raise ValueError("need at least one classifier")
+    if rule == "uniform":
+        return [1.0 / n] * n
+    if rule != "accuracy":
+        raise ValueError(f"unknown ensemble rule {rule!r}")
+    if accuracies is None or len(accuracies) != n:
+        raise ValueError("accuracy rule needs one held-out accuracy per classifier")
+    acc = np.asarray(accuracies, dtype=np.float64)
+    if (acc < 0).any() or acc.sum() <= 0:
+        raise ValueError("accuracies must be nonnegative with positive sum")
+    return (acc / acc.sum()).tolist()
+
+
 def ensemble_predict(extractor: Mlp, classifiers: list[Mlp], x: np.ndarray,
                      rule: str = "uniform",
                      accuracies: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -256,25 +274,6 @@ def ensemble_predict(extractor: Mlp, classifiers: list[Mlp], x: np.ndarray,
     uniform: plain average of softmax outputs. accuracy: convex combination
     weighted by each source's held-out accuracy. Ties go to the lowest index.
     """
-    if not classifiers:
-        raise ValueError("need at least one classifier")
-    if rule == "uniform":
-        weights = np.full(len(classifiers), 1.0 / len(classifiers))
-    elif rule == "accuracy":
-        if accuracies is None or len(accuracies) != len(classifiers):
-            raise ValueError("accuracy rule needs one held-out accuracy per classifier")
-        weights = np.asarray(accuracies, dtype=np.float64)
-        if (weights < 0).any() or weights.sum() <= 0:
-            raise ValueError("accuracies must be nonnegative with positive sum")
-        weights = weights / weights.sum()
-    else:
-        raise ValueError(f"unknown ensemble rule {rule!r}")
-
-    feats, _ = forward(extractor, x)
-    scores = None
-    for w, head in zip(weights, classifiers):
-        logits, _ = forward(head, feats)
-        p = w * softmax(logits)
-        scores = p if scores is None else scores + p
+    weights = _ensemble_weights(len(classifiers), rule, accuracies)
+    scores = ModelBundle(extractor, classifiers, weights).scores(x)
     return scores, np.argmax(scores, axis=1)
-

@@ -450,9 +450,7 @@ def _erm_step_grads(extractor: Mlp, classifier: Mlp, x: np.ndarray,
 def predict(extractor: Mlp, classifier: Mlp,
             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax class scores and argmax labels (ties break to the lowest index)."""
-    feats, _ = forward(extractor, x)
-    logits, _ = forward(classifier, feats)
-    scores = softmax(logits)
+    scores = ModelBundle(extractor, [classifier]).scores(x)
     return scores, np.argmax(scores, axis=1)
 
 
@@ -463,8 +461,8 @@ def extract_features(extractor: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model files: JSON with layer shapes, activation tags, and full-precision
-# row-major weight/bias arrays, plus the TrainConfig and seed that produced it.
+# Model files: JSON with layer shapes, activation tags, full-precision row-major
+# weight/bias arrays, ensemble weights, and the TrainConfig and seed behind them.
 # ---------------------------------------------------------------------------
 
 def _mlp_to_dict(mlp: Mlp) -> dict:
@@ -493,15 +491,41 @@ def _mlp_from_dict(payload: dict) -> Mlp:
 
 @dataclass
 class ModelBundle:
-    """Everything needed to reuse a trained model: extractor, one classifier
-    per source (one entry for single-head schemes), optional ensemble weights,
-    and the training provenance."""
+    """A trained model: extractor, one classifier per source (one entry for
+    single-head schemes), the ensemble weights that score it (None means
+    equal weights), the training provenance, and the RunRecord of a model
+    trained in this process (not saved)."""
 
     extractor: Mlp
     classifiers: list[Mlp]
-    ensemble_weights: list[float] | None
-    train_config: dict
-    seed: int
+    ensemble_weights: list[float] | None = None
+    train_config: dict = field(default_factory=dict)
+    seed: int = 0
+    record: RunRecord | None = None
+
+    def __post_init__(self) -> None:
+        if not self.classifiers:
+            raise ValueError("need at least one classifier")
+        weights = self.ensemble_weights
+        if weights is None:
+            return
+        if not isinstance(weights, list | tuple) or len(weights) != len(self.classifiers):
+            raise ValueError(f"need one ensemble weight per classifier, got {weights}")
+        if not all(isinstance(w, int | float) and math.isfinite(w) and w >= 0
+                   for w in weights):
+            raise ValueError(f"ensemble weights must be finite and nonnegative, got {weights}")
+        if abs(math.fsum(weights) - 1.0) > 1e-9:
+            raise ValueError(f"ensemble weights must sum to 1, got {weights}")
+
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        """Class scores: the weighted sum of each head's softmax output."""
+        weights = self.ensemble_weights or [1.0 / len(self.classifiers)] * len(self.classifiers)
+        feats, _ = forward(self.extractor, x)
+        scores = None
+        for w, head in zip(weights, self.classifiers):
+            p = w * softmax(forward(head, feats)[0])
+            scores = p if scores is None else scores + p
+        return scores
 
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:

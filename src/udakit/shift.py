@@ -237,8 +237,10 @@ def build_shift_matrix(domains: list[DomainDataset],
         if missing:
             pretty = [f"{s}->{t}" for s, t in missing]
             raise ValueError(f"error table is missing pairs: {pretty}")
-        for key in pairs:
-            pairs[key].test_error = float(error_table[key])
+        for (src, tgt), pair in pairs.items():
+            pair.test_error = float(error_table[(src, tgt)])
+            if not math.isfinite(pair.test_error):
+                raise ValueError(f"error table value for {src}->{tgt} is not finite: {pair.test_error}")
         ordered = sorted(pairs)
         errors = np.array([pairs[k].test_error for k in ordered])
         # a constant column (e.g. symmetric feature distances over 2 domains)

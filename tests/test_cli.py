@@ -5,14 +5,27 @@ import json
 import numpy as np
 import pytest
 
-from udakit import DomainSpec, load_dataset
+from udakit import (
+    DomainSpec,
+    ModelBundle,
+    auroc,
+    generate_domain,
+    init_mlp,
+    load_dataset,
+    load_predictions,
+    save_dataset,
+    save_model,
+)
+from udakit import harness
 from udakit.cli import main
 from udakit.data import spec_to_dict
 from test_harness import (
+    accuracy_weighted_m3sda_config,
     blob_spec,
     diverging_fairness_config,
     one_class_target_config,
     overflow_config,
+    pinned_grid_config,
 )
 
 
@@ -93,6 +106,67 @@ class TestTrainEval:
         assert main(["train", "--config", str(config_path), "--target", "d0",
                      "--scheme", "single-erm", "--source", "d1",
                      "--out", str(tmp / "r")]) == 0
+
+    def test_source_with_a_non_single_scheme_is_a_config_error(self, workspace, capsys):
+        tmp, _, config_path = workspace
+        out = tmp / "r"
+        assert main(["train", "--config", str(config_path), "--target", "d0",
+                     "--scheme", "combined-dann", "--source", "d1", "--out", str(out)]) == 1
+        assert "--source applies to single-* schemes only" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme, source", [("single-erm", "d1"), ("multi-m3sda", "all")])
+    def test_eval_reproduces_the_training_scores(self, tmp_path, capsys, scheme, source):
+        cfg = (accuracy_weighted_m3sda_config() if scheme == "multi-m3sda"
+               else pinned_grid_config([scheme], epochs=5))
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(cfg.to_dict()))
+        grid = harness.open_grid(cfg, cfg.schemes)
+        test = grid.splits["d0"].test
+        trained = harness.run_cell(grid, "d0", scheme, source, 4).model
+        scores = trained.scores(test.features)[:, 1]
+        save_dataset(test, tmp_path / "d0.test.csv")
+
+        runs = tmp_path / "runs"
+        argv = ["train", "--config", str(config), "--target", "d0", "--scheme", scheme,
+                "--repeat", "4", "--out", str(runs)]
+        assert main(argv + (["--source", source] if scheme.startswith("single") else [])) == 0
+        stem = f"d0.{scheme}.{source}.r4"
+        metrics = json.loads((runs / f"{stem}.metrics.json").read_text())
+        capsys.readouterr()
+        assert main(["eval", "--model", str(runs / f"{stem}.model.json"),
+                     "--data", str(tmp_path / "d0.test.csv"),
+                     "--out", str(tmp_path / "pred.csv")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        pred, _ = load_predictions(tmp_path / "pred.csv")
+        assert np.array_equal(pred.scores, scores)
+        assert printed["auroc"] == metrics["value"] == auroc(scores, test.labels)
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.5], "need one ensemble weight per classifier, got [0.5, 0.5]"),
+        (1.0, "need one ensemble weight per classifier, got 1.0"),
+        ([1.2, -0.1, -0.1], "must be finite and nonnegative"),
+        ([float("nan"), 0.5, 0.5], "must be finite and nonnegative"),
+        ([float("inf"), 0.0, 0.0], "must be finite and nonnegative"),
+        (["0.5", 0.25, 0.25], "must be finite and nonnegative"),
+        ([0.5, 0.3, 0.3], "must sum to 1"),
+        ([1 / 3, 1 / 3, 1 / 3 - 2e-9], "must sum to 1"),
+    ], ids=["count", "scalar", "negative", "nan", "inf", "string", "sum", "sum-off-by-2e-9"])
+    def test_malformed_ensemble_weights_are_a_config_error(self, tmp_path, capsys,
+                                                           weights, message):
+        rng = np.random.default_rng(0)
+        heads = [init_mlp([4, 2], rng) for _ in range(3)]
+        model = tmp_path / "model.json"
+        save_model(ModelBundle(init_mlp([2, 4], rng, final="relu"), heads), model)
+        payload = json.loads(model.read_text())
+        payload["ensemble_weights"] = weights
+        model.write_text(json.dumps(payload))
+        save_dataset(generate_domain(blob_spec("d0", 1)), tmp_path / "d0.csv")
+        out = tmp_path / "pred.csv"
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path / "d0.csv"),
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_roundtrip(self, workspace, capsys):
         tmp, spec_path, config_path = workspace
@@ -186,6 +260,21 @@ class TestMatrixCommand:
                      "--scheme", "single-erm", "--source", "d1", "--out", str(out)])
         assert code == 2
         assert "repeat 0 diverged: non-finite network input at epoch 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_override_another_trainer_ignores_is_a_config_error(self, workspace, capsys):
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        config["scheme_overrides"] = {
+            "combined-erm": {"align_weight": 0.5, "gamma": 3.0},
+            "multi-m3sda": {"domain_weight": 9.0, "pretrain_epochs": 1},
+        }
+        bad = tmp / "overrides.json"
+        bad.write_text(json.dumps(config))
+        out = tmp / "report.json"
+        assert main(["matrix", "--config", str(bad), "--out", str(out)]) == 1
+        assert ("unknown override keys ['align_weight', 'gamma'] for combined-erm"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):

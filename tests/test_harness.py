@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -38,25 +39,41 @@ def blob_spec(domain_id, seed, n=80, mean_shift=0.0, mix=(0.5, 0.5),
 def pinned_grid_config(schemes, repeats=1, mixes=((0.8, 0.2), (0.55, 0.45), (0.3, 0.7)),
                        epochs=60, **kw):
     """The pinned grid: three 300-sample domains (seeds 40 to 42), base seed 7,
-    learning rate 3e-3, momentum 0.5."""
+    learning rate 3e-3, momentum 0.5. More mixes add domains in the same
+    pattern."""
     domains = [DomainSpec(f"d{i}", 300, 2,
                           np.array([[0.0, 0.0], [2.6, 0.0]]) + np.array([0.4, 0.2]) * i,
                           0.9, np.array(mixes[i]), np.array([1.0]), np.zeros((1, 2)),
                           seed=40 + i)
-               for i in range(3)]
+               for i in range(len(mixes))]
     return ExperimentConfig(
         task="binary", domains=domains, repeats=repeats, base_seed=7, n_classes=2,
         schemes=list(schemes),
         train={"epochs": epochs, "learning_rate": 3e-3, "momentum": 0.5}, **kw)
 
 
+# all seven scheme bases, as the pinned grid runs them
+PINNED_SCHEMES = ["single-erm", "single-dann", "combined-erm", "rs-combined-dann",
+                  "rs-multi-m3sda", "multi-mdan", "combined-adda"]
+# sha256 of the pinned grid's canonical report at repeats=1; a change that
+# moves the numerics on purpose updates it and says why
+PINNED_REPORT_SHA256 = "5f4810f126a407c6dde28c39d29909f031fb47436602901e314820c50fb0bc62"
+
+
 def one_class_target_config(repeats=2):
     """The pinned grid's domains with the third one holding class 0 only;
     all seven scheme bases, trained briefly."""
     return pinned_grid_config(
-        ["single-erm", "single-dann", "combined-erm", "rs-combined-dann",
-         "rs-multi-m3sda", "multi-mdan", "combined-adda"],
-        repeats=repeats, mixes=((0.8, 0.2), (0.55, 0.45), (1.0, 0.0)), epochs=2)
+        PINNED_SCHEMES, repeats=repeats, mixes=((0.8, 0.2), (0.55, 0.45), (1.0, 0.0)),
+        epochs=2)
+
+
+def accuracy_weighted_m3sda_config():
+    """The pinned grid plus a fourth domain d3 (mix 0.6/0.4, seed 43) with
+    multi-m3sda weighting its three heads by held-out accuracy, 5 epochs."""
+    return pinned_grid_config(
+        ["multi-m3sda"], mixes=((0.8, 0.2), (0.55, 0.45), (0.3, 0.7), (0.6, 0.4)), epochs=5,
+        scheme_overrides={"multi-m3sda": {"ensemble": "accuracy", "align_weight": 0.1}})
 
 
 def overflow_config():
@@ -123,6 +140,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown override keys"):
             quick_config(["single-erm"], scheme_overrides={"single-erm": {"warp": 1}})
 
+    @pytest.mark.parametrize("scheme, key, value", [
+        ("combined-erm", "align_weight", 0.5),
+        ("combined-erm", "gamma", 3.0),
+        ("rs-single-erm", "domain_weight", 2.0),
+        ("multi-m3sda", "domain_weight", 9.0),
+        ("multi-m3sda", "pretrain_epochs", 1),
+        ("single-dann", "ensemble", "accuracy"),
+        ("multi-mdan", "align_weight", 0.1),
+    ])
+    def test_override_keys_of_another_trainer_rejected(self, scheme, key, value):
+        with pytest.raises(ValueError, match=rf"unknown override keys \['{key}'\] for {scheme}"):
+            quick_config([scheme], scheme_overrides={scheme: {key: value}})
+
+    @pytest.mark.parametrize("scheme, key, value", [
+        ("single-erm", "epochs", 2),
+        ("combined-adda", "adapt_epochs", 2),
+        ("rs-multi-mdan", "gamma", 3.0),
+        ("single-dann", "domain_weight", 0.5),
+        ("multi-m3sda", "ensemble", "accuracy"),
+    ])
+    def test_override_keys_of_the_schemes_trainer_accepted(self, scheme, key, value):
+        cfg = quick_config([scheme], scheme_overrides={scheme: {key: value}})
+        assert cfg.scheme_overrides[scheme] == {key: value}
+
     def test_binary_task_requires_two_classes(self):
         specs = [DomainSpec(f"d{i}", 40, 2, np.array([[0, 0], [2, 0], [1, 1]]), 0.5,
                             np.array([0.4, 0.3, 0.3]), np.array([1.0]),
@@ -176,12 +217,12 @@ class TestMatrixStructure:
         from udakit.harness import SINGLE_SOURCE_LEARNING_RATE, _build_configs
 
         cfg = quick_config(["single-erm", "combined-erm"])
-        single, _, _ = _build_configs(cfg, "single-erm", 2, seed=0)
-        combined, _, _ = _build_configs(cfg, "combined-erm", 2, seed=0)
+        single, _ = _build_configs(cfg, "single-erm", 2, seed=0)
+        combined, _ = _build_configs(cfg, "combined-erm", 2, seed=0)
         assert single.learning_rate == SINGLE_SOURCE_LEARNING_RATE
         assert combined.learning_rate == TrainConfig().learning_rate
         explicit = quick_config(["single-erm"], train={"learning_rate": 0.5, "epochs": 1})
-        overridden, _, _ = _build_configs(explicit, "single-erm", 2, seed=0)
+        overridden, _ = _build_configs(explicit, "single-erm", 2, seed=0)
         assert overridden.learning_rate == 0.5
 
     def test_scheme_overrides_reach_the_trainers(self):
@@ -197,6 +238,10 @@ class TestMatrixStructure:
 
 
 class TestDeterminismAndAggregation:
+    def test_pinned_grid_report_hash(self):
+        text = emit_report(run_matrix(pinned_grid_config(PINNED_SCHEMES, repeats=1)))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256
+
     def test_byte_identical_reports(self):
         cfg_a = quick_config(["single-erm", "combined-dann"], repeats=2)
         cfg_b = quick_config(["single-erm", "combined-dann"], repeats=2)

@@ -12,6 +12,7 @@ from udakit import (
     TrainConfig,
     backward,
     cross_entropy,
+    extract_features,
     forward,
     init_mlp,
     init_sgd,
@@ -474,6 +475,19 @@ class TestModelFiles:
         x = rng.normal(size=(9, 2))
         assert np.array_equal(predict(ext, head, x)[0],
                               predict(back.extractor, back.classifiers[0], x)[0])
+
+    def test_bundle_scores_apply_the_stored_weights_as_they_are(self, rng):
+        ext = init_mlp([2, 8], rng, final="relu")
+        heads = [init_mlp([8, 3], rng) for _ in range(3)]
+        weights = [0.2, 0.3, 0.5 + 4e-10]
+        x = rng.normal(size=(7, 2))
+        feats = extract_features(ext, x)
+        expected = sum(w * softmax(forward(h, feats)[0]) for w, h in zip(weights, heads))
+        assert np.array_equal(ModelBundle(ext, heads, weights).scores(x), expected)
+        equal = sum((1.0 / 3) * softmax(forward(h, feats)[0]) for h in heads)
+        assert np.array_equal(ModelBundle(ext, heads).scores(x), equal)
+        assert np.array_equal(ModelBundle(ext, heads[:1]).scores(x),
+                              softmax(forward(heads[0], feats)[0]))
 
     def test_ensemble_bundle_round_trip(self, tmp_path, rng):
         ext = init_mlp([2, 8], rng, final="relu")

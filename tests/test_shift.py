@@ -328,6 +328,15 @@ class TestBuildShiftMatrix:
         with pytest.raises(ValueError, match="at least 2"):
             build_shift_matrix([make_blobs("a", 0, n=10)])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_value_names_its_pair(self, value):
+        domains = [make_blobs(f"d{i}", i, n=40) for i in range(3)]
+        table = {(s.domain_id, t.domain_id): 0.2 for s in domains for t in domains
+                 if s is not t}
+        table[("d2", "d0")] = value
+        with pytest.raises(ValueError, match=r"d2->d0 is not finite"):
+            build_shift_matrix(domains, table, projections=8, seed=0)
+
     def test_save_and_error_table_round_trip(self, tmp_path):
         domains = [make_blobs(f"d{i}", i, n=40) for i in range(2)]
         table = {("d0", "d1"): 0.25, ("d1", "d0"): 0.4}
