@@ -10,7 +10,7 @@ UnlabeledDomain view, so target labels are structurally unreachable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .nn import (
     cross_entropy,
     epoch_batches,
     forward,
+    index_draws,
     init_mlp,
     init_sgd,
     mlp_blocks,
@@ -90,6 +91,13 @@ def soft_aggregate(values: Sequence[float], gamma: float) -> float:
     return float(m + np.log(np.mean(np.exp(z - m)))) / gamma
 
 
+def _domain_labels(batch_size: int) -> Callable[[int], np.ndarray]:
+    """labels(k) for k <= batch_size: a discriminator's labels for k source rows
+    stacked on k target rows (k zeros, then k ones), sliced from one vector."""
+    both = np.repeat(np.array([0, 1]), batch_size)
+    return lambda k: both[batch_size - k:batch_size + k]
+
+
 @dataclass
 class AdversarialResult:
     extractor: Mlp
@@ -129,17 +137,19 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     total_steps = tcfg.epochs * -(-source.n_samples // tcfg.batch_size)
     record = RunRecord("dann", tcfg.seed, record_config(cfg),
                        {"classification": [], "domain": []})
+    draw_target = index_draws(rng_tgt, target.n_samples)
+    labels = _domain_labels(tcfg.batch_size)
 
     def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
-        xt = target.features[rng_tgt.choice(target.n_samples, size=idx.size)]
+        xt = target.features[draw_target(idx.size)]
         cls_loss, dom_loss, grads = _dann_step_grads(
             extractor, classifier, disc, source.features[idx], source.labels[idx], xt,
-            _domain_weight_at(cfg, opt.step, total_steps))
+            labels(idx.size), _domain_weight_at(cfg, opt.step, total_steps))
         return {"classification": cls_loss, "domain": dom_loss}, grads
 
     run_epochs(record, blocks, opt, tcfg.epochs,
-               lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
-                                     tcfg.resample, n_classes), step)
+               epoch_batches(rng_batch, source.labels, tcfg.batch_size, tcfg.resample, n_classes),
+               step)
     if tcfg.epochs:
         record.final["classification_loss"] = record.epoch_losses["classification"][-1]
         record.final["domain_loss"] = record.epoch_losses["domain"][-1]
@@ -147,14 +157,15 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
 
 
 def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
-                     xs: np.ndarray, ys: np.ndarray, xt: np.ndarray,
+                     xs: np.ndarray, ys: np.ndarray, xt: np.ndarray, dom_labels: np.ndarray,
                      lam: float) -> tuple[float, float, list[np.ndarray]]:
     """Gradients for one reversal step.
 
-    The discriminator trains on the plain binary domain loss; the extractor
-    receives classifier gradient minus lam times the domain-branch gradient
-    (the reversal is that sign and scale, applied to the discriminator's
-    input gradient).
+    The discriminator trains on the plain binary domain loss (dom_labels is 0
+    for each row of xs, then 1 for each row of xt); the extractor receives
+    classifier gradient minus lam times the domain-branch gradient (the
+    reversal is that sign and scale, applied to the discriminator's input
+    gradient).
     """
     feats_s, acts_s = forward(extractor, xs)
     feats_t, acts_t = forward(extractor, xt)
@@ -163,15 +174,13 @@ def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
     c_grad, dfeat_cls = backward(classifier, c_acts, dlogits)
 
     dom_in = np.concatenate([feats_s, feats_t], axis=0)
-    dom_labels = np.concatenate([np.zeros(len(xs), dtype=np.int64),
-                                 np.ones(len(xt), dtype=np.int64)])
     dom_logits, d_acts = forward(disc, dom_in)
     dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
     d_grad, ddom_in = backward(disc, d_acts, ddl)
     rev = -lam * ddom_in
 
-    f_grad, _ = backward(extractor, acts_s, dfeat_cls + rev[:len(xs)])
-    f_grad_t, _ = backward(extractor, acts_t, rev[len(xs):])
+    f_grad, _ = backward(extractor, acts_s, dfeat_cls + rev[:len(xs)], input_grad=False)
+    f_grad_t, _ = backward(extractor, acts_t, rev[len(xs):], input_grad=False)
     f_grad += f_grad_t
     return cls_loss, dom_loss, [f_grad, c_grad, d_grad]
 
@@ -207,20 +216,21 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     record = RunRecord("adda", tcfg.seed, record_config(cfg),
                        {"classification": list(stage1.record.epoch_losses["classification"]),
                         "domain": [], "alignment": [], "discriminator_accuracy": []})
+    draw_target = index_draws(rng_tgt, target.n_samples)
+    labels = _domain_labels(tcfg.batch_size)
 
     def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
-        xt = target.features[rng_tgt.choice(target.n_samples, size=idx.size)]
+        xt = target.features[draw_target(idx.size)]
+        dom_labels = labels(idx.size)
 
         # discriminator step, on its own optimiser: source features are
         # frozen stage-1 outputs
         feats_s, _ = forward(source_extractor, source.features[idx])
         feats_t, t_acts = forward(target_extractor, xt)
         dom_in = np.concatenate([feats_s, feats_t], axis=0)
-        dom_labels = np.concatenate([np.zeros(idx.size, dtype=np.int64),
-                                     np.ones(len(xt), dtype=np.int64)])
         dom_logits, d_acts = forward(disc, dom_in)
         dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
-        d_grad, _ = backward(disc, d_acts, ddl)
+        d_grad, _ = backward(disc, d_acts, ddl, input_grad=False)
         acc = float(np.mean(np.argmax(dom_logits, axis=1) == dom_labels))
         sgd_step(disc_blocks, [d_grad], disc_opt)
 
@@ -228,15 +238,15 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
         # features read as source; the extractor has not moved since the
         # forward pass above, so its trace is reused
         inv_logits, d_acts = forward(disc, feats_t)
-        inv_loss, ddl = cross_entropy(inv_logits, np.zeros(len(xt), dtype=np.int64))
+        inv_loss, ddl = cross_entropy(inv_logits, dom_labels[:len(xt)])
         _, dfeat = backward(disc, d_acts, ddl)
-        t_grad, _ = backward(target_extractor, t_acts, dfeat)
+        t_grad, _ = backward(target_extractor, t_acts, dfeat, input_grad=False)
         return {"domain": dom_loss, "alignment": inv_loss,
                 "discriminator_accuracy": acc}, [t_grad]
 
     run_epochs(record, ext_blocks, ext_opt, adapt,
-               lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
-                                     tcfg.resample, n_classes), step)
+               epoch_batches(rng_batch, source.labels, tcfg.batch_size, tcfg.resample, n_classes),
+               step)
     record.warnings += [f"discriminator accuracy {acc:.3f} > 0.99 through epoch {epoch}"
                         for epoch, acc in enumerate(record.epoch_losses["discriminator_accuracy"])
                         if acc > 0.99]
@@ -276,10 +286,11 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     loss_keys = {"classification": [], "total": []}
     loss_keys.update({f"domain_{k}": [] for k in range(len(sources))})
     record = RunRecord("mdan", tcfg.seed, record_config(cfg), loss_keys)
+    dom_labels = np.repeat(np.array([0, 1]), tcfg.batch_size)   # a source batch, then xt
 
     def step(batch) -> tuple[dict[str, float], list[np.ndarray]]:
         batches, xt = batch
-        return _mdan_step_grads(extractor, classifier, discs, batches, xt,
+        return _mdan_step_grads(extractor, classifier, discs, batches, xt, dom_labels,
                                 _domain_weight_at(cfg, opt.step, total_steps),
                                 cfg.gamma, cfg.hard_max)
 
@@ -294,9 +305,10 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
 
 def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
                      batches: list[tuple[np.ndarray, np.ndarray]], xt: np.ndarray,
-                     lam: float, gamma: float, hard_max: bool,
+                     dom_labels: np.ndarray, lam: float, gamma: float, hard_max: bool,
                      reverse_domain: bool = True) -> tuple[dict, list[np.ndarray]]:
-    """Losses and gradients for one multi-source step.
+    """Losses and gradients for one multi-source step. Each source batch has as
+    many rows as xt; dom_labels is 0 for a source batch's rows, then 1 for xt's.
 
     Setting reverse_domain=False yields the true gradient of the aggregated
     scalar (used by finite-difference checks); training keeps the reversal on
@@ -314,8 +326,6 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
         c_grad, dfeat_cls = backward(classifier, c_acts, dlogits)
 
         dom_in = np.concatenate([feats_s, feats_t], axis=0)
-        dom_labels = np.concatenate([np.zeros(len(xs), dtype=np.int64),
-                                     np.ones(len(xt), dtype=np.int64)])
         dom_logits, d_acts = forward(disc, dom_in)
         dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
         d_grad, ddom_in = backward(disc, d_acts, ddl)
@@ -332,8 +342,8 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
         w[int(np.argmax(e))] = 1.0
     else:
         total = soft_aggregate(e, gamma)
-        z = gamma * (e - e.max())
-        w = np.exp(z) / np.exp(z).sum()
+        ez = np.exp(gamma * (e - e.max()))
+        w = ez / ez.sum()
 
     # accumulate from the first source's terms, never from zeros, so that
     # the sums (and the signs of zero entries) match term-by-term addition
@@ -341,7 +351,7 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
     dfeat_t_total = np.zeros_like(feats_t)
     for k, p in enumerate(per_source):
         dfs = p["dfeat_cls"] + sign * lam * p["ddom_in"][:p["n_s"]]
-        f_grad_k, _ = backward(extractor, p["acts_s"], w[k] * dfs)
+        f_grad_k, _ = backward(extractor, p["acts_s"], w[k] * dfs, input_grad=False)
         cls_k = w[k] * p["c_grad"]
         if k == 0:
             ext_grad, cls_grad = f_grad_k, cls_k
@@ -350,7 +360,7 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
             cls_grad += cls_k
         disc_grads.append(w[k] * lam * p["d_grad"])
         dfeat_t_total += w[k] * sign * lam * p["ddom_in"][p["n_s"]:]
-    ext_grad += backward(extractor, acts_t, dfeat_t_total)[0]
+    ext_grad += backward(extractor, acts_t, dfeat_t_total, input_grad=False)[0]
 
     parts = {"classification": float(np.mean([p["cls_loss"] for p in per_source])),
              "total": total}

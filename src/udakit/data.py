@@ -306,13 +306,15 @@ def save_dataset(data: DomainDataset, path: str | Path) -> None:
     path = Path(path)
     header = ["id", "domain", "label", "sensitive"] + [f"f{j}" for j in range(data.dim)]
     lines = [",".join(header)]
+    # load_dataset splits rows at every line boundary str.splitlines knows
+    for name in (data.domain_id, *data.sample_ids):
+        if "," in name or "".join(name.splitlines()) != name:
+            raise ValueError(f"id {name!r} contains a delimiter")
     # tolist() hands back Python ints and floats, so no cell goes through a
     # numpy scalar; features convert a row at a time, which keeps only one
     # row's float objects alive
     for sid, label, group, feats in zip(data.sample_ids, data.labels.tolist(),
                                         data.sensitive.tolist(), data.features):
-        if "," in sid or "\n" in sid:
-            raise ValueError(f"sample id {sid!r} contains a delimiter")
         lines.append(",".join([sid, data.domain_id, str(label), str(group),
                                *map(repr, feats.tolist())]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -113,6 +113,8 @@ def auroc(scores: np.ndarray, y_binary: np.ndarray) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC undefined: only one class present")
+    if np.isnan(scores).any():
+        raise UndefinedMetricError("AUROC undefined: NaN scores")
     ranks = _average_ranks(scores)
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -214,13 +216,8 @@ def _eom_details(pred: PredictionSet,
     flags: list[str] = []
     for cls in range(pred.n_classes):
         supports = [int(np.sum(pred.y_true[idx] == cls)) for idx in groups]
-        recalls: list[float | None] = []
-        for idx, support in zip(groups, supports):
-            if support == 0:
-                recalls.append(None)
-            else:
-                mask = idx[pred.y_true[idx] == cls]
-                recalls.append(float(np.mean(pred.y_pred[mask] == cls)))
+        recalls = [float(np.mean(pred.y_pred[idx[pred.y_true[idx] == cls]] == cls))
+                   if support else None for idx, support in zip(groups, supports)]
         table.append(recalls)
         if all(s == 0 for s in supports):
             ratios.append(1.0)
@@ -231,7 +228,7 @@ def _eom_details(pred: PredictionSet,
                 raise ValueError(f"class {cls} has no true instances in groups {missing}")
             flags.append(f"class {cls} skipped: no true instances in some group")
         else:
-            ratios.append(_rate_ratio([r for r in recalls]))
+            ratios.append(_rate_ratio(recalls))
     if not ratios:
         raise ValueError("EOM undefined: every class lacks true instances in some group")
     return sum(ratios) / len(ratios), table, flags
@@ -283,10 +280,7 @@ def fairness_report(pred: PredictionSet, basis: str = "auto",
     per_group = _group_quality(pred, basis)
     rates = _prediction_rates(pred)
     eom_value, recall_table, flags = _eom_details(pred, strict)
-    if basis == "accuracy":
-        overall = accuracy(pred)
-    else:
-        overall = auroc(pred.scores, pred.y_true)
+    overall = accuracy(pred) if basis == "accuracy" else auroc(pred.scores, pred.y_true)
     return FairnessReport(
         pqd=_pqd_of(per_group),
         dpm=_dpm_of(rates),

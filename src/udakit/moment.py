@@ -194,7 +194,7 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
         acts_s.append(a)
         cls_losses.append(loss)
         c_grads.append(g)
-        dfeat_s.append(df.copy())
+        dfeat_s.append(df)
 
     moment_total = 0.0
     dfeat_t = np.zeros_like(feats_t)
@@ -237,14 +237,14 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
 
     # accumulate from the first source's term, never from zeros, so that the
     # sums (and the signs of zero entries) match term-by-term addition
-    ext_grad, _ = backward(extractor, acts_s[0], dfeat_s[0])
+    ext_grad, _ = backward(extractor, acts_s[0], dfeat_s[0], input_grad=False)
     for k in range(1, n_sources):
-        ext_grad += backward(extractor, acts_s[k], dfeat_s[k])[0]
-    ext_grad += backward(extractor, acts_t, dfeat_t)[0]
+        ext_grad += backward(extractor, acts_s[k], dfeat_s[k], input_grad=False)[0]
+    ext_grad += backward(extractor, acts_t, dfeat_t, input_grad=False)[0]
 
-    total = (float(np.sum(cls_losses)) + align_weight * moment_total
-             + discrepancy_weight * discrepancy)
-    parts = {"classification": float(np.sum(cls_losses)), "moment": moment_total,
+    classification = float(np.sum(cls_losses))
+    total = classification + align_weight * moment_total + discrepancy_weight * discrepancy
+    parts = {"classification": classification, "moment": moment_total,
              "discrepancy": discrepancy, "total": total}
     parts.update(pair_terms)
     return parts, [ext_grad, *c_grads]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -153,13 +154,13 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return acts[-1], acts
 
 
-def backward(mlp: Mlp, acts: list[np.ndarray],
-             grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def backward(mlp: Mlp, acts: list[np.ndarray], grad_out: np.ndarray, *,
+             input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Backpropagate grad_out through a forward() activation trace.
 
-    Returns (gradient wrt mlp.params, gradient wrt the input). The parameter
-    gradient is one flat array in the params layout (dW0, db0, dW1, db1, ...);
-    mlp.layer_views(grad) splits it per layer.
+    Returns (gradient wrt mlp.params, gradient wrt the input, or None with
+    input_grad=False). The parameter gradient is one flat array in the params
+    layout (dW0, db0, dW1, db1, ...); mlp.layer_views(grad) splits it per layer.
     """
     grad = np.empty_like(mlp.params)
     dws, dbs = mlp.layer_views(grad)
@@ -167,9 +168,9 @@ def backward(mlp: Mlp, acts: list[np.ndarray],
     for i in range(len(mlp.weights) - 1, -1, -1):
         if mlp.activations[i] == "relu":
             g = g * (acts[i + 1] > 0.0)
-        g.sum(axis=0, out=dbs[i])
+        np.add.reduce(g, axis=0, out=dbs[i])
         np.matmul(g.T, acts[i], out=dws[i])
-        g = g @ mlp.weights[i]
+        g = g @ mlp.weights[i] if i or input_grad else None
     return grad, g
 
 
@@ -179,11 +180,21 @@ def mlp_blocks(mlp: Mlp, prefix: str) -> list[tuple[str, np.ndarray]]:
     return [(prefix, mlp.params)]
 
 
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, exp(z), row sums of exp(z)) for z = logits minus each row's max. Below
+    8 columns max and sum go column by column, cheaper than axis-1 reductions and
+    bit-identical; from 8 on numpy's row sum adds pairwise, in another order."""
+    few = logits.shape[1] < 8
+    z = logits - (reduce(np.maximum, logits.T)[:, None] if few
+                  else logits.max(axis=1, keepdims=True))
+    e = np.exp(z)
+    return z, e, reduce(np.add, e.T) if few else e.sum(axis=1)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    _, e, norm = _shifted_exp(logits)
+    return e / norm[:, None]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -194,15 +205,14 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     """
     labels = np.asarray(labels, dtype=np.int64)
     n, m = logits.shape
-    if labels.shape != (n,) or (n and (labels.min() < 0 or labels.max() >= m)):
+    # one reduction checks both bounds: a negative id reads as a huge unsigned one
+    if labels.shape != (n,) or (n and labels.view(np.uint64).max() >= m):
         raise ValueError("labels must be one id in [0, n_outputs) per row")
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    norm = e.sum(axis=1)
-    rows = np.arange(n)
-    loss = float((np.log(norm) - z[rows, labels]).sum() / n)
-    grad = e / norm[:, None]
-    grad[rows, labels] -= 1.0
+    z, e, norm = _shifted_exp(logits)
+    picked = np.arange(0, n * m, m) + labels    # flat index of each row's label
+    loss = float((np.log(norm) - z.reshape(-1)[picked]).sum() / n)
+    grad = np.divide(e, norm[:, None], order="C")     # C order: reshape(-1) is a view
+    grad.reshape(-1)[picked] -= 1.0
     grad /= n
     return loss, grad
 
@@ -275,11 +285,8 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "TrainConfig":
-        known = {f: payload[f] for f in TrainConfig.__dataclass_fields__ if f in payload}
-        cfg = TrainConfig(**known)
-        if isinstance(payload.get("hidden_sizes"), list):
-            cfg.hidden_sizes = tuple(payload["hidden_sizes"])
-        return cfg
+        return TrainConfig(**{f: payload[f] for f in TrainConfig.__dataclass_fields__
+                              if f in payload})
 
 
 @dataclass
@@ -312,19 +319,33 @@ def seed_streams(seed: int, n: int = 4) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
+def index_draws(rng: np.random.Generator, n: int,
+                p: np.ndarray | None = None) -> Callable[[int], np.ndarray]:
+    """draw(size): the indices rng.choice(n, size, p=p) would draw, for less per call:
+    choice calls rng.integers without p, and with p searches rng.random(size) in p's CDF."""
+    if p is None:
+        return lambda size: rng.integers(0, n, size=size, dtype=np.int64)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return lambda size: cdf.searchsorted(rng.random(size), side="right")
+
+
 def epoch_batches(rng: np.random.Generator, labels: np.ndarray, batch_size: int,
-                  resample: bool, n_classes: int) -> list[np.ndarray]:
-    """Mini-batch index lists for one epoch.
+                  resample: bool, n_classes: int) -> Callable[[], list[np.ndarray]]:
+    """run_epochs' batches() for a single-source trainer: one epoch's index lists.
 
     Plain epochs shuffle without replacement; resampled epochs draw n indices
     with replacement proportionally to class-balancing sampler weights.
     """
     n = labels.shape[0]
-    if resample:
-        idx = rng.choice(n, size=n, replace=True, p=class_balanced_probabilities(labels, n_classes))
-    else:
-        idx = rng.permutation(n)
-    return [idx[s:s + batch_size] for s in range(0, n, batch_size)]
+    draw = (index_draws(rng, n, class_balanced_probabilities(labels, n_classes)) if resample
+            else rng.permutation)
+
+    def epoch() -> list[np.ndarray]:
+        idx = draw(n)
+        return [idx[s:s + batch_size] for s in range(0, n, batch_size)]
+
+    return epoch
 
 
 def multi_source_batches(sources: list[DomainDataset], target: UnlabeledDomain,
@@ -333,16 +354,18 @@ def multi_source_batches(sources: list[DomainDataset], target: UnlabeledDomain,
     """run_epochs' batches() for a multi-source trainer: ceil(largest source /
     batch_size) steps, each ([(x, y) per source], target x) of batch_size rows
     drawn with replacement (class-balanced sources when cfg.resample)."""
-    probs = [class_balanced_probabilities(s.labels, n_classes) if cfg.resample else None
-             for s in sources]
+    draws = [index_draws(rng_batch, s.n_samples,
+                         class_balanced_probabilities(s.labels, n_classes) if cfg.resample
+                         else None) for s in sources]
+    draw_target = index_draws(rng_tgt, target.n_samples)
     steps = -(-max(s.n_samples for s in sources) // cfg.batch_size)
 
     def epoch():
         for _ in range(steps):
-            xt = target.features[rng_tgt.choice(target.n_samples, size=cfg.batch_size)]
+            xt = target.features[draw_target(cfg.batch_size)]
             batches = []
-            for s, p in zip(sources, probs):
-                idx = rng_batch.choice(s.n_samples, size=cfg.batch_size, replace=True, p=p)
+            for s, draw in zip(sources, draws):
+                idx = draw(cfg.batch_size)
                 batches.append((s.features[idx], s.labels[idx]))
             yield batches, xt
 
@@ -407,10 +430,6 @@ class ErmResult:
     classifier: Mlp
     record: RunRecord
 
-    @property
-    def final_loss(self) -> float:
-        return self.record.final["classification_loss"]
-
 
 def train_erm(source: DomainDataset, cfg: TrainConfig) -> ErmResult:
     """Mini-batch SGD on the source cross-entropy; no adaptation."""
@@ -425,26 +444,19 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ErmResult:
     record = RunRecord("erm", cfg.seed, cfg.to_dict(), {"classification": []})
 
     def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
-        loss, grads = _erm_step_grads(extractor, classifier,
-                                      source.features[idx], source.labels[idx])
-        return {"classification": loss}, grads
+        feats, f_acts = forward(extractor, source.features[idx])
+        logits, c_acts = forward(classifier, feats)
+        loss, dlogits = cross_entropy(logits, source.labels[idx])
+        c_grad, dfeats = backward(classifier, c_acts, dlogits)
+        f_grad, _ = backward(extractor, f_acts, dfeats, input_grad=False)
+        return {"classification": loss}, [f_grad, c_grad]
 
     run_epochs(record, blocks, opt, cfg.epochs,
-               lambda: epoch_batches(rng_batch, source.labels, cfg.batch_size,
-                                     cfg.resample, n_classes), step)
+               epoch_batches(rng_batch, source.labels, cfg.batch_size, cfg.resample, n_classes),
+               step)
     record.final["classification_loss"] = (
         record.epoch_losses["classification"][-1] if cfg.epochs else float("nan"))
     return ErmResult(extractor, classifier, record)
-
-
-def _erm_step_grads(extractor: Mlp, classifier: Mlp, x: np.ndarray,
-                    y: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    feats, f_acts = forward(extractor, x)
-    logits, c_acts = forward(classifier, feats)
-    loss, dlogits = cross_entropy(logits, y)
-    c_grad, dfeats = backward(classifier, c_acts, dlogits)
-    f_grad, _ = backward(extractor, f_acts, dfeats)
-    return loss, [f_grad, c_grad]
 
 
 def predict(extractor: Mlp, classifier: Mlp,
@@ -479,14 +491,22 @@ def _mlp_to_dict(mlp: Mlp) -> dict:
     }
 
 
-def _mlp_from_dict(payload: dict) -> Mlp:
-    weights, biases, acts = [], [], []
-    for layer in payload["layers"]:
-        out_dim, in_dim = layer["shape"]
-        weights.append(np.asarray(layer["weights"], dtype=np.float64).reshape(out_dim, in_dim))
-        biases.append(np.asarray(layer["bias"], dtype=np.float64))
-        acts.append(layer["activation"])
-    return Mlp(weights, biases, acts)
+def _mlp_from_dict(payload: object, name: str) -> Mlp:
+    """A model file's network entry; a malformed one raises ValueError naming it."""
+    weights, biases, acts, where = [], [], [], name
+    try:
+        for i, layer in enumerate(payload["layers"]):
+            where = f"{name} layer {i}"
+            out_dim, in_dim = layer["shape"]
+            weights.append(np.asarray(layer["weights"], dtype=np.float64).reshape(out_dim, in_dim))
+            biases.append(np.asarray(layer["bias"], dtype=np.float64))
+            acts.append(layer["activation"])
+        where = name
+        return Mlp(weights, biases, acts)
+    except KeyError as err:
+        raise ValueError(f'{where}: missing "{err.args[0]}"') from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 @dataclass
@@ -542,9 +562,12 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ModelBundle:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    heads = payload.get("classifiers") if isinstance(payload, dict) else None
+    if not isinstance(heads, list):
+        raise ValueError('a model file needs a "classifiers" list of networks')
     return ModelBundle(
-        extractor=_mlp_from_dict(payload["extractor"]),
-        classifiers=[_mlp_from_dict(c) for c in payload["classifiers"]],
+        extractor=_mlp_from_dict(payload.get("extractor"), "extractor"),
+        classifiers=[_mlp_from_dict(c, f"classifiers[{k}]") for k, c in enumerate(heads)],
         ensemble_weights=payload.get("ensemble_weights"),
         train_config=payload.get("train_config", {}),
         seed=int(payload.get("seed", 0)),

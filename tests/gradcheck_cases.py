@@ -56,7 +56,9 @@ def dann_case(seed: int, lam: float = 0.7) -> float:
     ys = rng.integers(0, 3, size=5)
     xt = rng.normal(size=(4, 3))
 
-    _, _, (ext_grad, cls_grad, disc_grad) = _dann_step_grads(ext, cls, disc, xs, ys, xt, lam)
+    labels = np.concatenate([np.zeros(len(xs), dtype=int), np.ones(len(xt), dtype=int)])
+    _, _, (ext_grad, cls_grad, disc_grad) = _dann_step_grads(ext, cls, disc, xs, ys, xt,
+                                                             labels, lam)
 
     def cls_branch():
         feats, _ = forward(ext, xs)
@@ -66,7 +68,6 @@ def dann_case(seed: int, lam: float = 0.7) -> float:
         fs, _ = forward(ext, xs)
         ft, _ = forward(ext, xt)
         dom_in = np.concatenate([fs, ft], axis=0)
-        labels = np.concatenate([np.zeros(len(xs), dtype=int), np.ones(len(xt), dtype=int)])
         return cross_entropy(forward(disc, dom_in)[0], labels)[0]
 
     [fd_cls_on_ext] = finite_difference(cls_branch, _params(ext), H)
@@ -88,13 +89,14 @@ def mdan_case(seed: int, lam: float = 0.6, gamma: float = 5.0) -> float:
     discs = [init_mlp([6, 5, 2], rng) for _ in range(3)]
     batches = [(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4)) for _ in range(3)]
     xt = rng.normal(size=(4, 3))
+    labels = np.repeat([0, 1], 4)
 
     def total():
-        parts, _ = _mdan_step_grads(ext, cls, discs, batches, xt, lam, gamma,
+        parts, _ = _mdan_step_grads(ext, cls, discs, batches, xt, labels, lam, gamma,
                                     hard_max=False, reverse_domain=False)
         return parts["total"]
 
-    _, grads = _mdan_step_grads(ext, cls, discs, batches, xt, lam, gamma,
+    _, grads = _mdan_step_grads(ext, cls, discs, batches, xt, labels, lam, gamma,
                                 hard_max=False, reverse_domain=False)
     fd = finite_difference(total, _params(ext, cls, *discs), H)
     return relative_error(grads, fd)

@@ -168,6 +168,46 @@ class TestTrainEval:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(classifiers="x"), 'a model file needs a "classifiers" list of networks'),
+        (lambda m: m.pop("classifiers"), 'a model file needs a "classifiers" list of networks'),
+        (lambda m: m.update(extractor="x"), "extractor: string indices must be integers"),
+        (lambda m: m["classifiers"][1].pop("layers"), 'classifiers[1]: missing "layers"'),
+        (lambda m: m["classifiers"][0]["layers"].__setitem__(0, 5),
+         "classifiers[0] layer 0: 'int' object is not subscriptable"),
+        (lambda m: m["extractor"]["layers"][1].pop("bias"), 'extractor layer 1: missing "bias"'),
+        (lambda m: m["extractor"]["layers"][0].pop("shape"), 'extractor layer 0: missing "shape"'),
+        (lambda m: m["classifiers"][0]["layers"][0].update(shape=[2, 3, 1]),
+         "classifiers[0] layer 0: too many values to unpack"),
+        (lambda m: m["classifiers"][0]["layers"][0].update(shape=7),
+         "classifiers[0] layer 0: cannot unpack non-iterable int"),
+        (lambda m: m["extractor"]["layers"][0].update(weights=[[1.0, "a"]]),
+         "extractor layer 0: could not convert string to float"),
+        (lambda m: m["extractor"]["layers"][0].update(weights={"w": 1}),
+         "extractor layer 0: float() argument must be"),
+        (lambda m: m["extractor"]["layers"][1].update(activation="tanh"),
+         "extractor: layer 1: unknown activation 'tanh'"),
+        (lambda m: m["extractor"].update(layers=[]),
+         "extractor: need at least one array to concatenate"),
+    ], ids=["classifiers-string", "classifiers-missing", "extractor-string", "layers-missing",
+            "layer-not-an-object", "missing-bias", "missing-shape", "shape-three-entries",
+            "shape-int", "weight-string", "weights-object", "activation", "no-layers"])
+    def test_malformed_network_entries_are_a_config_error(self, tmp_path, capsys, edit, message):
+        rng = np.random.default_rng(0)
+        model = tmp_path / "model.json"
+        save_model(ModelBundle(init_mlp([2, 4, 3], rng, final="relu"),
+                               [init_mlp([3, 2], rng) for _ in range(2)]), model)
+        payload = json.loads(model.read_text())
+        edit(payload)
+        model.write_text(json.dumps(payload))
+        save_dataset(generate_domain(blob_spec("d0", 1)), tmp_path / "d0.csv")
+        out = tmp_path / "pred.csv"
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path / "d0.csv"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"udakit: error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_roundtrip(self, workspace, capsys):
         tmp, spec_path, config_path = workspace
         out = tmp / "runs"

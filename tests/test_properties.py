@@ -1,0 +1,148 @@
+"""Property tests: AUROC against the pair-count oracle, sliced W1 symmetry
+and translation, and exact model and dataset file round trips.
+
+Hypothesis runs derandomized with no example database, so every run draws
+the same examples and Tier-1 stays deterministic.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from udakit import (
+    DomainDataset,
+    ModelBundle,
+    init_mlp,
+    load_dataset,
+    load_model,
+    save_dataset,
+    save_model,
+)
+from udakit.metrics import UndefinedMetricError, auroc
+from udakit.shift import wasserstein_feature_distance
+from oracles import auroc_pairs
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# few distinct values make ties common; the rest reach every finite double
+scores = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1e-300]), finite,
+                   st.sampled_from([math.inf, -math.inf]))
+
+
+@PROPERTY
+@given(st.data())
+def test_auroc_matches_the_pair_count_oracle(data):
+    n = data.draw(st.integers(2, 40))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    labels[:2] = [0, 1]
+    s = data.draw(arrays(np.float64, n, elements=scores))
+    assert auroc(s, labels) == pytest.approx(auroc_pairs(s, labels), abs=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_auroc_rejects_nan_scores(data):
+    n = data.draw(st.integers(2, 20))
+    labels = np.arange(n) % 2
+    s = data.draw(arrays(np.float64, n, elements=scores))
+    s[data.draw(st.integers(0, n - 1))] = np.nan
+    with pytest.raises(UndefinedMetricError, match="NaN"):
+        auroc(s, labels)
+
+
+def clouds(dim: int):
+    return arrays(np.float64, st.tuples(st.integers(1, 30), st.just(dim)),
+                  elements=st.floats(-1e3, 1e3))
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+def test_sliced_w1_is_symmetric_bit_for_bit(data, dim, seed, projections):
+    a, b = data.draw(clouds(dim)), data.draw(clouds(dim))
+    d_ab = wasserstein_feature_distance(a, b, projections=projections, seed=seed)
+    assert d_ab == wasserstein_feature_distance(b, a, projections=projections, seed=seed)
+
+
+# one projection's |u . delta| / |delta| has a coefficient of variation below
+# 0.76 in every dimension, so the mean over P projections lies within 5 of its
+# standard deviations of |delta| when it is within 5 * 0.76 / sqrt(P)
+TRANSLATION_PROJECTIONS = 1024
+TRANSLATION_TOLERANCE = 5 * 0.76 / math.sqrt(TRANSLATION_PROJECTIONS)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_sliced_w1_of_a_translated_cloud_is_the_shift_norm(data, dim, seed):
+    a = data.draw(arrays(np.float64, st.tuples(st.integers(1, 25), st.just(dim)),
+                         elements=st.floats(-10, 10)))
+    delta = data.draw(arrays(np.float64, dim, elements=st.floats(-5, 5)))
+    norm = float(np.linalg.norm(delta))
+    if norm < 0.5:
+        delta = delta + 0.5
+        norm = float(np.linalg.norm(delta))
+    d = wasserstein_feature_distance(a, a + delta, projections=TRANSLATION_PROJECTIONS,
+                                     seed=seed)
+    rel = 1e-9 if dim == 1 else TRANSLATION_TOLERANCE     # one dimension is exact
+    assert d == pytest.approx(norm, rel=rel)
+
+
+@PROPERTY
+@given(st.data(), st.lists(st.integers(1, 5), min_size=2, max_size=4), st.integers(1, 3),
+       st.booleans())
+def test_model_file_round_trip_is_exact(tmp_path_factory, data, sizes, n_heads, weighted):
+    rng = np.random.default_rng(0)
+    extractor = init_mlp(sizes, rng, final="relu")
+    heads = [init_mlp([sizes[-1], 3], rng) for _ in range(n_heads)]
+    for net in (extractor, *heads):
+        net.params[:] = data.draw(arrays(np.float64, net.params.size, elements=finite))
+    weights = None
+    if weighted:
+        raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n_heads, max_size=n_heads))
+        weights = [w / math.fsum(raw) for w in raw]
+    bundle = ModelBundle(extractor, heads, weights, {"epochs": 3, "hidden_sizes": sizes[1:]},
+                         data.draw(st.integers(0, 2 ** 63 - 1)))
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(bundle, path)
+    back = load_model(path)
+    assert (back.ensemble_weights, back.train_config, back.seed) == (
+        bundle.ensemble_weights, bundle.train_config, bundle.seed)
+    for got, want in zip((back.extractor, *back.classifiers), (extractor, *heads)):
+        assert got.activations == want.activations
+        assert [w.shape for w in got.weights] == [w.shape for w in want.weights]
+        assert got.params.tobytes() == want.params.tobytes()
+
+
+def is_one_csv_field(text: str) -> bool:
+    """A dataset file field: no comma and no line boundary (as str.splitlines sees one)."""
+    return "," not in text and "".join(text.splitlines()) == text
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 12), st.integers(1, 4), st.text(max_size=6))
+def test_dataset_file_round_trip_is_exact_or_refused(tmp_path_factory, data, n, dim,
+                                                     domain_id):
+    ids = data.draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
+    dataset = DomainDataset(
+        domain_id,
+        data.draw(arrays(np.float64, (n, dim), elements=finite)),
+        data.draw(arrays(np.int64, n, elements=st.integers(0, 2 ** 62))),
+        data.draw(arrays(np.int64, n, elements=st.integers(0, 9))),
+        ids)
+    path = tmp_path_factory.mktemp("data") / "d.csv"
+    if not all(map(is_one_csv_field, (domain_id, *ids))):
+        with pytest.raises(ValueError, match="contains a delimiter"):
+            save_dataset(dataset, path)
+        return
+    save_dataset(dataset, path)
+    back = load_dataset(path)
+    assert (back.domain_id, back.sample_ids) == (dataset.domain_id, dataset.sample_ids)
+    assert back.features.tobytes() == dataset.features.tobytes()
+    assert np.array_equal(back.labels, dataset.labels)
+    assert np.array_equal(back.sensitive, dataset.sensitive)
