@@ -10,7 +10,7 @@ UnlabeledDomain view, so target labels are structurally unreachable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,13 +91,6 @@ def soft_aggregate(values: Sequence[float], gamma: float) -> float:
     return float(m + np.log(np.mean(np.exp(z - m)))) / gamma
 
 
-def _domain_labels(batch_size: int) -> Callable[[int], np.ndarray]:
-    """labels(k) for k <= batch_size: a discriminator's labels for k source rows
-    stacked on k target rows (k zeros, then k ones), sliced from one vector."""
-    both = np.repeat(np.array([0, 1]), batch_size)
-    return lambda k: both[batch_size - k:batch_size + k]
-
-
 @dataclass
 class AdversarialResult:
     extractor: Mlp
@@ -138,18 +131,21 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     record = RunRecord("dann", tcfg.seed, record_config(cfg),
                        {"classification": [], "domain": []})
     draw_target = index_draws(rng_tgt, target.n_samples)
-    labels = _domain_labels(tcfg.batch_size)
+    # domain labels: k source rows take both[bs-k:bs] (zeros), k target rows both[bs:bs+k]
+    bs = tcfg.batch_size
+    both = np.repeat(np.array([0, 1]), bs)
 
     def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
-        xt = target.features[draw_target(idx.size)]
+        k = idx.size
         cls_loss, dom_loss, grads = _dann_step_grads(
-            extractor, classifier, disc, source.features[idx], source.labels[idx], xt,
-            labels(idx.size), _domain_weight_at(cfg, opt.step, total_steps))
+            extractor, classifier, disc, source.features.take(idx, axis=0),
+            source.labels.take(idx), target.features.take(draw_target(k), axis=0),
+            both[bs - k:bs + k], _domain_weight_at(cfg, opt.step, total_steps))
         return {"classification": cls_loss, "domain": dom_loss}, grads
 
     run_epochs(record, blocks, opt, tcfg.epochs,
-               epoch_batches(rng_batch, source.labels, tcfg.batch_size, tcfg.resample, n_classes),
-               step)
+               lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
+                                     tcfg.resample, n_classes), step)
     if tcfg.epochs:
         record.final["classification_loss"] = record.epoch_losses["classification"][-1]
         record.final["domain_loss"] = record.epoch_losses["domain"][-1]
@@ -217,15 +213,18 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
                        {"classification": list(stage1.record.epoch_losses["classification"]),
                         "domain": [], "alignment": [], "discriminator_accuracy": []})
     draw_target = index_draws(rng_tgt, target.n_samples)
-    labels = _domain_labels(tcfg.batch_size)
+    # domain labels: k source rows take both[bs-k:bs] (zeros), k target rows both[bs:bs+k]
+    bs = tcfg.batch_size
+    both = np.repeat(np.array([0, 1]), bs)
 
     def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
-        xt = target.features[draw_target(idx.size)]
-        dom_labels = labels(idx.size)
+        k = idx.size
+        xt = target.features.take(draw_target(k), axis=0)
+        dom_labels = both[bs - k:bs + k]
 
         # discriminator step, on its own optimiser: source features are
         # frozen stage-1 outputs
-        feats_s, _ = forward(source_extractor, source.features[idx])
+        feats_s, _ = forward(source_extractor, source.features.take(idx, axis=0))
         feats_t, t_acts = forward(target_extractor, xt)
         dom_in = np.concatenate([feats_s, feats_t], axis=0)
         dom_logits, d_acts = forward(disc, dom_in)
@@ -238,15 +237,15 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
         # features read as source; the extractor has not moved since the
         # forward pass above, so its trace is reused
         inv_logits, d_acts = forward(disc, feats_t)
-        inv_loss, ddl = cross_entropy(inv_logits, dom_labels[:len(xt)])
+        inv_loss, ddl = cross_entropy(inv_logits, both[bs - k:bs])
         _, dfeat = backward(disc, d_acts, ddl)
         t_grad, _ = backward(target_extractor, t_acts, dfeat, input_grad=False)
         return {"domain": dom_loss, "alignment": inv_loss,
                 "discriminator_accuracy": acc}, [t_grad]
 
     run_epochs(record, ext_blocks, ext_opt, adapt,
-               epoch_batches(rng_batch, source.labels, tcfg.batch_size, tcfg.resample, n_classes),
-               step)
+               lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
+                                     tcfg.resample, n_classes), step)
     record.warnings += [f"discriminator accuracy {acc:.3f} > 0.99 through epoch {epoch}"
                         for epoch, acc in enumerate(record.epoch_losses["discriminator_accuracy"])
                         if acc > 0.99]

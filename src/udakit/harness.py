@@ -177,17 +177,24 @@ def materialize_domains(cfg: ExperimentConfig) -> dict[str, SplitPair]:
     Splits are keyed on (base_seed, domain id) so repeats reuse them.
     """
     splits: dict[str, SplitPair] = {}
-    for entry in cfg.domains if cfg.domains is not None else cfg.dataset_paths:
-        if isinstance(entry, dict):
-            train, test = load_dataset(entry["train"]), load_dataset(entry["test"])
-            if train.domain_id != test.domain_id:
-                raise ValueError(
-                    f"pre-split pair mixes domains {train.domain_id!r} and {test.domain_id!r}")
-            splits[train.domain_id] = SplitPair(train, test, cfg.split_ratio)
-            continue
-        data = generate_domain(entry) if isinstance(entry, DomainSpec) else load_dataset(entry)
-        seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
-        splits[data.domain_id] = stratified_split(data, cfg.split_ratio, seed)
+    if cfg.domains is not None:
+        datasets = [generate_domain(spec) for spec in cfg.domains]
+        for data in datasets:
+            seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
+            splits[data.domain_id] = stratified_split(data, cfg.split_ratio, seed)
+    else:
+        for entry in cfg.dataset_paths:
+            if isinstance(entry, dict):
+                train = load_dataset(entry["train"])
+                test = load_dataset(entry["test"])
+                if train.domain_id != test.domain_id:
+                    raise ValueError(
+                        f"pre-split pair mixes domains {train.domain_id!r} and {test.domain_id!r}")
+                splits[train.domain_id] = SplitPair(train, test, cfg.split_ratio)
+            else:
+                data = load_dataset(entry)
+                seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
+                splits[data.domain_id] = stratified_split(data, cfg.split_ratio, seed)
     if len(splits) < 2:
         raise ValueError("need at least 2 distinct domains")
     return splits
@@ -376,22 +383,29 @@ class EvalReport:
     config_hash: str
     cells: list[CellResult]
 
-    def _averages(self, key: str) -> dict[str, dict[str, float]]:
-        """Per (scheme, the cells' `key` value): the average of the cell means."""
-        means: dict[str, dict[str, list[float]]] = {scheme: {} for scheme in self.schemes}
-        for c in self.cells:
-            if c.mean is not None and c.scheme in means:
-                means[c.scheme].setdefault(getattr(c, key), []).append(c.mean)
-        return {scheme: {k: float(np.mean(v)) for k, v in sorted(by_key.items())}
-                for scheme, by_key in means.items()}
-
     def column_averages(self) -> dict[str, dict[str, float]]:
         """Per (scheme, target): average of cell means over sources."""
-        return self._averages("target")
+        out: dict[str, dict[str, float]] = {}
+        for scheme in self.schemes:
+            out[scheme] = {}
+            for target in self.domain_ids:
+                means = [c.mean for c in self.cells
+                         if c.scheme == scheme and c.target == target and c.mean is not None]
+                if means:
+                    out[scheme][target] = float(np.mean(means))
+        return out
 
     def row_averages(self) -> dict[str, dict[str, float]]:
         """Per (scheme, source): average of cell means over targets."""
-        return self._averages("source")
+        out: dict[str, dict[str, float]] = {}
+        for scheme in self.schemes:
+            out[scheme] = {}
+            for source in sorted({c.source for c in self.cells if c.scheme == scheme}):
+                means = [c.mean for c in self.cells
+                         if c.scheme == scheme and c.source == source and c.mean is not None]
+                if means:
+                    out[scheme][source] = float(np.mean(means))
+        return out
 
     def to_dict(self) -> dict:
         return {**asdict(self), "cells": [c.to_dict() for c in self.cells],

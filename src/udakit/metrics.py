@@ -216,8 +216,13 @@ def _eom_details(pred: PredictionSet,
     flags: list[str] = []
     for cls in range(pred.n_classes):
         supports = [int(np.sum(pred.y_true[idx] == cls)) for idx in groups]
-        recalls = [float(np.mean(pred.y_pred[idx[pred.y_true[idx] == cls]] == cls))
-                   if support else None for idx, support in zip(groups, supports)]
+        recalls: list[float | None] = []
+        for idx, support in zip(groups, supports):
+            if support == 0:
+                recalls.append(None)
+            else:
+                mask = idx[pred.y_true[idx] == cls]
+                recalls.append(float(np.mean(pred.y_pred[mask] == cls)))
         table.append(recalls)
         if all(s == 0 for s in supports):
             ratios.append(1.0)
@@ -228,7 +233,7 @@ def _eom_details(pred: PredictionSet,
                 raise ValueError(f"class {cls} has no true instances in groups {missing}")
             flags.append(f"class {cls} skipped: no true instances in some group")
         else:
-            ratios.append(_rate_ratio(recalls))
+            ratios.append(_rate_ratio([r for r in recalls]))
     if not ratios:
         raise ValueError("EOM undefined: every class lacks true instances in some group")
     return sum(ratios) / len(ratios), table, flags
@@ -280,7 +285,10 @@ def fairness_report(pred: PredictionSet, basis: str = "auto",
     per_group = _group_quality(pred, basis)
     rates = _prediction_rates(pred)
     eom_value, recall_table, flags = _eom_details(pred, strict)
-    overall = accuracy(pred) if basis == "accuracy" else auroc(pred.scores, pred.y_true)
+    if basis == "accuracy":
+        overall = accuracy(pred)
+    else:
+        overall = auroc(pred.scores, pred.y_true)
     return FairnessReport(
         pqd=_pqd_of(per_group),
         dpm=_dpm_of(rates),

@@ -132,6 +132,12 @@ def init_mlp(sizes: list[int], rng: np.random.Generator, final: str = "identity"
     return Mlp(weights, biases, acts)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), cheaper: a sum of squares is finite only if every
+    entry is, and one that overflows falls back to the entrywise test."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the network; returns (output, activations).
 
@@ -141,7 +147,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != mlp.in_dim:
         raise ValueError(f"input shape {x.shape} does not match first layer ({mlp.in_dim} columns)")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise NonFiniteInputError("non-finite network input")
     acts = [x]
     h = x
@@ -210,7 +216,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
         raise ValueError("labels must be one id in [0, n_outputs) per row")
     z, e, norm = _shifted_exp(logits)
     picked = np.arange(0, n * m, m) + labels    # flat index of each row's label
-    loss = float((np.log(norm) - z.reshape(-1)[picked]).sum() / n)
+    loss = float((np.log(norm) - z.take(picked)).sum() / n)
     grad = np.divide(e, norm[:, None], order="C")     # C order: reshape(-1) is a view
     grad.reshape(-1)[picked] -= 1.0
     grad /= n
@@ -252,7 +258,7 @@ def sgd_step(blocks: list[tuple[str, np.ndarray]], grads: list[np.ndarray],
     for (name, param), grad, vel in zip(blocks, grads, state.velocities):
         if grad.shape != param.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.isfinite(grad).all():
+        if not _all_finite(grad):
             raise DivergenceError(f"non-finite gradient in {name}")
         vel *= state.momentum
         vel += grad
@@ -285,8 +291,11 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "TrainConfig":
-        return TrainConfig(**{f: payload[f] for f in TrainConfig.__dataclass_fields__
-                              if f in payload})
+        known = {f: payload[f] for f in TrainConfig.__dataclass_fields__ if f in payload}
+        cfg = TrainConfig(**known)
+        if isinstance(payload.get("hidden_sizes"), list):
+            cfg.hidden_sizes = tuple(payload["hidden_sizes"])
+        return cfg
 
 
 @dataclass
@@ -331,21 +340,18 @@ def index_draws(rng: np.random.Generator, n: int,
 
 
 def epoch_batches(rng: np.random.Generator, labels: np.ndarray, batch_size: int,
-                  resample: bool, n_classes: int) -> Callable[[], list[np.ndarray]]:
-    """run_epochs' batches() for a single-source trainer: one epoch's index lists.
+                  resample: bool, n_classes: int) -> list[np.ndarray]:
+    """Mini-batch index lists for one epoch.
 
     Plain epochs shuffle without replacement; resampled epochs draw n indices
     with replacement proportionally to class-balancing sampler weights.
     """
     n = labels.shape[0]
-    draw = (index_draws(rng, n, class_balanced_probabilities(labels, n_classes)) if resample
-            else rng.permutation)
-
-    def epoch() -> list[np.ndarray]:
-        idx = draw(n)
-        return [idx[s:s + batch_size] for s in range(0, n, batch_size)]
-
-    return epoch
+    if resample:
+        idx = rng.choice(n, size=n, replace=True, p=class_balanced_probabilities(labels, n_classes))
+    else:
+        idx = rng.permutation(n)
+    return [idx[s:s + batch_size] for s in range(0, n, batch_size)]
 
 
 def multi_source_batches(sources: list[DomainDataset], target: UnlabeledDomain,
@@ -362,11 +368,11 @@ def multi_source_batches(sources: list[DomainDataset], target: UnlabeledDomain,
 
     def epoch():
         for _ in range(steps):
-            xt = target.features[draw_target(cfg.batch_size)]
+            xt = target.features.take(draw_target(cfg.batch_size), axis=0)
             batches = []
             for s, draw in zip(sources, draws):
                 idx = draw(cfg.batch_size)
-                batches.append((s.features[idx], s.labels[idx]))
+                batches.append((s.features.take(idx, axis=0), s.labels.take(idx)))
             yield batches, xt
 
     return epoch
@@ -430,6 +436,10 @@ class ErmResult:
     classifier: Mlp
     record: RunRecord
 
+    @property
+    def final_loss(self) -> float:
+        return self.record.final["classification_loss"]
+
 
 def train_erm(source: DomainDataset, cfg: TrainConfig) -> ErmResult:
     """Mini-batch SGD on the source cross-entropy; no adaptation."""
@@ -444,16 +454,16 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ErmResult:
     record = RunRecord("erm", cfg.seed, cfg.to_dict(), {"classification": []})
 
     def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
-        feats, f_acts = forward(extractor, source.features[idx])
+        feats, f_acts = forward(extractor, source.features.take(idx, axis=0))
         logits, c_acts = forward(classifier, feats)
-        loss, dlogits = cross_entropy(logits, source.labels[idx])
+        loss, dlogits = cross_entropy(logits, source.labels.take(idx))
         c_grad, dfeats = backward(classifier, c_acts, dlogits)
         f_grad, _ = backward(extractor, f_acts, dfeats, input_grad=False)
         return {"classification": loss}, [f_grad, c_grad]
 
     run_epochs(record, blocks, opt, cfg.epochs,
-               epoch_batches(rng_batch, source.labels, cfg.batch_size, cfg.resample, n_classes),
-               step)
+               lambda: epoch_batches(rng_batch, source.labels, cfg.batch_size,
+                                     cfg.resample, n_classes), step)
     record.final["classification_loss"] = (
         record.epoch_losses["classification"][-1] if cfg.epochs else float("nan"))
     return ErmResult(extractor, classifier, record)

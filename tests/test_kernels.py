@@ -15,14 +15,20 @@ import udakit.adversarial as adversarial
 from udakit import AdversarialConfig, TrainConfig, train_adda, train_dann
 from udakit.data import class_balanced_probabilities
 from udakit.nn import (
+    DivergenceError,
+    NonFiniteInputError,
+    _all_finite,
     backward,
     cross_entropy,
     epoch_batches,
     forward,
     index_draws,
     init_mlp,
+    init_sgd,
+    mlp_blocks,
     multi_source_batches,
     seed_streams,
+    sgd_step,
     softmax,
 )
 from conftest import make_blobs
@@ -45,6 +51,30 @@ def cross_entropy_reference(logits, labels):
     grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
+
+
+def forward_reference(mlp, x):
+    acts = [x]
+    for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
+        h = acts[-1] @ w.T
+        h += b
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts
+
+
+def backward_reference(mlp, acts, grad_out):
+    grad = np.empty_like(mlp.params)
+    dws, dbs = mlp.layer_views(grad)
+    g = grad_out
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        if mlp.activations[i] == "relu":
+            g = g * (acts[i + 1] > 0.0)
+        g.sum(axis=0, out=dbs[i])
+        np.matmul(g.T, acts[i], out=dws[i])
+        g = g @ mlp.weights[i]
+    return grad, g
 
 
 def multi_source_batches_reference(sources, target, cfg, n_classes, rng_batch, rng_tgt):
@@ -124,6 +154,59 @@ class TestBackwardWithoutInputGradient:
             assert same_bits(params_only, full)
 
 
+class TestForwardAndBackward:
+    """forward and backward against the former formulas, in every layer shape
+    a trainer builds and in degenerate ones."""
+
+    @pytest.mark.parametrize("sizes, final", [([2, 32, 32], "relu"), ([32, 2], "identity"),
+                                              ([32, 16, 2], "identity"), ([5, 7, 3, 4], "identity"),
+                                              ([1, 1], "relu")])
+    def test_same_bits_as_the_former_formulas(self, sizes, final):
+        rng = np.random.default_rng(sum(sizes))
+        mlp = init_mlp(sizes, rng, final=final)
+        for n in (1, 2, 3, 48, 64, 128, 300):
+            x = rng.normal(size=(n, sizes[0])) * rng.choice([1e-3, 1.0, 1e3])
+            for inputs in (x, np.asfortranarray(x)):
+                _, acts = forward(mlp, inputs)
+                ref_acts = forward_reference(mlp, inputs)
+                assert all(same_bits(a, r) for a, r in zip(acts, ref_acts))
+                grad_out = rng.normal(size=(n, sizes[-1]))
+                for got, ref in zip(backward(mlp, acts, grad_out),
+                                    backward_reference(mlp, ref_acts, grad_out)):
+                    assert same_bits(got, ref)
+
+
+class TestFiniteCheck:
+    """_all_finite(a) == np.isfinite(a).all(), through its sum-of-squares shortcut."""
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (64, 32), (3, 0)])
+    def test_agrees_with_isfinite(self, shape):
+        rng = np.random.default_rng(len(shape))
+        base = rng.normal(size=shape)
+        cases = [base, np.asfortranarray(base) if base.ndim == 2 else base[::-1]]
+        if base.size:
+            for bad in (np.nan, np.inf, -np.inf, 1e200, -1e300, 5e-324):
+                for pos in {0, base.size // 2, base.size - 1}:
+                    a = base.copy()
+                    a.reshape(-1)[pos] = bad
+                    cases.append(a)
+            huge = base * 1e200     # finite entries whose squares overflow
+            cases += [huge, np.where(np.arange(base.size).reshape(shape) == 0, np.nan, huge)]
+        for a in cases:
+            assert _all_finite(a) == bool(np.isfinite(a).all())
+
+    def test_forward_and_sgd_step_accept_huge_finite_values(self):
+        mlp = init_mlp([2, 3], np.random.default_rng(0))
+        forward(mlp, np.array([[1e200, -1e300]]))
+        with pytest.raises(NonFiniteInputError):
+            forward(mlp, np.array([[1e200, np.inf]]))
+        blocks = mlp_blocks(mlp, "net")
+        opt = init_sgd(blocks, 1e-300, 0.5)
+        sgd_step(blocks, [np.full(mlp.params.size, 1e200)], opt)
+        with pytest.raises(DivergenceError, match="non-finite gradient in net"):
+            sgd_step(blocks, [np.full(mlp.params.size, -np.inf)], opt)
+
+
 class TestIndexStreams:
     """Every batch draw must be the draw Generator.choice makes."""
 
@@ -152,10 +235,9 @@ class TestIndexStreams:
     @pytest.mark.parametrize("resample", [False, True])
     def test_epoch_batches_follow_choice(self, seed, resample):
         labels = np.random.default_rng(seed).choice(3, size=150, p=[0.7, 0.2, 0.1])
-        epochs = epoch_batches(np.random.default_rng(seed), labels, 32, resample, 3)
-        ref = np.random.default_rng(seed)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(4):
-            batches = epochs()
+            batches = epoch_batches(rng, labels, 32, resample, 3)
             assert [b.size for b in batches] == [32, 32, 32, 32, 22]
             want = (ref.choice(150, size=150, replace=True,
                                p=class_balanced_probabilities(labels, 3))
