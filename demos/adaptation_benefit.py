@@ -30,8 +30,8 @@ def domain(name, means, seed):
     return generate_domain(spec)
 
 
-def accuracy(extractor, classifier, data):
-    _, labels = predict(extractor, classifier, data.features)
+def accuracy(model, data):
+    _, labels = predict(model, data.features)
     return float(np.mean(labels == data.labels))
 
 
@@ -51,9 +51,7 @@ def main():
         adda = train_adda(src, tgt.unlabeled(),
                           AdversarialConfig(train=train, adapt_epochs=250,
                                             adapt_learning_rate=2e-4))
-        row = (accuracy(erm.extractor, erm.classifier, tgt),
-               accuracy(dann.extractor, dann.classifier, tgt),
-               accuracy(adda.extractor, adda.classifier, tgt))
+        row = (accuracy(erm, tgt), accuracy(dann, tgt), accuracy(adda, tgt))
         rows.append(row)
         print(f"{seed:>4} {row[0]:>14.3f} {row[1]:>10.3f} {row[2]:>10.3f}")
     mean = np.mean(rows, axis=0)

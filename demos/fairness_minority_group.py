@@ -14,7 +14,6 @@ from udakit import (
     MomentConfig,
     PredictionSet,
     TrainConfig,
-    ensemble_predict,
     fairness_report,
     generate_domain,
     predict,
@@ -53,7 +52,7 @@ def main():
     triplets = []
     for src in sources:
         erm = train_erm(src, train)
-        scores, _ = predict(erm.extractor, erm.classifier, target.features)
+        scores, _ = predict(erm, target.features)
         rep = evaluate(scores, target)
         triplets.append([rep.pqd, rep.eom, rep.quality])
     single = np.mean(triplets, axis=0)
@@ -64,7 +63,7 @@ def main():
                            resample=True, seed=seed)
     m3 = train_m3sda(sources, target.unlabeled(),
                      MomentConfig(train=rs_train, align_weight=0.1))
-    scores, _ = ensemble_predict(m3.extractor, m3.classifiers, target.features)
+    scores, _ = predict(m3, target.features)
     rep = evaluate(scores, target)
     print("multi-source moment matching (rs):")
     print(f"  quality ratio {rep.pqd:.3f}  tpr ratio {rep.eom:.3f}  auroc {rep.quality:.3f}")

@@ -13,7 +13,6 @@ from udakit import (
     DomainSpec,
     MomentConfig,
     TrainConfig,
-    ensemble_predict,
     generate_domain,
     predict,
     train_dann,
@@ -46,7 +45,7 @@ def main():
     print("each source sees two of the target's three classes\n")
     for src in sources:
         res = train_dann(src, target.unlabeled(), AdversarialConfig(train=train))
-        _, labels = predict(res.extractor, res.classifier, target.features)
+        _, labels = predict(res, target.features)
         acc = np.mean(labels == target.labels)
         covered = np.unique(src.labels)
         print(f"single-source adversarial from {src.domain_id} "
@@ -54,12 +53,12 @@ def main():
 
     mdan = train_mdan(sources, target.unlabeled(),
                       AdversarialConfig(train=rs_train, domain_weight=0.5))
-    _, labels = predict(mdan.extractor, mdan.classifier, target.features)
+    _, labels = predict(mdan, target.features)
     print(f"\nall three sources, adversarial (rs): {np.mean(labels == target.labels):.3f}")
 
     m3 = train_m3sda(sources, target.unlabeled(),
                      MomentConfig(train=rs_train, align_weight=0.1))
-    _, labels = ensemble_predict(m3.extractor, m3.classifiers, target.features)
+    _, labels = predict(m3, target.features)
     print(f"all three sources, moment matching (rs): {np.mean(labels == target.labels):.3f}")
     print("\nmissing-class ceilings disappear once every class has a source.")
 

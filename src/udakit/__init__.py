@@ -24,7 +24,6 @@ from .data import (
 )
 from .nn import (
     DivergenceError,
-    ErmResult,
     Mlp,
     ModelBundle,
     RunRecord,
@@ -46,16 +45,13 @@ from .nn import (
 )
 from .adversarial import (
     AdversarialConfig,
-    AdversarialResult,
     soft_aggregate,
     train_adda,
     train_dann,
     train_mdan,
 )
 from .moment import (
-    M3sdaResult,
     MomentConfig,
-    ensemble_predict,
     moment_distance,
     moment_distance_grads,
     train_m3sda,

@@ -17,6 +17,7 @@ import numpy as np
 from .data import DomainDataset, UnlabeledDomain, require_unlabeled
 from .nn import (
     Mlp,
+    ModelBundle,
     RunRecord,
     TrainConfig,
     backward,
@@ -27,6 +28,7 @@ from .nn import (
     index_draws,
     init_mlp,
     init_sgd,
+    layer_sizes,
     mlp_blocks,
     multi_source_batches,
     record_config,
@@ -39,7 +41,6 @@ from .nn import (
 
 __all__ = [
     "AdversarialConfig",
-    "AdversarialResult",
     "soft_aggregate",
     "train_dann",
     "train_adda",
@@ -75,7 +76,7 @@ class AdversarialConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
-        self.disc_hidden = tuple(int(h) for h in self.disc_hidden)
+        self.disc_hidden = layer_sizes(self.disc_hidden, "disc_hidden")
 
 
 def soft_aggregate(values: Sequence[float], gamma: float) -> float:
@@ -91,15 +92,6 @@ def soft_aggregate(values: Sequence[float], gamma: float) -> float:
     return float(m + np.log(np.mean(np.exp(z - m)))) / gamma
 
 
-@dataclass
-class AdversarialResult:
-    extractor: Mlp
-    classifier: Mlp
-    discriminators: list[Mlp]
-    record: RunRecord
-    source_extractor: Mlp | None = None  # two-stage scheme keeps its stage-1 extractor
-
-
 def _domain_weight_at(cfg: AdversarialConfig, step: int, total_steps: int) -> float:
     if cfg.schedule == "constant":
         return float(cfg.domain_weight)
@@ -108,7 +100,7 @@ def _domain_weight_at(cfg: AdversarialConfig, step: int, total_steps: int) -> fl
 
 
 def train_dann(source: DomainDataset, target: UnlabeledDomain,
-               cfg: AdversarialConfig) -> AdversarialResult:
+               cfg: AdversarialConfig) -> ModelBundle:
     """Single-pass reversal training.
 
     Each step minimizes source cross-entropy while the discriminator learns
@@ -149,7 +141,7 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     if tcfg.epochs:
         record.final["classification_loss"] = record.epoch_losses["classification"][-1]
         record.final["domain_loss"] = record.epoch_losses["domain"][-1]
-    return AdversarialResult(extractor, classifier, [disc], record)
+    return ModelBundle(extractor, [classifier], None, tcfg.to_dict(), tcfg.seed, record)
 
 
 def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
@@ -182,7 +174,7 @@ def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
 
 
 def train_adda(source: DomainDataset, target: UnlabeledDomain,
-               cfg: AdversarialConfig) -> AdversarialResult:
+               cfg: AdversarialConfig) -> ModelBundle:
     """Two-stage discriminative alignment.
 
     Stage 1 trains extractor + classifier on the source alone. Stage 2 clones
@@ -196,7 +188,7 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     pretrain = cfg.pretrain_epochs if cfg.pretrain_epochs is not None else tcfg.epochs
     adapt = cfg.adapt_epochs if cfg.adapt_epochs is not None else tcfg.epochs
     stage1 = train_erm(source, replace(tcfg, epochs=pretrain))
-    source_extractor, classifier = stage1.extractor, stage1.classifier
+    source_extractor, classifier = stage1.extractor, stage1.classifiers[0]
     n_classes = classifier.out_dim
 
     streams = seed_streams(tcfg.seed, n=8)
@@ -253,12 +245,11 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     if adapt:
         record.final["domain_loss"] = record.epoch_losses["domain"][-1]
         record.final["discriminator_accuracy"] = record.epoch_losses["discriminator_accuracy"][-1]
-    return AdversarialResult(target_extractor, classifier, [disc], record,
-                             source_extractor=source_extractor)
+    return ModelBundle(target_extractor, [classifier], None, tcfg.to_dict(), tcfg.seed, record)
 
 
 def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
-               cfg: AdversarialConfig) -> AdversarialResult:
+               cfg: AdversarialConfig) -> ModelBundle:
     """Multi-source reversal training with soft-max loss aggregation.
 
     One shared extractor and label predictor train on every source; each
@@ -299,7 +290,7 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     if tcfg.epochs:
         record.final["classification_loss"] = record.epoch_losses["classification"][-1]
         record.final["total_loss"] = record.epoch_losses["total"][-1]
-    return AdversarialResult(extractor, classifier, discs, record)
+    return ModelBundle(extractor, [classifier], None, tcfg.to_dict(), tcfg.seed, record)
 
 
 def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],

@@ -48,6 +48,7 @@ from .nn import (
     ModelBundle,
     TrainConfig,
     extract_features,
+    predict,
     train_erm,
 )
 
@@ -234,10 +235,9 @@ def prediction_set(model: ModelBundle, data: DomainDataset, groups: np.ndarray,
                    n_groups: int) -> PredictionSet:
     """The model's argmax labels on data, with positive-class scores when it
     has two classes."""
-    scores = model.scores(data.features)
+    scores, labels = predict(model, data.features)
     pos = scores[:, 1] if scores.shape[1] == 2 else None
-    return PredictionSet(data.labels, np.argmax(scores, axis=1), groups, scores.shape[1],
-                         n_groups, pos)
+    return PredictionSet(data.labels, labels, groups, scores.shape[1], n_groups, pos)
 
 
 def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
@@ -292,7 +292,8 @@ def scheme_sources(scheme: str, ids: list[str], target: str) -> list[str]:
 def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
                source_label: str, cfg: ExperimentConfig, n_classes: int,
                seed: int) -> ModelBundle:
-    """Train one (target, scheme, source) cell with target labels hidden."""
+    """Train one (target, scheme, source) cell with target labels hidden:
+    pick the sources and configs, and return the trainer's model."""
     base, _ = parse_scheme(scheme)
     tcfg, trainer_settings = _build_configs(cfg, scheme, n_classes, seed)
     target = splits[target_id].train.unlabeled()
@@ -302,18 +303,18 @@ def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
     elif base.startswith("combined"):
         sources = [concat_domains(sources)]
 
-    if base == "multi-m3sda":
-        mres = train_m3sda(sources, target, MomentConfig(train=tcfg, **trainer_settings))
-        return ModelBundle(mres.extractor, mres.classifiers, mres.ensemble_weights,
-                           tcfg.to_dict(), seed, mres.record)
+    # trainers are looked up by their module-global names on each call, never
+    # through a table, so that patching this module's attributes reaches them
     if base.endswith("-erm"):
-        res = train_erm(sources[0], tcfg)
-    elif base == "multi-mdan":
-        res = train_mdan(sources, target, AdversarialConfig(train=tcfg, **trainer_settings))
-    else:
-        trainer = train_adda if base == "combined-adda" else train_dann
-        res = trainer(sources[0], target, AdversarialConfig(train=tcfg, **trainer_settings))
-    return ModelBundle(res.extractor, [res.classifier], None, tcfg.to_dict(), seed, res.record)
+        return train_erm(sources[0], tcfg)
+    if base == "multi-m3sda":
+        return train_m3sda(sources, target, MomentConfig(train=tcfg, **trainer_settings))
+    adv = AdversarialConfig(train=tcfg, **trainer_settings)
+    if base == "multi-mdan":
+        return train_mdan(sources, target, adv)
+    if base == "combined-adda":
+        return train_adda(sources[0], target, adv)
+    return train_dann(sources[0], target, adv)
 
 
 @dataclass

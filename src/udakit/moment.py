@@ -3,7 +3,8 @@
 A shared extractor feeds one classifier per source. Training pulls first and
 second feature moments together across every source-target and source-source
 pair, optionally nudges the per-source classifiers to agree on unlabeled
-target batches, and predicts on the target by ensembling all classifiers.
+target batches, and predicts on the target by ensembling all classifiers
+with the weights train_m3sda fixes.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from .nn import (
 
 __all__ = [
     "MomentConfig",
-    "M3sdaResult",
     "moment_distance",
     "moment_distance_grads",
     "train_m3sda",
-    "ensemble_predict",
 ]
 
 
@@ -100,22 +99,15 @@ def _softmax_vjp(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return probs * (upstream - inner)
 
 
-@dataclass
-class M3sdaResult:
-    extractor: Mlp
-    classifiers: list[Mlp]
-    ensemble_weights: list[float]    # cfg.ensemble's weights, one per classifier
-    source_accuracies: list[float] | None
-    record: RunRecord
-
-
 def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
-                cfg: MomentConfig) -> M3sdaResult:
+                cfg: MomentConfig) -> ModelBundle:
     """Joint minimization of per-source cross-entropy, pairwise moment
     distances, and (optionally) classifier output discrepancy on the target.
 
     With align_weight = discrepancy_weight = 0 the loss decomposes into
-    independent per-source heads on a shared extractor.
+    independent per-source heads on a shared extractor. The ensemble weights
+    are uniform, or with the accuracy rule each head's accuracy on its
+    source's held-out slice, scaled to sum to 1.
     """
     if len(sources) < 2:
         raise ValueError("train_m3sda needs at least 2 sources")
@@ -161,16 +153,20 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
         record.final["classification_loss"] = record.epoch_losses["classification"][-1]
         record.final["total_loss"] = record.epoch_losses["total"][-1]
 
-    source_accuracies = None
+    weights = [1.0 / len(sources)] * len(sources)
     if holdouts is not None:
-        source_accuracies = []
+        accuracies = []
         for held, head in zip(holdouts, classifiers):
             feats, _ = forward(extractor, held.features)
             logits, _ = forward(head, feats)
-            source_accuracies.append(float(np.mean(np.argmax(logits, axis=1) == held.labels)))
-        record.final["source_accuracies"] = list(source_accuracies)
-    weights = _ensemble_weights(len(classifiers), cfg.ensemble, source_accuracies)
-    return M3sdaResult(extractor, classifiers, weights, source_accuracies, record)
+            accuracies.append(float(np.mean(np.argmax(logits, axis=1) == held.labels)))
+        record.final["source_accuracies"] = accuracies
+        acc = np.asarray(accuracies, dtype=np.float64)
+        if acc.sum() <= 0:
+            raise ValueError("every head scored 0 on its held-out slice, so accuracy "
+                             "weights are undefined")
+        weights = (acc / acc.sum()).tolist()
+    return ModelBundle(extractor, classifiers, weights, tcfg.to_dict(), tcfg.seed, record)
 
 
 def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
@@ -248,32 +244,3 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
              "discrepancy": discrepancy, "total": total}
     parts.update(pair_terms)
     return parts, [ext_grad, *c_grads]
-
-
-def _ensemble_weights(n: int, rule: str, accuracies: list[float] | None) -> list[float]:
-    """uniform: 1/n each. accuracy: the held-out accuracies scaled to sum to 1."""
-    if n == 0:
-        raise ValueError("need at least one classifier")
-    if rule == "uniform":
-        return [1.0 / n] * n
-    if rule != "accuracy":
-        raise ValueError(f"unknown ensemble rule {rule!r}")
-    if accuracies is None or len(accuracies) != n:
-        raise ValueError("accuracy rule needs one held-out accuracy per classifier")
-    acc = np.asarray(accuracies, dtype=np.float64)
-    if (acc < 0).any() or acc.sum() <= 0:
-        raise ValueError("accuracies must be nonnegative with positive sum")
-    return (acc / acc.sum()).tolist()
-
-
-def ensemble_predict(extractor: Mlp, classifiers: list[Mlp], x: np.ndarray,
-                     rule: str = "uniform",
-                     accuracies: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Combine per-source classifier outputs into one prediction.
-
-    uniform: plain average of softmax outputs. accuracy: convex combination
-    weighted by each source's held-out accuracy. Ties go to the lowest index.
-    """
-    weights = _ensemble_weights(len(classifiers), rule, accuracies)
-    scores = ModelBundle(extractor, classifiers, weights).scores(x)
-    return scores, np.argmax(scores, axis=1)

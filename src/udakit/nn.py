@@ -1,18 +1,21 @@
-"""Small fully-connected networks with analytic gradients, and run_epochs,
-the training loop of all five trainers.
+"""Small fully-connected networks with analytic gradients, run_epochs, the
+training loop of all five trainers, and ModelBundle, the model they return.
 
 Everything is float64 numpy so gradients can be checked against central
-finite differences. A model is three pieces: a feature extractor (rectifier
-MLP whose output is the feature vector), a label predictor, and, for the
-adversarial trainers, one or more domain discriminators. A trainer (ERM
+finite differences. Training uses a feature extractor (rectifier MLP whose
+output is the feature vector), one or more label predictor heads, and, for
+the adversarial trainers, one or more domain discriminators. A trainer (ERM
 here, DANN/ADDA/MDAN in adversarial, M3SDA in moment) is a model build plus
-a step function handed to run_epochs.
+a step function handed to run_epochs. Every trainer returns a ModelBundle:
+the extractor, the heads with the ensemble weights that score them, and the
+training provenance; discriminators serve training only and are dropped.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import reduce
 from pathlib import Path
@@ -27,10 +30,10 @@ __all__ = [
     "SgdState",
     "TrainConfig",
     "RunRecord",
-    "ErmResult",
     "ModelBundle",
     "DivergenceError",
     "NonFiniteInputError",
+    "layer_sizes",
     "init_mlp",
     "forward",
     "backward",
@@ -117,6 +120,18 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, list(self.activations))
+
+
+def layer_sizes(sizes: Iterable, name: str) -> tuple[int, ...]:
+    """sizes as a tuple of ints; an entry that is not a whole number >= 1
+    raises ValueError naming it."""
+    out = []
+    for h in sizes:
+        if (isinstance(h, bool) or not isinstance(h, numbers.Real)
+                or not (h >= 1 and float(h).is_integer())):
+            raise ValueError(f"{name} entries must be whole numbers >= 1, got {h!r}")
+        out.append(int(h))
+    return tuple(out)
 
 
 def init_mlp(sizes: list[int], rng: np.random.Generator, final: str = "identity") -> Mlp:
@@ -280,7 +295,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+        self.hidden_sizes = layer_sizes(self.hidden_sizes, "hidden_sizes")
         if not self.hidden_sizes:
             raise ValueError("need at least one hidden layer")
         if self.batch_size < 1 or self.epochs < 0:
@@ -292,10 +307,7 @@ class TrainConfig:
     @staticmethod
     def from_dict(payload: dict) -> "TrainConfig":
         known = {f: payload[f] for f in TrainConfig.__dataclass_fields__ if f in payload}
-        cfg = TrainConfig(**known)
-        if isinstance(payload.get("hidden_sizes"), list):
-            cfg.hidden_sizes = tuple(payload["hidden_sizes"])
-        return cfg
+        return TrainConfig(**known)
 
 
 @dataclass
@@ -430,18 +442,7 @@ def build_model(dim: int, n_classes: int, cfg: TrainConfig,
     return extractor, classifier
 
 
-@dataclass
-class ErmResult:
-    extractor: Mlp
-    classifier: Mlp
-    record: RunRecord
-
-    @property
-    def final_loss(self) -> float:
-        return self.record.final["classification_loss"]
-
-
-def train_erm(source: DomainDataset, cfg: TrainConfig) -> ErmResult:
+def train_erm(source: DomainDataset, cfg: TrainConfig) -> ModelBundle:
     """Mini-batch SGD on the source cross-entropy; no adaptation."""
     if source.n_samples == 0:
         raise ValueError("source dataset is empty")
@@ -466,13 +467,12 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ErmResult:
                                      cfg.resample, n_classes), step)
     record.final["classification_loss"] = (
         record.epoch_losses["classification"][-1] if cfg.epochs else float("nan"))
-    return ErmResult(extractor, classifier, record)
+    return ModelBundle(extractor, [classifier], None, cfg.to_dict(), cfg.seed, record)
 
 
-def predict(extractor: Mlp, classifier: Mlp,
-            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax class scores and argmax labels (ties break to the lowest index)."""
-    scores = ModelBundle(extractor, [classifier]).scores(x)
+def predict(model: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model's class scores and argmax labels (ties break to the lowest index)."""
+    scores = model.scores(x)
     return scores, np.argmax(scores, axis=1)
 
 
@@ -521,10 +521,10 @@ def _mlp_from_dict(payload: object, name: str) -> Mlp:
 
 @dataclass
 class ModelBundle:
-    """A trained model: extractor, one classifier per source (one entry for
-    single-head schemes), the ensemble weights that score it (None means
-    equal weights), the training provenance, and the RunRecord of a model
-    trained in this process (not saved)."""
+    """A trained model, as every trainer returns it: extractor, one classifier
+    per source (one entry for single-head schemes), the ensemble weights that
+    score it (None means equal weights), the TrainConfig and seed behind it,
+    and the RunRecord of a model trained in this process (not saved)."""
 
     extractor: Mlp
     classifiers: list[Mlp]
@@ -541,8 +541,8 @@ class ModelBundle:
             return
         if not isinstance(weights, list | tuple) or len(weights) != len(self.classifiers):
             raise ValueError(f"need one ensemble weight per classifier, got {weights}")
-        if not all(isinstance(w, int | float) and math.isfinite(w) and w >= 0
-                   for w in weights):
+        if not all(isinstance(w, int | float) and not isinstance(w, bool)
+                   and math.isfinite(w) and w >= 0 for w in weights):
             raise ValueError(f"ensemble weights must be finite and nonnegative, got {weights}")
         if abs(math.fsum(weights) - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights must sum to 1, got {weights}")
@@ -575,10 +575,13 @@ def load_model(path: str | Path) -> ModelBundle:
     heads = payload.get("classifiers") if isinstance(payload, dict) else None
     if not isinstance(heads, list):
         raise ValueError('a model file needs a "classifiers" list of networks')
+    seed = payload.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f'a model file needs an integer "seed", got {seed!r}')
     return ModelBundle(
         extractor=_mlp_from_dict(payload.get("extractor"), "extractor"),
         classifiers=[_mlp_from_dict(c, f"classifiers[{k}]") for k, c in enumerate(heads)],
         ensemble_weights=payload.get("ensemble_weights"),
         train_config=payload.get("train_config", {}),
-        seed=int(payload.get("seed", 0)),
+        seed=seed,
     )

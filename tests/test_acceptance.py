@@ -24,7 +24,6 @@ from udakit import (
     build_shift_matrix,
     chi_square_label_divergence,
     emit_report,
-    ensemble_predict,
     fairness_report,
     generate_domain,
     init_mlp,
@@ -73,8 +72,8 @@ def blob_pair(shift, seed, mix=(0.65, 0.35), sigma=0.7, n=600, sep=4.0):
     return src, tgt
 
 
-def target_accuracy(extractor, classifier, target):
-    _, labels = predict(extractor, classifier, target.features)
+def target_accuracy(model, target):
+    _, labels = predict(model, target.features)
     return float(np.mean(labels == target.labels))
 
 
@@ -176,10 +175,10 @@ def test_criterion_3_reductions():
     erm = train_erm(src, train)
     exact = all(
         np.array_equal(a, b)
-        for a, b in zip(dann.extractor.weights + dann.classifier.weights
-                        + dann.extractor.biases + dann.classifier.biases,
-                        erm.extractor.weights + erm.classifier.weights
-                        + erm.extractor.biases + erm.classifier.biases))
+        for a, b in zip(dann.extractor.weights + dann.classifiers[0].weights
+                        + dann.extractor.biases + dann.classifiers[0].biases,
+                        erm.extractor.weights + erm.classifiers[0].weights
+                        + erm.extractor.biases + erm.classifiers[0].biases))
     assert exact
 
     # (b) align/discrepancy weights 0: step-0 loss is the per-source sum
@@ -200,16 +199,12 @@ def test_criterion_3_reductions():
     tgt = make_blobs("t", 21, n=300, sigma=0.6, means=((0.8, 0.0), (3.8, 0.0)))
     train = TrainConfig(n_classes=2, epochs=120, learning_rate=3e-3, momentum=0.5, seed=4)
     cfg = AdversarialConfig(train=train, domain_weight=1.0)
-    acc_dann = target_accuracy(*_ec(train_dann(src, tgt.unlabeled(), cfg)), tgt)
-    acc_mdan = target_accuracy(*_ec(train_mdan([src, src, src], tgt.unlabeled(), cfg)), tgt)
+    acc_dann = target_accuracy(train_dann(src, tgt.unlabeled(), cfg), tgt)
+    acc_mdan = target_accuracy(train_mdan([src, src, src], tgt.unlabeled(), cfg), tgt)
     gap = abs(acc_dann - acc_mdan)
     assert gap <= 0.01 + 1e-12
     report_line("3 reductions", True,
                 f"dann=erm exact, m3sda step-0 sum exact, mdan-dann gap {gap:.3f} <= 0.01")
-
-
-def _ec(result):
-    return result.extractor, result.classifier
 
 
 def test_criterion_4_adaptation_benefit():
@@ -222,20 +217,20 @@ def test_criterion_4_adaptation_benefit():
         t0 = time.time()
         erm = train_erm(src, train)
         arm_times.append(time.time() - t0)
-        acc_erm = target_accuracy(erm.extractor, erm.classifier, tgt)
+        acc_erm = target_accuracy(erm, tgt)
 
         t0 = time.time()
         dann = train_dann(src, tgt.unlabeled(),
                           AdversarialConfig(train=train, domain_weight=2.0))
         arm_times.append(time.time() - t0)
-        gaps_dann.append(target_accuracy(dann.extractor, dann.classifier, tgt) - acc_erm)
+        gaps_dann.append(target_accuracy(dann, tgt) - acc_erm)
 
         t0 = time.time()
         adda = train_adda(src, tgt.unlabeled(),
                           AdversarialConfig(train=train, adapt_epochs=250,
                                             adapt_learning_rate=2e-4))
         arm_times.append(time.time() - t0)
-        gaps_adda.append(target_accuracy(adda.extractor, adda.classifier, tgt) - acc_erm)
+        gaps_adda.append(target_accuracy(adda, tgt) - acc_erm)
 
     mean_dann, mean_adda = float(np.mean(gaps_dann)), float(np.mean(gaps_adda))
     ok = mean_dann >= 0.05 and mean_adda >= 0.05 and max(arm_times) < 120.0
@@ -268,17 +263,16 @@ def test_criterion_5_multi_source_benefit():
         train = TrainConfig(n_classes=3, epochs=200, learning_rate=3e-3,
                             momentum=0.5, seed=seed)
         best_single = max(
-            target_accuracy(*_ec(train_dann(s, tgt.unlabeled(),
-                                            AdversarialConfig(train=train))), tgt)
+            target_accuracy(train_dann(s, tgt.unlabeled(), AdversarialConfig(train=train)), tgt)
             for s in sources)
         rs_train = TrainConfig(n_classes=3, epochs=200, learning_rate=3e-3,
                                momentum=0.5, resample=True, seed=seed)
         mdan = train_mdan(sources, tgt.unlabeled(),
                           AdversarialConfig(train=rs_train, domain_weight=0.5))
-        gaps_mdan.append(target_accuracy(*_ec(mdan), tgt) - best_single)
+        gaps_mdan.append(target_accuracy(mdan, tgt) - best_single)
         m3 = train_m3sda(sources, tgt.unlabeled(),
                          MomentConfig(train=rs_train, align_weight=0.1))
-        _, labels = ensemble_predict(m3.extractor, m3.classifiers, tgt.features)
+        _, labels = predict(m3, tgt.features)
         gaps_m3sda.append(float(np.mean(labels == tgt.labels)) - best_single)
 
     mean_mdan, mean_m3sda = float(np.mean(gaps_mdan)), float(np.mean(gaps_m3sda))
@@ -304,7 +298,7 @@ def test_criterion_6_resampling_benefit():
                              momentum=0.5, resample=True, seed=seed)
 
         def bal(result):
-            _, labels = predict(result.extractor, result.classifier, tgt.features)
+            _, labels = predict(result, tgt.features)
             pred = PredictionSet(tgt.labels, labels, tgt.sensitive, 2, 1)
             return balanced_accuracy(pred)
 
@@ -380,7 +374,7 @@ def test_criterion_8_fairness_direction():
         per_source = []
         for s in sources:
             erm = train_erm(s, train)
-            scores, _ = predict(erm.extractor, erm.classifier, tgt.features)
+            scores, _ = predict(erm, tgt.features)
             per_source.append(triplet(scores))
         singles.append(np.mean(per_source, axis=0))
 
@@ -388,7 +382,7 @@ def test_criterion_8_fairness_direction():
                                momentum=0.5, resample=True, seed=seed)
         m3 = train_m3sda(sources, tgt.unlabeled(),
                          MomentConfig(train=rs_train, align_weight=0.1))
-        scores, _ = ensemble_predict(m3.extractor, m3.classifiers, tgt.features)
+        scores, _ = predict(m3, tgt.features)
         multis.append(triplet(scores))
 
     single = np.mean(singles, axis=0)

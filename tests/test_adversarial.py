@@ -51,11 +51,11 @@ class TestTrainDann:
         cfg = adv_cfg(seed=11, epochs=8, domain_weight=0.0)
         res = train_dann(src, tgt.unlabeled(), cfg)
         erm = train_erm(src, cfg.train)
-        for a, b in zip(res.extractor.weights + res.classifier.weights,
-                        erm.extractor.weights + erm.classifier.weights):
+        for a, b in zip(res.extractor.weights + res.classifiers[0].weights,
+                        erm.extractor.weights + erm.classifiers[0].weights):
             assert np.array_equal(a, b)
-        for a, b in zip(res.extractor.biases + res.classifier.biases,
-                        erm.extractor.biases + erm.classifier.biases):
+        for a, b in zip(res.extractor.biases + res.classifiers[0].biases,
+                        erm.extractor.biases + erm.classifiers[0].biases):
             assert np.array_equal(a, b)
 
     def test_zero_weight_resampled_also_matches(self):
@@ -64,7 +64,7 @@ class TestTrainDann:
         train = TrainConfig(n_classes=2, epochs=6, hidden_sizes=(8,), seed=2, resample=True)
         res = train_dann(src, tgt.unlabeled(), AdversarialConfig(train=train, domain_weight=0.0))
         erm = train_erm(src, train)
-        assert np.array_equal(res.classifier.weights[0], erm.classifier.weights[0])
+        assert np.array_equal(res.classifiers[0].weights[0], erm.classifiers[0].weights[0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_shift_within_two_points_of_erm(self, seed):
@@ -75,8 +75,8 @@ class TestTrainDann:
                             momentum=0.5, seed=seed)
         erm = train_erm(src, train)
         dann = train_dann(src, tgt.unlabeled(), AdversarialConfig(train=train))
-        _, y_erm = predict(erm.extractor, erm.classifier, tgt.features)
-        _, y_dann = predict(dann.extractor, dann.classifier, tgt.features)
+        _, y_erm = predict(erm, tgt.features)
+        _, y_dann = predict(dann, tgt.features)
         acc_erm = np.mean(y_erm == tgt.labels)
         acc_dann = np.mean(y_dann == tgt.labels)
         assert acc_dann >= acc_erm - 0.02
@@ -106,8 +106,8 @@ class TestTrainAdda:
         cfg = adv_cfg(seed=5, epochs=30, adapt_epochs=0)
         res = train_adda(src, tgt.unlabeled(), cfg)
         erm = train_erm(src, cfg.train)
-        _, y_adda = predict(res.extractor, res.classifier, tgt.features)
-        _, y_erm = predict(erm.extractor, erm.classifier, tgt.features)
+        _, y_adda = predict(res, tgt.features)
+        _, y_erm = predict(erm, tgt.features)
         assert np.array_equal(y_adda, y_erm)
 
     def test_identical_feature_sets_confuse_discriminator(self):
@@ -132,7 +132,6 @@ class TestTrainAdda:
         res = train_adda(src, tgt.unlabeled(), adv_cfg(epochs=6, adapt_epochs=3))
         assert len(res.record.epoch_losses["classification"]) == 6
         assert len(res.record.epoch_losses["domain"]) == 3
-        assert res.source_extractor is not None
 
 
 class TestTrainMdan:
@@ -151,8 +150,8 @@ class TestTrainMdan:
         cfg = AdversarialConfig(train=train, domain_weight=1.0)
         dann = train_dann(src, tgt.unlabeled(), cfg)
         mdan = train_mdan([src, src, src], tgt.unlabeled(), cfg)
-        _, y_dann = predict(dann.extractor, dann.classifier, tgt.features)
-        _, y_mdan = predict(mdan.extractor, mdan.classifier, tgt.features)
+        _, y_dann = predict(dann, tgt.features)
+        _, y_mdan = predict(mdan, tgt.features)
         acc_dann = np.mean(y_dann == tgt.labels)
         acc_mdan = np.mean(y_mdan == tgt.labels)
         assert abs(acc_dann - acc_mdan) <= 0.01 + 1e-12
@@ -165,7 +164,7 @@ class TestTrainMdan:
         cfg = adv_cfg(seed=8, epochs=6, domain_weight=0.0)
         a = train_mdan([s1, s2], t1.unlabeled(), cfg)
         b = train_mdan([s1, s2], t2.unlabeled(), cfg)
-        assert np.array_equal(a.classifier.weights[0], b.classifier.weights[0])
+        assert np.array_equal(a.classifiers[0].weights[0], b.classifiers[0].weights[0])
         assert np.array_equal(a.extractor.weights[0], b.extractor.weights[0])
 
     def test_per_discriminator_traces(self):
@@ -175,7 +174,6 @@ class TestTrainMdan:
         res = train_mdan([s1, s2], tgt.unlabeled(), adv_cfg(epochs=3))
         assert "domain_0" in res.record.epoch_losses
         assert "domain_1" in res.record.epoch_losses
-        assert len(res.discriminators) == 2
 
     def test_aggregate_gradient_matches_scalar(self):
         assert mdan_case(23) < 1e-4

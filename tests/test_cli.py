@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from udakit import harness
 from udakit.cli import main
 from udakit.data import spec_to_dict
 from test_harness import (
+    PINNED_SCHEMES,
     accuracy_weighted_m3sda_config,
     blob_spec,
     diverging_fairness_config,
@@ -27,6 +29,28 @@ from test_harness import (
     overflow_config,
     pinned_grid_config,
 )
+
+
+# sha256 of the model, record and metrics files (in that order, concatenated)
+# that `udakit train` writes for target d0 of train_files_config(); a change
+# that moves the numerics or the file layout on purpose updates them and says why
+TRAIN_FILES_SHA256 = {
+    "single-erm": "49a8b6b0a31869d2947eaec68d38b4efe89397159c5e91673544a2d47a85f016",
+    "single-dann": "94684a046db01380aca4df8c4b04e874816ff81ed5758cd14ffcb6809d9dcc0b",
+    "combined-erm": "2e30b708ad2a40560e26211bab954c11aac346e57b2c81f48381de3cce0a0c92",
+    "rs-combined-dann": "9a7d5b017a4f8ec3c6dfe3a242006f9bfe00c31f68bdeb59fe82d602c1745ec2",
+    "rs-multi-m3sda": "41cb125f1029f3fa16f2639637a85590633019cae05a753fc710c4872d08e290",
+    "multi-mdan": "20cbcc677941393d9f21abe379b171ca407f00ef9ef8aec7e570717770202c20",
+    "combined-adda": "dd8ec0f12102cbfddf3e9132521d3b4b3d6a5aaa30010fca4e9bd9bcbf80f05b",
+    "multi-m3sda": "8647ba6e34f0f5432641a7f1d9179e561eb9eb54930995714ba9a02e63d89599",
+}
+
+
+def train_files_config():
+    """The pinned grid's domains at 3 epochs: all seven scheme bases, plus
+    multi-m3sda weighting its heads by held-out accuracy."""
+    return pinned_grid_config(PINNED_SCHEMES + ["multi-m3sda"], epochs=3,
+                              scheme_overrides={"multi-m3sda": {"ensemble": "accuracy"}})
 
 
 @pytest.fixture
@@ -115,6 +139,20 @@ class TestTrainEval:
         assert "--source applies to single-* schemes only" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", list(TRAIN_FILES_SHA256))
+    def test_train_files_are_pinned(self, tmp_path, capsys, scheme):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(train_files_config().to_dict()))
+        single = scheme.startswith("single")
+        source = "d1" if single else "combined" if "combined" in scheme else "all"
+        argv = ["train", "--config", str(config), "--target", "d0", "--scheme", scheme,
+                "--out", str(tmp_path)]
+        assert main(argv + (["--source", source] if single else [])) == 0
+        digest = hashlib.sha256()
+        for kind in ("model", "record", "metrics"):
+            digest.update((tmp_path / f"d0.{scheme}.{source}.r0.{kind}.json").read_bytes())
+        assert digest.hexdigest() == TRAIN_FILES_SHA256[scheme]
+
     @pytest.mark.parametrize("scheme, source", [("single-erm", "d1"), ("multi-m3sda", "all")])
     def test_eval_reproduces_the_training_scores(self, tmp_path, capsys, scheme, source):
         cfg = (accuracy_weighted_m3sda_config() if scheme == "multi-m3sda"
@@ -151,7 +189,9 @@ class TestTrainEval:
         (["0.5", 0.25, 0.25], "must be finite and nonnegative"),
         ([0.5, 0.3, 0.3], "must sum to 1"),
         ([1 / 3, 1 / 3, 1 / 3 - 2e-9], "must sum to 1"),
-    ], ids=["count", "scalar", "negative", "nan", "inf", "string", "sum", "sum-off-by-2e-9"])
+        ([True, False, False], "must be finite and nonnegative"),
+    ], ids=["count", "scalar", "negative", "nan", "inf", "string", "sum", "sum-off-by-2e-9",
+            "bool"])
     def test_malformed_ensemble_weights_are_a_config_error(self, tmp_path, capsys,
                                                            weights, message):
         rng = np.random.default_rng(0)
@@ -167,6 +207,21 @@ class TestTrainEval:
                      "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [None, [1], "3", 2.0, True])
+    def test_malformed_seed_is_a_config_error(self, tmp_path, capsys, seed):
+        rng = np.random.default_rng(0)
+        model = tmp_path / "model.json"
+        save_model(ModelBundle(init_mlp([2, 4], rng, final="relu"), [init_mlp([4, 2], rng)]),
+                   model)
+        payload = json.loads(model.read_text())
+        payload["seed"] = seed
+        model.write_text(json.dumps(payload))
+        save_dataset(generate_domain(blob_spec("d0", 1)), tmp_path / "d0.csv")
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path / "d0.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f'udakit: error: a model file needs an integer "seed", got {seed!r}' in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.update(classifiers="x"), 'a model file needs a "classifiers" list of networks'),
@@ -316,6 +371,30 @@ class TestMatrixCommand:
         assert ("unknown override keys ['align_weight', 'gamma'] for combined-erm"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_float_hidden_sizes_train_as_their_ints(self, workspace):
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        cells = {}
+        for sizes in ([8], [8.0]):
+            config["train"]["hidden_sizes"] = sizes
+            path = tmp / f"sizes-{sizes[0]}.json"
+            path.write_text(json.dumps(config))
+            out = tmp / f"report-{sizes[0]}.json"
+            assert main(["matrix", "--config", str(path), "--out", str(out)]) == 0
+            cells[str(sizes)] = json.loads(out.read_text())["cells"]
+        assert cells["[8]"] == cells["[8.0]"]
+
+    @pytest.mark.parametrize("sizes", [[0], [8.5]])
+    def test_bad_hidden_sizes_are_a_config_error(self, workspace, capsys, sizes):
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        config["train"]["hidden_sizes"] = sizes
+        path = tmp / "sizes.json"
+        path.write_text(json.dumps(config))
+        assert main(["matrix", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"hidden_sizes entries must be whole numbers >= 1, got {sizes[0]}" in err
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "broken.json"

@@ -5,16 +5,16 @@ import pytest
 
 from udakit import (
     Mlp,
+    ModelBundle,
     MomentConfig,
     TrainConfig,
-    ensemble_predict,
     moment_distance,
     moment_distance_grads,
     predict,
     train_m3sda,
 )
 from udakit.moment import _m3sda_step_grads
-from udakit.nn import cross_entropy, forward, init_mlp
+from udakit.nn import cross_entropy, forward, init_mlp, softmax
 from conftest import make_blobs
 from gradcheck_cases import m3sda_case, moment_case
 
@@ -141,29 +141,33 @@ class TestTrainM3sda:
         tgt = make_blobs("t", 80, n=100, sigma=0.4)
         cfg = mom_cfg(seed=4, epochs=40, ensemble="accuracy")
         res = train_m3sda(srcs, tgt.unlabeled(), cfg)
-        assert res.source_accuracies is not None
-        assert len(res.source_accuracies) == 2
-        assert all(0.0 <= a <= 1.0 for a in res.source_accuracies)
+        accuracies = res.record.final["source_accuracies"]
+        assert len(accuracies) == 2
+        assert all(0.0 <= a <= 1.0 for a in accuracies)
+        assert res.ensemble_weights == (np.array(accuracies) / sum(accuracies)).tolist()
 
     def test_full_objective_gradcheck(self):
         assert m3sda_case(31) < 1e-4
 
 
 class TestEnsemblePredict:
+    """predict on hand-built multi-head bundles."""
+
     def test_single_classifier_equals_predict(self, rng):
         ext = init_mlp([2, 8], rng, final="relu")
         head = init_mlp([8, 3], rng)
         x = rng.normal(size=(10, 2))
-        scores_e, labels_e = ensemble_predict(ext, [head], x)
-        scores_p, labels_p = predict(ext, head, x)
+        scores_e, labels_e = predict(ModelBundle(ext, [head], [1.0]), x)
+        scores_p, labels_p = predict(ModelBundle(ext, [head]), x)
         assert np.array_equal(scores_e, scores_p)
         assert np.array_equal(labels_e, labels_p)
+        assert np.array_equal(scores_p, softmax(forward(head, forward(ext, x)[0])[0]))
 
     def test_opposed_heads_tie_to_class_zero(self):
         ext = Mlp([np.eye(2)], [np.zeros(2)], ["relu"])
         up = Mlp([np.zeros((2, 2))], [np.array([50.0, -50.0])], ["identity"])
         down = Mlp([np.zeros((2, 2))], [np.array([-50.0, 50.0])], ["identity"])
-        scores, labels = ensemble_predict(ext, [up, down], np.ones((4, 2)))
+        scores, labels = predict(ModelBundle(ext, [up, down]), np.ones((4, 2)))
         assert np.allclose(scores, 0.5)
         assert np.all(labels == 0)
 
@@ -171,24 +175,22 @@ class TestEnsemblePredict:
         ext = Mlp([np.eye(2)], [np.zeros(2)], ["relu"])
         a = Mlp([np.zeros((2, 2))], [np.log(np.array([0.8, 0.2]))], ["identity"])
         b = Mlp([np.zeros((2, 2))], [np.log(np.array([0.3, 0.7]))], ["identity"])
-        scores, _ = ensemble_predict(ext, [a, b], np.ones((1, 2)),
-                                     rule="accuracy", accuracies=[0.9, 0.1])
+        scores, _ = predict(ModelBundle(ext, [a, b], [0.9, 0.1]), np.ones((1, 2)))
         expected = 0.9 * np.array([0.8, 0.2]) + 0.1 * np.array([0.3, 0.7])
         assert np.allclose(scores[0], expected, atol=1e-12)
 
     def test_scores_are_probability_rows(self, rng):
         ext = init_mlp([3, 6], rng, final="relu")
         heads = [init_mlp([6, 4], rng) for _ in range(3)]
-        scores, _ = ensemble_predict(ext, heads, rng.normal(size=(20, 3)))
+        scores, _ = predict(ModelBundle(ext, heads), rng.normal(size=(20, 3)))
         assert np.abs(scores.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_bad_rule_and_weights(self, rng):
         ext = init_mlp([2, 4], rng, final="relu")
         heads = [init_mlp([4, 2], rng)]
-        x = rng.normal(size=(2, 2))
         with pytest.raises(ValueError, match="unknown ensemble rule"):
-            ensemble_predict(ext, heads, x, rule="median")
-        with pytest.raises(ValueError, match="one held-out accuracy"):
-            ensemble_predict(ext, heads, x, rule="accuracy", accuracies=None)
+            MomentConfig(ensemble="median")
+        with pytest.raises(ValueError, match="one ensemble weight per classifier"):
+            ModelBundle(ext, heads, [0.5, 0.5])
         with pytest.raises(ValueError, match="at least one"):
-            ensemble_predict(ext, [], x)
+            ModelBundle(ext, [])

@@ -291,7 +291,7 @@ class TestTrainErm:
         data = make_blobs("d", 0, n=300, sigma=0.3)
         cfg = TrainConfig(n_classes=2, epochs=200, hidden_sizes=(16,), seed=1)
         res = train_erm(data, cfg)
-        _, labels = predict(res.extractor, res.classifier, data.features)
+        _, labels = predict(res, data.features)
         assert np.mean(labels == data.labels) >= 0.99
 
     def test_single_sample_memorized_monotonically(self):
@@ -309,20 +309,36 @@ class TestTrainErm:
         cfg = TrainConfig(n_classes=2, epochs=12, seed=9)
         r1 = train_erm(data, cfg)
         r2 = train_erm(data, cfg)
-        for a, b in zip(r1.extractor.weights + r1.classifier.weights,
-                        r2.extractor.weights + r2.classifier.weights):
+        for a, b in zip(r1.extractor.weights + r1.classifiers[0].weights,
+                        r2.extractor.weights + r2.classifiers[0].weights):
             assert np.array_equal(a, b)
 
     def test_resample_flag_changes_batching(self):
         data = make_blobs("d", 4, n=150, mix=[0.9, 0.1])
         plain = train_erm(data, TrainConfig(n_classes=2, epochs=5, seed=7))
         balanced = train_erm(data, TrainConfig(n_classes=2, epochs=5, seed=7, resample=True))
-        assert not np.array_equal(plain.classifier.weights[0], balanced.classifier.weights[0])
+        assert not np.array_equal(plain.classifiers[0].weights[0],
+                                  balanced.classifiers[0].weights[0])
 
     def test_empty_source_rejected(self):
         data = make_blobs("d", 0, n=5)
         with pytest.raises(ValueError, match="empty"):
             train_erm(data.subset(np.array([], dtype=int)), TrainConfig(n_classes=2))
+
+
+class TestLayerSizes:
+    @pytest.mark.parametrize("entry", [0, -1, 8.5, float("nan"), float("inf"), "8", True])
+    def test_entries_that_are_not_whole_numbers_of_at_least_one_rejected(self, entry):
+        with pytest.raises(ValueError, match=rf"hidden_sizes entries .* got {entry!r}"):
+            TrainConfig(hidden_sizes=(8, entry))
+        with pytest.raises(ValueError, match=rf"disc_hidden entries .* got {entry!r}"):
+            AdversarialConfig(disc_hidden=(entry,))
+
+    def test_whole_floats_become_ints(self):
+        for sizes, want in [(TrainConfig(hidden_sizes=[8.0, np.int64(4)]).hidden_sizes, (8, 4)),
+                            (TrainConfig.from_dict({"hidden_sizes": [8.0]}).hidden_sizes, (8,)),
+                            (AdversarialConfig(disc_hidden=[16.0]).disc_hidden, (16,))]:
+            assert sizes == want and all(type(h) is int for h in sizes)
 
 
 class TestRunEpochs:
@@ -440,21 +456,21 @@ class TestPredict:
     def test_tie_breaks_to_lowest_index(self, rng):
         ext = Mlp([np.eye(2)], [np.zeros(2)], ["relu"])
         head = Mlp([np.zeros((2, 2))], [np.zeros(2)], ["identity"])
-        scores, labels = predict(ext, head, rng.normal(size=(6, 2)))
+        scores, labels = predict(ModelBundle(ext, [head]), rng.normal(size=(6, 2)))
         assert np.allclose(scores, 0.5)
         assert np.all(labels == 0)
 
     def test_saturated_scores(self):
         ext = Mlp([np.eye(1)], [np.zeros(1)], ["relu"])
         head = Mlp([np.array([[1e4], [-1e4]])], [np.zeros(2)], ["identity"])
-        scores, labels = predict(ext, head, np.array([[1.0]]))
+        scores, labels = predict(ModelBundle(ext, [head]), np.array([[1.0]]))
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert labels[0] == 0
 
     def test_rows_sum_to_one(self, rng):
         ext = init_mlp([3, 8], rng, final="relu")
         head = init_mlp([8, 4], rng)
-        scores, _ = predict(ext, head, rng.normal(size=(40, 3)))
+        scores, _ = predict(ModelBundle(ext, [head]), rng.normal(size=(40, 3)))
         assert np.abs(scores.sum(axis=1) - 1.0).max() < 1e-9
 
 
@@ -473,8 +489,7 @@ class TestModelFiles:
                         back.extractor.weights + [back.extractor.biases[0]]):
             assert np.array_equal(a, b)
         x = rng.normal(size=(9, 2))
-        assert np.array_equal(predict(ext, head, x)[0],
-                              predict(back.extractor, back.classifiers[0], x)[0])
+        assert np.array_equal(predict(bundle, x)[0], predict(back, x)[0])
 
     def test_bundle_scores_apply_the_stored_weights_as_they_are(self, rng):
         ext = init_mlp([2, 8], rng, final="relu")

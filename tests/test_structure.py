@@ -40,3 +40,16 @@ def test_private_imports_are_detected(tmp_path):
         "probe.py:1 _erm_step_grads from .nn",
         "probe.py:2 _dann_step_grads from udakit.adversarial",
     ]
+
+
+def test_demos_import_only_names_udakit_exports():
+    import udakit
+
+    demos = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
+    assert len(demos) >= 5
+    missing = [f"{path.name}:{node.lineno} {alias.name}"
+               for path in demos
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.module == "udakit"
+               for alias in node.names if not hasattr(udakit, alias.name)]
+    assert missing == []
