@@ -143,11 +143,10 @@ class TestTrainEval:
     def test_train_files_are_pinned(self, tmp_path, capsys, scheme):
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(train_files_config().to_dict()))
-        single = scheme.startswith("single")
-        source = "d1" if single else "combined" if "combined" in scheme else "all"
+        source = harness.scheme_sources(scheme, ["d0", "d1", "d2"], "d0")[0]
         argv = ["train", "--config", str(config), "--target", "d0", "--scheme", scheme,
                 "--out", str(tmp_path)]
-        assert main(argv + (["--source", source] if single else [])) == 0
+        assert main(argv + (["--source", source] if scheme.startswith("single") else [])) == 0
         digest = hashlib.sha256()
         for kind in ("model", "record", "metrics"):
             digest.update((tmp_path / f"d0.{scheme}.{source}.r0.{kind}.json").read_bytes())
