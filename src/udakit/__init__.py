@@ -16,9 +16,7 @@ from .data import (
     concat_domains,
     generate_domain,
     load_dataset,
-    load_spec,
     save_dataset,
-    save_spec,
     stratified_split,
     weighted_sampler_weights,
 )
@@ -52,7 +50,6 @@ from .adversarial import (
 )
 from .moment import (
     MomentConfig,
-    moment_distance,
     moment_distance_grads,
     train_m3sda,
 )
@@ -63,14 +60,11 @@ from .metrics import (
     UndefinedMetricError,
     accuracy,
     auroc,
-    balanced_accuracy,
     dpm,
     eom,
     fairness_report,
     group_partition,
-    load_predictions,
     pqd,
-    save_fairness_report,
     save_predictions,
 )
 from .shift import (

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DomainDataset, UnlabeledDomain, require_unlabeled
+from .data import DomainDataset, UnlabeledDomain, check_fields, require_unlabeled
 from .nn import (
     Mlp,
     ModelBundle,
@@ -29,7 +29,6 @@ from .nn import (
     init_mlp,
     init_sgd,
     layer_sizes,
-    mlp_blocks,
     multi_source_batches,
     record_config,
     resolve_n_classes,
@@ -70,13 +69,21 @@ class AdversarialConfig:
     adapt_learning_rate: float | None = None  # stage-2 target-extractor rate
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.domain_weight < 0:
             raise ValueError("domain_weight must be >= 0")
         if self.schedule not in ("constant", "ramp"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+            raise ValueError(f"schedule: unknown schedule {self.schedule!r}")
+        if not 0.0 <= self.ramp_fraction <= 1.0:
+            raise ValueError("ramp_fraction must be in [0, 1]")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         self.disc_hidden = layer_sizes(self.disc_hidden, "disc_hidden")
+        for name in ("pretrain_epochs", "adapt_epochs"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.adapt_learning_rate is not None and self.adapt_learning_rate <= 0:
+            raise ValueError("adapt_learning_rate must be > 0")
 
 
 def soft_aggregate(values: Sequence[float], gamma: float) -> float:
@@ -115,8 +122,8 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
     extractor, classifier = build_model(source.dim, n_classes, tcfg, rng_init)
     disc = init_mlp([tcfg.hidden_sizes[-1], *cfg.disc_hidden, 2], rng_disc, final="identity")
-    blocks = (mlp_blocks(extractor, "extractor") + mlp_blocks(classifier, "classifier")
-              + mlp_blocks(disc, "discriminator"))
+    blocks = [("extractor", extractor.params), ("classifier", classifier.params),
+              ("discriminator", disc.params)]
     opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
 
     total_steps = tcfg.epochs * -(-source.n_samples // tcfg.batch_size)
@@ -195,8 +202,8 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     rng_batch, rng_tgt, rng_disc = streams[5], streams[6], streams[4]
     target_extractor = source_extractor.copy()
     disc = init_mlp([tcfg.hidden_sizes[-1], *cfg.disc_hidden, 2], rng_disc, final="identity")
-    disc_blocks = mlp_blocks(disc, "discriminator")
-    ext_blocks = mlp_blocks(target_extractor, "target_extractor")
+    disc_blocks = [("discriminator", disc.params)]
+    ext_blocks = [("target_extractor", target_extractor.params)]
     disc_opt = init_sgd(disc_blocks, tcfg.learning_rate, tcfg.momentum)
     adapt_lr = cfg.adapt_learning_rate if cfg.adapt_learning_rate is not None else tcfg.learning_rate
     ext_opt = init_sgd(ext_blocks, adapt_lr, tcfg.momentum)
@@ -267,9 +274,9 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     discs = [init_mlp([tcfg.hidden_sizes[-1], *cfg.disc_hidden, 2], rng_disc, final="identity")
              for _ in sources]
 
-    blocks = mlp_blocks(extractor, "extractor") + mlp_blocks(classifier, "classifier")
+    blocks = [("extractor", extractor.params), ("classifier", classifier.params)]
     for k, d in enumerate(discs):
-        blocks += mlp_blocks(d, f"discriminator{k}")
+        blocks.append((f"discriminator{k}", d.params))
     opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
 
     total_steps = tcfg.epochs * -(-max(s.n_samples for s in sources) // tcfg.batch_size)

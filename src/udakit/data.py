@@ -4,12 +4,15 @@ Domains are Gaussian mixtures: one spherical Gaussian per class plus an
 additive offset per sensitive group, so feature shift, label shift, and
 group structure can be dialed independently. Datasets round-trip through
 a plain CSV format, and this module also provides stratified splitting,
-domain concatenation, and class-balancing sampler weights.
+domain concatenation, class-balancing sampler weights, and the config field checks.
 """
 
 from __future__ import annotations
 
-import json
+import math
+import numbers
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,8 +34,8 @@ __all__ = [
     "class_balanced_probabilities",
     "save_dataset",
     "load_dataset",
-    "save_spec",
-    "load_spec",
+    "check_value",
+    "check_fields",
 ]
 
 _PROB_TOL = 1e-9
@@ -157,6 +160,60 @@ def require_unlabeled(target: object, sources: list[DomainDataset]) -> Unlabeled
     return target
 
 
+_KIND_NAMES = {int: "a whole number", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list", tuple: "a list", dict: "an object",
+               np.ndarray: "finite numbers", type(None): "null"}
+_annotations: dict[type, dict[str, object]] = {}     # typing.get_type_hints per dataclass
+
+
+def check_value(name: str, value: object, annotation: object) -> object:
+    """value as a field annotated `annotation` (a type, a generic such as
+    list[str], whose origin alone is checked, or an X | Y union) holds it; a
+    value that does not fit raises ValueError naming name.
+
+    int takes a whole number and returns an int, float a finite number as
+    given; neither takes a bool. np.ndarray takes what numpy reads as finite
+    float64 numbers and returns that array; list and tuple take either and
+    return their own type; any other class (bool, str, dict, None, a
+    dataclass) takes its instances.
+    """
+    members = (typing.get_args(annotation) if isinstance(annotation, types.UnionType)
+               else (annotation,))
+    kinds = [typing.get_origin(m) or m for m in members]
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    for kind in kinds:
+        if kind is int:
+            if number and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+                return int(value)
+        elif kind is float:
+            if number and (isinstance(value, numbers.Integral) or math.isfinite(value)):
+                return value
+        elif kind is np.ndarray:
+            try:
+                array = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                continue
+            if np.isfinite(array).all():
+                return array
+        elif kind in (list, tuple):
+            if isinstance(value, list | tuple):
+                return kind(value)
+        elif isinstance(value, kind):
+            return value
+    expected = " or ".join(_KIND_NAMES.get(k, k.__name__) for k in kinds)
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def check_fields(obj: object) -> None:
+    """Replace each field of the dataclass obj by check_value of it against its
+    annotation; the config dataclasses call this before their range checks."""
+    cls = type(obj)
+    if cls not in _annotations:
+        _annotations[cls] = typing.get_type_hints(cls)
+    for name, annotation in _annotations[cls].items():
+        setattr(obj, name, check_value(name, getattr(obj, name), annotation))
+
+
 @dataclass
 class DomainSpec:
     """Recipe for one synthetic domain.
@@ -178,16 +235,15 @@ class DomainSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        self.class_means = np.asarray(self.class_means, dtype=np.float64)
-        self.label_distribution = np.asarray(self.label_distribution, dtype=np.float64)
-        self.sensitive_distribution = np.asarray(self.sensitive_distribution, dtype=np.float64)
-        self.sensitive_mean_offset = np.asarray(self.sensitive_mean_offset, dtype=np.float64)
+        check_fields(self)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.class_cov_scale <= 0:
             raise ValueError("class_cov_scale must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.class_means.shape != (self.n_classes, self.dim):
             raise ValueError("class_means must be (n_classes, dim)")
         if self.sensitive_mean_offset.shape != (self.n_groups, self.dim):
@@ -379,44 +435,21 @@ def _parse_id_field(text: str, column: str, row: int, bound: int | None, path: P
 
 
 # ---------------------------------------------------------------------------
-# DomainSpec files: JSON with exactly the DomainSpec fields
+# DomainSpec dicts: JSON objects with exactly the DomainSpec fields
 # ---------------------------------------------------------------------------
 
-_SPEC_FIELDS = (
-    "domain_id", "n_samples", "dim", "class_means", "class_cov_scale",
-    "label_distribution", "sensitive_distribution", "sensitive_mean_offset", "seed",
-)
-
-
 def spec_to_dict(spec: DomainSpec) -> dict:
-    return {
-        "domain_id": spec.domain_id,
-        "n_samples": spec.n_samples,
-        "dim": spec.dim,
-        "class_means": spec.class_means.tolist(),
-        "class_cov_scale": float(spec.class_cov_scale),
-        "label_distribution": spec.label_distribution.tolist(),
-        "sensitive_distribution": spec.sensitive_distribution.tolist(),
-        "sensitive_mean_offset": spec.sensitive_mean_offset.tolist(),
-        "seed": int(spec.seed),
-    }
+    # a float class_cov_scale, so that an experiment's config_hash reads 1 and 1.0 alike
+    payload = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(spec).items()}
+    return {**payload, "class_cov_scale": float(spec.class_cov_scale)}
 
 
 def spec_from_dict(payload: dict) -> DomainSpec:
-    missing = [k for k in _SPEC_FIELDS if k not in payload]
+    check_value("domain spec", payload, dict)
+    missing = [k for k in DomainSpec.__dataclass_fields__ if k not in payload]
     if missing:
         raise ValueError(f"domain spec is missing fields {missing}")
-    extra = [k for k in payload if k not in _SPEC_FIELDS]
+    extra = [k for k in payload if k not in DomainSpec.__dataclass_fields__]
     if extra:
         raise ValueError(f"domain spec has unknown fields {extra}")
-    return DomainSpec(**{k: payload[k] for k in _SPEC_FIELDS})
-
-
-def save_spec(spec: DomainSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def load_spec(path: str | Path) -> DomainSpec:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return spec_from_dict(payload)
+    return DomainSpec(**payload)

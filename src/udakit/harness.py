@@ -15,7 +15,7 @@ import zlib
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .data import (
     DomainDataset,
     DomainSpec,
     SplitPair,
+    check_fields,
+    check_value,
     concat_domains,
     generate_domain,
     load_dataset,
@@ -67,6 +69,7 @@ __all__ = [
     "open_grid",
     "prediction_set",
     "scheme_sources",
+    "trainer_config",
     "train_cell",
     "CellRun",
     "run_cell",
@@ -81,16 +84,17 @@ SCHEME_BASES = (
     "combined-adda", "multi-mdan", "multi-m3sda",
 )
 
-_TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
-_ADV_KEYS = set(AdversarialConfig.__dataclass_fields__) - {"train"}
-# the settings each trainer reads beside TrainConfig's, by the scheme base's trainer name
-_TRAINER_KEYS = {"erm": set(), "dann": _ADV_KEYS, "adda": _ADV_KEYS, "mdan": _ADV_KEYS,
-                 "m3sda": set(MomentConfig.__dataclass_fields__) - {"train"}}
+def _within(prefix: str, make: Callable[[], Any]) -> Any:
+    """make(), with prefix put before the message of a ValueError it raises."""
+    try:
+        return make()
+    except ValueError as err:
+        raise ValueError(f"{prefix}{err}") from None
 
 
 def parse_scheme(name: str) -> tuple[str, bool]:
     """Split an optional class-rebalancing "rs-" prefix off a scheme name."""
-    resample = name.startswith("rs-")
+    resample = isinstance(name, str) and name.startswith("rs-")
     base = name[3:] if resample else name
     if base not in SCHEME_BASES:
         raise ValueError(f"unknown scheme {name!r}; bases are {list(SCHEME_BASES)}")
@@ -115,44 +119,42 @@ class ExperimentConfig:
     fairness_schemes: list[str] | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.task not in ("binary", "multiclass"):
             raise ValueError(f"task must be binary or multiclass, got {self.task!r}")
+        if not self.schemes:
+            raise ValueError("schemes must name at least one scheme")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
+        if self.n_classes is not None and self.n_classes < 2:
+            raise ValueError("n_classes must be >= 2")
         if (self.domains is None) == (self.dataset_paths is None):
             raise ValueError("provide exactly one of domains (specs) or dataset_paths")
         n = len(self.domains) if self.domains is not None else len(self.dataset_paths)
         if n < 2:
             raise ValueError("need at least 2 domains")
-        for scheme in self.schemes:
-            parse_scheme(scheme)
-        for scheme in self.fairness_schemes or []:
-            parse_scheme(scheme)
-        unknown = set(self.train) - _TRAIN_KEYS
-        if unknown:
-            raise ValueError(f"unknown train settings {sorted(unknown)}")
-        for scheme, over in self.scheme_overrides.items():
-            base, _ = parse_scheme(scheme)
-            allowed = _TRAIN_KEYS | _TRAINER_KEYS[base.split("-")[1]]
-            bad = set(over) - allowed
-            if bad:
-                raise ValueError(f"unknown override keys {sorted(bad)} for {scheme}; "
-                                 f"its trainer reads {sorted(allowed)}")
+        for scheme in [*self.schemes, *(self.fairness_schemes or []), *self.scheme_overrides]:
+            trainer_config(self, scheme, self.n_classes, 0)
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
-        payload = dict(payload)
-        if "domains" in payload and payload["domains"] is not None:
-            payload["domains"] = [spec_from_dict(d) for d in payload["domains"]]
-        known = set(ExperimentConfig.__dataclass_fields__)
-        unknown = set(payload) - known
+        payload = dict(check_value("experiment config", payload, dict))
+        unknown = set(payload) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown experiment config fields {sorted(unknown)}")
+        missing = sorted({"task", "schemes"} - set(payload))
+        if missing:
+            raise ValueError(f"experiment config is missing fields {missing}")
+        if payload.get("domains") is not None:
+            domains = check_value("domains", payload["domains"], list)
+            payload["domains"] = [_within(f"domains[{i}]: ", lambda: spec_from_dict(d))
+                                  for i, d in enumerate(domains)]
         return ExperimentConfig(**payload)
 
     def to_dict(self) -> dict:
         payload = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        payload["schemes"] = list(self.schemes)
         if self.domains is not None:
             payload["domains"] = [spec_to_dict(s) for s in self.domains]
         return payload
@@ -178,24 +180,18 @@ def materialize_domains(cfg: ExperimentConfig) -> dict[str, SplitPair]:
     Splits are keyed on (base_seed, domain id) so repeats reuse them.
     """
     splits: dict[str, SplitPair] = {}
-    if cfg.domains is not None:
-        datasets = [generate_domain(spec) for spec in cfg.domains]
-        for data in datasets:
-            seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
-            splits[data.domain_id] = stratified_split(data, cfg.split_ratio, seed)
-    else:
-        for entry in cfg.dataset_paths:
-            if isinstance(entry, dict):
-                train = load_dataset(entry["train"])
-                test = load_dataset(entry["test"])
-                if train.domain_id != test.domain_id:
-                    raise ValueError(
-                        f"pre-split pair mixes domains {train.domain_id!r} and {test.domain_id!r}")
-                splits[train.domain_id] = SplitPair(train, test, cfg.split_ratio)
-            else:
-                data = load_dataset(entry)
-                seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
-                splits[data.domain_id] = stratified_split(data, cfg.split_ratio, seed)
+    for entry in cfg.domains if cfg.domains is not None else cfg.dataset_paths:
+        if isinstance(entry, dict):
+            train = load_dataset(entry["train"])
+            test = load_dataset(entry["test"])
+            if train.domain_id != test.domain_id:
+                raise ValueError(
+                    f"pre-split pair mixes domains {train.domain_id!r} and {test.domain_id!r}")
+            splits[train.domain_id] = SplitPair(train, test, cfg.split_ratio)
+            continue
+        data = generate_domain(entry) if isinstance(entry, DomainSpec) else load_dataset(entry)
+        seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
+        splits[data.domain_id] = stratified_split(data, cfg.split_ratio, seed)
     if len(splits) < 2:
         raise ValueError("need at least 2 distinct domains")
     return splits
@@ -241,14 +237,14 @@ def prediction_set(model: ModelBundle, data: DomainDataset, groups: np.ndarray,
 
 
 def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
-    """Check the schemes against the task, materialize the domains, and count
-    classes (cfg.n_classes when set) and sensitive groups."""
-    if cfg.task == "multiclass":
-        for scheme in schemes:
-            if parse_scheme(scheme)[0] == "single-dann":
-                raise ValueError(
-                    "single-source UDA is rejected for multiclass tasks (target classes "
-                    "may be absent from a single source); use combined or multi schemes")
+    """Check each scheme's trainer config and task, then materialize the domains
+    and count classes (cfg.n_classes when set) and sensitive groups."""
+    for scheme in schemes:
+        trainer_config(cfg, scheme, cfg.n_classes, 0)
+        if cfg.task == "multiclass" and parse_scheme(scheme)[0] == "single-dann":
+            raise ValueError(
+                "single-source UDA is rejected for multiclass tasks (target classes "
+                "may be absent from a single source); use combined or multi schemes")
     splits = materialize_domains(cfg)
 
     def count(attr: str) -> int:
@@ -265,19 +261,42 @@ def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
 SINGLE_SOURCE_LEARNING_RATE = 1e-4
 
 
-def _build_configs(cfg: ExperimentConfig, scheme: str, n_classes: int,
-                   seed: int) -> tuple[TrainConfig, dict]:
-    """The scheme's TrainConfig, and its overrides of the settings that only
-    its trainer reads."""
+def trainer_config(cfg: ExperimentConfig, scheme: str, n_classes: int | None,
+                   seed: int) -> TrainConfig | AdversarialConfig | MomentConfig:
+    """The whole config of the scheme's trainer: a TrainConfig for the ERM
+    schemes, else an AdversarialConfig or MomentConfig around one.
+
+    Settings come from cfg.train, then the scheme's overrides, which alone may
+    set the trainer's own fields; single-source schemes default learning_rate
+    to SINGLE_SOURCE_LEARNING_RATE. The harness sets seed, resample (the
+    "rs-" prefix) and n_classes, so the config may not. A bad setting raises
+    ValueError naming its path, e.g. scheme_overrides.single-dann.gamma.
+    """
     base, resample = parse_scheme(scheme)
-    settings = dict(cfg.train)
-    if base.startswith("single") and "learning_rate" not in settings:
-        settings["learning_rate"] = SINGLE_SOURCE_LEARNING_RATE
-    overrides = cfg.scheme_overrides.get(scheme, {})
-    settings.update({k: v for k, v in overrides.items() if k in _TRAIN_KEYS})
-    settings.update({"n_classes": n_classes, "resample": resample, "seed": seed})
-    trainer = {k: v for k, v in overrides.items() if k not in _TRAIN_KEYS}
-    return TrainConfig.from_dict(settings), trainer
+    kind = (TrainConfig if base.endswith("-erm")
+            else MomentConfig if base == "multi-m3sda" else AdversarialConfig)
+    where = f"scheme_overrides.{scheme}"
+    overrides = check_value(where, cfg.scheme_overrides.get(scheme, {}), dict)
+    fixed = {"n_classes": n_classes, "resample": resample, "seed": seed}
+    train_keys = TrainConfig.__dataclass_fields__.keys() - fixed.keys()
+    own_keys = set() if kind is TrainConfig else kind.__dataclass_fields__.keys() - {"train"}
+    settings = {"learning_rate": SINGLE_SOURCE_LEARNING_RATE} if base.startswith("single") else {}
+    for path, label, given, allowed in (("train", "train", cfg.train, train_keys),
+                                        (where, "override", overrides, train_keys | own_keys)):
+        set_here = sorted(given.keys() & fixed.keys())
+        if set_here:
+            raise ValueError(f"{path}.{set_here[0]} is set by the harness (seed per cell, "
+                             "resample by the rs- prefix, n_classes by the experiment or data)")
+        unknown = sorted(given.keys() - allowed)
+        if unknown:
+            raise ValueError(f"unknown {label} keys {unknown} for {scheme}; "
+                             f"its trainer reads {sorted(allowed)}")
+        settings.update((k, v) for k, v in given.items() if k in train_keys)
+        train = _within(f"{path}.", lambda: TrainConfig(**settings, **fixed))
+    if kind is TrainConfig:
+        return train
+    own = {k: v for k, v in overrides.items() if k in own_keys}
+    return _within(f"{where}.", lambda: kind(train=train, **own))
 
 
 def scheme_sources(scheme: str, ids: list[str], target: str) -> list[str]:
@@ -295,7 +314,7 @@ def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
     """Train one (target, scheme, source) cell with target labels hidden:
     pick the sources and configs, and return the trainer's model."""
     base, _ = parse_scheme(scheme)
-    tcfg, trainer_settings = _build_configs(cfg, scheme, n_classes, seed)
+    config = trainer_config(cfg, scheme, n_classes, seed)
     target = splits[target_id].train.unlabeled()
     sources = [splits[d].train for d in splits if d != target_id]
     if base.startswith("single"):
@@ -306,15 +325,14 @@ def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
     # trainers are looked up by their module-global names on each call, never
     # through a table, so that patching this module's attributes reaches them
     if base.endswith("-erm"):
-        return train_erm(sources[0], tcfg)
+        return train_erm(sources[0], config)
     if base == "multi-m3sda":
-        return train_m3sda(sources, target, MomentConfig(train=tcfg, **trainer_settings))
-    adv = AdversarialConfig(train=tcfg, **trainer_settings)
+        return train_m3sda(sources, target, config)
     if base == "multi-mdan":
-        return train_mdan(sources, target, adv)
+        return train_mdan(sources, target, config)
     if base == "combined-adda":
-        return train_adda(sources[0], target, adv)
-    return train_dann(sources[0], target, adv)
+        return train_adda(sources[0], target, config)
+    return train_dann(sources[0], target, config)
 
 
 @dataclass
@@ -386,26 +404,21 @@ class EvalReport:
 
     def column_averages(self) -> dict[str, dict[str, float]]:
         """Per (scheme, target): average of cell means over sources."""
-        out: dict[str, dict[str, float]] = {}
-        for scheme in self.schemes:
-            out[scheme] = {}
-            for target in self.domain_ids:
-                means = [c.mean for c in self.cells
-                         if c.scheme == scheme and c.target == target and c.mean is not None]
-                if means:
-                    out[scheme][target] = float(np.mean(means))
-        return out
+        return self._averages("target")
 
     def row_averages(self) -> dict[str, dict[str, float]]:
         """Per (scheme, source): average of cell means over targets."""
+        return self._averages("source")
+
+    def _averages(self, axis: str) -> dict[str, dict[str, float]]:
+        """Per scheme: the average of cell means for each value of their `axis`."""
         out: dict[str, dict[str, float]] = {}
         for scheme in self.schemes:
+            cells = [c for c in self.cells if c.scheme == scheme and c.mean is not None]
             out[scheme] = {}
-            for source in sorted({c.source for c in self.cells if c.scheme == scheme}):
-                means = [c.mean for c in self.cells
-                         if c.scheme == scheme and c.source == source and c.mean is not None]
-                if means:
-                    out[scheme][source] = float(np.mean(means))
+            for key in sorted({getattr(c, axis) for c in cells}):
+                out[scheme][key] = float(np.mean([c.mean for c in cells
+                                                  if getattr(c, axis) == key]))
         return out
 
     def to_dict(self) -> dict:

@@ -8,7 +8,6 @@ and EOM per-class true-positive rates across groups. All three live in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,16 +20,13 @@ __all__ = [
     "FairnessReport",
     "GROUP_BINS",
     "accuracy",
-    "balanced_accuracy",
     "auroc",
     "pqd",
     "dpm",
     "eom",
     "group_partition",
     "fairness_report",
-    "save_fairness_report",
     "save_predictions",
-    "load_predictions",
 ]
 
 # Preset group bins: a value v falls in bin (lo, hi] when lo < v <= hi.
@@ -87,15 +83,6 @@ class PredictionSet:
 def accuracy(pred: PredictionSet) -> float:
     """Fraction of correct predictions."""
     return float(np.mean(pred.y_pred == pred.y_true))
-
-
-def balanced_accuracy(pred: PredictionSet) -> float:
-    """Mean per-class recall over the classes present in y_true."""
-    recalls = []
-    for cls in np.unique(pred.y_true):
-        mask = pred.y_true == cls
-        recalls.append(float(np.mean(pred.y_pred[mask] == cls)))
-    return sum(recalls) / len(recalls)
 
 
 def auroc(scores: np.ndarray, y_binary: np.ndarray) -> float:
@@ -302,11 +289,6 @@ def fairness_report(pred: PredictionSet, basis: str = "auto",
     )
 
 
-def save_fairness_report(report: FairnessReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Predictions files: header id,y_true,y_pred,score,sensitive
 # ---------------------------------------------------------------------------
@@ -320,24 +302,3 @@ def save_predictions(pred: PredictionSet, sample_ids: tuple[str, ...],
         score = "" if pred.scores is None else repr(float(pred.scores[i]))
         lines.append(f"{sample_ids[i]},{pred.y_true[i]},{pred.y_pred[i]},{score},{pred.sensitive[i]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_predictions(path: str | Path, n_classes: int | None = None,
-                     n_groups: int | None = None) -> tuple[PredictionSet, tuple[str, ...]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "id,y_true,y_pred,score,sensitive":
-        raise ValueError(f"{path}: malformed predictions header")
-    rows = [ln.split(",") for ln in lines[1:] if ln]
-    if not rows:
-        raise ValueError(f"{path}: empty predictions file")
-    if any(len(r) != 5 for r in rows):
-        raise ValueError(f"{path}: every row needs 5 fields")
-    ids = tuple(r[0] for r in rows)
-    y_true = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    y_pred = np.array([int(r[2]) for r in rows], dtype=np.int64)
-    sens = np.array([int(r[4]) for r in rows], dtype=np.int64)
-    has_scores = any(r[3] != "" for r in rows)
-    scores = np.array([float(r[3]) for r in rows]) if has_scores else None
-    m = n_classes if n_classes is not None else int(max(y_true.max(), y_pred.max())) + 1
-    g = n_groups if n_groups is not None else int(sens.max()) + 1
-    return PredictionSet(y_true, y_pred, sens, m, g, scores), ids

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DomainDataset, UnlabeledDomain, require_unlabeled, stratified_split
+from .data import DomainDataset, UnlabeledDomain, check_fields, require_unlabeled, stratified_split
 from .nn import (
     Mlp,
     ModelBundle,
@@ -25,7 +25,6 @@ from .nn import (
     forward,
     init_mlp,
     init_sgd,
-    mlp_blocks,
     multi_source_batches,
     record_config,
     resolve_n_classes,
@@ -36,7 +35,6 @@ from .nn import (
 
 __all__ = [
     "MomentConfig",
-    "moment_distance",
     "moment_distance_grads",
     "train_m3sda",
 ]
@@ -54,16 +52,14 @@ class MomentConfig:
     holdout_ratio: float = 0.2       # held-out slice sizing accuracy weights
 
     def __post_init__(self) -> None:
-        if self.align_weight < 0 or self.discrepancy_weight < 0:
-            raise ValueError("align_weight and discrepancy_weight must be >= 0")
+        check_fields(self)
+        for name in ("align_weight", "discrepancy_weight"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.ensemble not in ("uniform", "accuracy"):
-            raise ValueError(f"unknown ensemble rule {self.ensemble!r}")
-
-
-def moment_distance(features_a: np.ndarray, features_b: np.ndarray) -> float:
-    """||mean(a) - mean(b)||_2 + ||mean(a^2) - mean(b^2)||_2 (element-wise squares)."""
-    d, _, _ = moment_distance_grads(features_a, features_b)
-    return d
+            raise ValueError(f"ensemble: unknown ensemble rule {self.ensemble!r}")
+        if not 0.0 < self.holdout_ratio < 1.0:
+            raise ValueError("holdout_ratio must be in (0, 1)")
 
 
 def moment_distance_grads(features_a: np.ndarray,
@@ -129,9 +125,9 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
     extractor = init_mlp([target.dim, *tcfg.hidden_sizes], rng_init, final="relu")
     classifiers = [init_mlp([tcfg.hidden_sizes[-1], n_classes], rng_init, final="identity")
                    for _ in sources]
-    blocks = mlp_blocks(extractor, "extractor")
+    blocks = [("extractor", extractor.params)]
     for k, c in enumerate(classifiers):
-        blocks += mlp_blocks(c, f"classifier{k}")
+        blocks.append((f"classifier{k}", c.params))
     opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
 
     keys = {"classification": [], "moment": [], "discrepancy": [], "total": []}

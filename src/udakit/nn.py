@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from functools import reduce
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .data import DomainDataset, UnlabeledDomain, class_balanced_probabilities
+from .data import DomainDataset, UnlabeledDomain, check_fields, check_value, class_balanced_probabilities
 
 __all__ = [
     "Mlp",
@@ -123,14 +122,17 @@ class Mlp:
 
 
 def layer_sizes(sizes: Iterable, name: str) -> tuple[int, ...]:
-    """sizes as a tuple of ints; an entry that is not a whole number >= 1
-    raises ValueError naming it."""
+    """sizes as a tuple of ints: each entry passes check_value as an int and
+    is >= 1, or raises ValueError naming it."""
     out = []
     for h in sizes:
-        if (isinstance(h, bool) or not isinstance(h, numbers.Real)
-                or not (h >= 1 and float(h).is_integer())):
+        try:
+            size = check_value(name, h, int)
+        except ValueError:
+            size = 0        # not a whole number: rejected below, like sizes < 1
+        if size < 1:
             raise ValueError(f"{name} entries must be whole numbers >= 1, got {h!r}")
-        out.append(int(h))
+        out.append(size)
     return tuple(out)
 
 
@@ -193,12 +195,6 @@ def backward(mlp: Mlp, acts: list[np.ndarray], grad_out: np.ndarray, *,
         np.matmul(g.T, acts[i], out=dws[i])
         g = g @ mlp.weights[i] if i or input_grad else None
     return grad, g
-
-
-def mlp_blocks(mlp: Mlp, prefix: str) -> list[tuple[str, np.ndarray]]:
-    """The network's one named parameter block: (prefix, mlp.params), the
-    layout backward() emits its parameter gradient in."""
-    return [(prefix, mlp.params)]
 
 
 def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,8 +260,8 @@ def sgd_step(blocks: list[tuple[str, np.ndarray]], grads: list[np.ndarray],
              state: SgdState) -> None:
     """One in-place momentum update: v <- m*v + g; p <- p - lr*v.
 
-    Each block is usually one network's params vector (see mlp_blocks), so a
-    step loops over networks, not layers. Every gradient element is checked:
+    Each block is usually one network's (name, mlp.params) pair, so a step
+    loops over networks, not layers. Every gradient element is checked:
     a non-finite one raises DivergenceError naming its block.
     """
     if len(blocks) != len(grads) or len(blocks) != len(state.velocities):
@@ -295,19 +291,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         self.hidden_sizes = layer_sizes(self.hidden_sizes, "hidden_sizes")
         if not self.hidden_sizes:
-            raise ValueError("need at least one hidden layer")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+            raise ValueError("hidden_sizes must name at least one hidden layer")
+        SgdState(self.learning_rate, self.momentum, [])     # its rate checks, at load time
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "TrainConfig":
-        known = {f: payload[f] for f in TrainConfig.__dataclass_fields__ if f in payload}
-        return TrainConfig(**known)
 
 
 @dataclass
@@ -449,7 +444,7 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ModelBundle:
     n_classes = resolve_n_classes(cfg, source.labels)
     rng_init, rng_batch = seed_streams(cfg.seed)[:2]
     extractor, classifier = build_model(source.dim, n_classes, cfg, rng_init)
-    blocks = mlp_blocks(extractor, "extractor") + mlp_blocks(classifier, "classifier")
+    blocks = [("extractor", extractor.params), ("classifier", classifier.params)]
     opt = init_sgd(blocks, cfg.learning_rate, cfg.momentum)
 
     record = RunRecord("erm", cfg.seed, cfg.to_dict(), {"classification": []})

@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from udakit.adversarial import _dann_step_grads, _mdan_step_grads
-from udakit.moment import _m3sda_step_grads, moment_distance_grads, moment_distance
+from udakit.moment import _m3sda_step_grads, moment_distance_grads
 from udakit.nn import backward, cross_entropy, forward, init_mlp
 
-from oracles import finite_difference, relative_error
+from oracles import finite_difference, moment_distance, relative_error
 
 H = 1e-4
 

@@ -145,3 +145,35 @@ def transport_cost_lp(a: np.ndarray, b: np.ndarray) -> float:
 def nearest_mean_labels(features: np.ndarray, class_means: np.ndarray) -> np.ndarray:
     dists = np.linalg.norm(features[:, None, :] - class_means[None, :, :], axis=2)
     return np.argmin(dists, axis=1)
+
+
+def balanced_accuracy(y_true, y_pred) -> float:
+    """Mean per-class recall over the classes present in y_true, by counting."""
+    recalls = []
+    for cls in sorted(set(y_true)):
+        members = [i for i, y in enumerate(y_true) if y == cls]
+        recalls.append(sum(1 for i in members if y_pred[i] == cls) / len(members))
+    return sum(recalls) / len(recalls)
+
+
+def moment_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||mean(a) - mean(b)||_2 + ||mean(a^2) - mean(b^2)||_2 (element-wise
+    squares), through numpy's mean and norm."""
+    return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0))
+                 + np.linalg.norm((a ** 2).mean(axis=0) - (b ** 2).mean(axis=0)))
+
+
+def load_predictions(path) -> dict[str, object]:
+    """A predictions CSV (id,y_true,y_pred,score,sensitive) as one entry per
+    column: ids as a tuple, the integer columns as int64 arrays, and score as
+    a float array, or None when every score field is empty."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    assert lines[0] == "id,y_true,y_pred,score,sensitive", lines[0]
+    rows = [line.split(",") for line in lines[1:] if line]
+    assert rows and all(len(r) == 5 for r in rows)
+    columns: dict[str, object] = {"id": tuple(r[0] for r in rows)}
+    for j, name in ((1, "y_true"), (2, "y_pred"), (4, "sensitive")):
+        columns[name] = np.array([int(r[j]) for r in rows], dtype=np.int64)
+    has_scores = any(r[3] != "" for r in rows)
+    columns["score"] = np.array([float(r[3]) for r in rows]) if has_scores else None
+    return columns

@@ -13,7 +13,6 @@ from udakit import (
     generate_domain,
     init_mlp,
     load_dataset,
-    load_predictions,
     save_dataset,
     save_model,
 )
@@ -29,6 +28,7 @@ from test_harness import (
     overflow_config,
     pinned_grid_config,
 )
+from oracles import load_predictions
 
 
 # sha256 of the model, record and metrics files (in that order, concatenated)
@@ -175,8 +175,7 @@ class TestTrainEval:
                      "--data", str(tmp_path / "d0.test.csv"),
                      "--out", str(tmp_path / "pred.csv")]) == 0
         printed = json.loads(capsys.readouterr().out)
-        pred, _ = load_predictions(tmp_path / "pred.csv")
-        assert np.array_equal(pred.scores, scores)
+        assert np.array_equal(load_predictions(tmp_path / "pred.csv")["score"], scores)
         assert printed["auroc"] == metrics["value"] == auroc(scores, test.labels)
 
     @pytest.mark.parametrize("weights, message", [
@@ -394,6 +393,53 @@ class TestMatrixCommand:
         assert main(["matrix", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"hidden_sizes entries must be whole numbers >= 1, got {sizes[0]}" in err
+
+    @pytest.mark.parametrize("key, value", [("seed", 1), ("resample", True), ("n_classes", 2)])
+    @pytest.mark.parametrize("path", ["train", "scheme_overrides.combined-dann"])
+    def test_settings_the_harness_sets_are_a_config_error(self, workspace, capsys, path,
+                                                          key, value):
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        if path == "train":
+            config["train"][key] = value
+        else:
+            config["scheme_overrides"] = {"combined-dann": {key: value}}
+        bad = tmp / "harness-set.json"
+        bad.write_text(json.dumps(config))
+        out = tmp / "report.json"
+        assert main(["matrix", "--config", str(bad), "--out", str(out)]) == 1
+        assert f"udakit: error: {path}.{key} is set by the harness" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, edit, message", [
+        ("matrix", lambda c: c["train"].update(epochs="3"),
+         "train.epochs must be a whole number, got '3'"),
+        ("matrix", lambda c: c.update(scheme_overrides={"combined-dann": {"domain_weight": -1}}),
+         "scheme_overrides.combined-dann.domain_weight must be >= 0"),
+        ("matrix", lambda c: c["domains"][2].update(n_samples="3"),
+         "domains[2]: n_samples must be a whole number, got '3'"),
+        ("fairness", lambda c: c.update(repeats=True), "repeats must be a whole number, got True"),
+        ("train", lambda c: c.update(scheme_overrides={"multi-mdan": {"gamma": "x"}}),
+         "scheme_overrides.multi-mdan.gamma must be a finite number, got 'x'"),
+    ], ids=["train-value", "override", "domain-field", "fairness-repeats", "train-unlisted-scheme"])
+    def test_malformed_settings_fail_before_any_domain_exists(self, workspace, capsys,
+                                                              monkeypatch, command, edit,
+                                                              message):
+        def generate_domain(spec):
+            raise AssertionError(f"domain {spec.domain_id} generated before the config check")
+
+        monkeypatch.setattr(harness, "generate_domain", generate_domain)
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        edit(config)
+        bad = tmp / "malformed.json"
+        bad.write_text(json.dumps(config))
+        argv = [command, "--config", str(bad), "--out", str(tmp / "out")]
+        if command == "train":      # multi-mdan is not among the config's schemes
+            argv += ["--target", "d0", "--scheme", "multi-mdan"]
+        assert main(argv) == 1
+        assert f"udakit: error: {message}" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "broken.json"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -11,12 +13,11 @@ from udakit import (
     concat_domains,
     generate_domain,
     load_dataset,
-    load_spec,
     save_dataset,
-    save_spec,
     stratified_split,
     weighted_sampler_weights,
 )
+from udakit.data import check_value, spec_from_dict, spec_to_dict
 from conftest import make_blobs
 from oracles import nearest_mean_labels
 
@@ -287,29 +288,52 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"non-numeric feature 'oops' at row 1, column f0"):
             load_dataset(path)
 
-    def test_spec_round_trip(self, tmp_path):
+    def test_spec_round_trip(self):
         spec = simple_spec(seed=123)
-        path = tmp_path / "spec.json"
-        save_spec(spec, path)
-        back = load_spec(path)
+        back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert back.domain_id == spec.domain_id
         assert back.seed == spec.seed
         assert np.array_equal(back.class_means, spec.class_means)
         assert np.array_equal(generate_domain(back).features,
                               generate_domain(spec).features)
 
-    def test_spec_file_requires_exact_fields(self, tmp_path):
-        import json
-
-        from udakit.data import spec_to_dict
-
+    def test_spec_file_requires_exact_fields(self):
         payload = spec_to_dict(simple_spec())
-        extra = dict(payload, color="green")
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(extra))
         with pytest.raises(ValueError, match="unknown fields"):
-            load_spec(path)
+            spec_from_dict(dict(payload, color="green"))
         del payload["seed"]
-        path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="missing fields"):
-            load_spec(path)
+            spec_from_dict(payload)
+
+
+class TestCheckValue:
+    @pytest.mark.parametrize("value, annotation, want", [
+        (3, int, 3), (3.0, int, 3), (np.int64(4), int, 4), (2, float, 2), (0.5, float, 0.5),
+        (None, int | None, None), (True, bool, True), ((1, 2), list[str], [1, 2]),
+        ([8, 4], tuple[int, ...], (8, 4)), ("x", str | list | None, "x"), ({}, dict, {}),
+    ])
+    def test_accepted_values(self, value, annotation, want):
+        got = check_value("f", value, annotation)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("value, annotation, expected", [
+        (True, int, "a whole number"), (1.5, int, "a whole number"),
+        (float("inf"), int, "a whole number"), ("3", int | None, "a whole number or null"),
+        (False, float, "a finite number"), (float("nan"), float, "a finite number"),
+        (1, bool, "true or false"), ("ab", list, "a list"), ([], dict, "an object"),
+        ([[1.0], [np.inf]], np.ndarray, "finite numbers"), ({}, np.ndarray, "finite numbers"),
+    ])
+    def test_rejected_values_name_the_field(self, value, annotation, expected):
+        with pytest.raises(ValueError, match=rf"^train\.f must be {expected}, got "):
+            check_value("train.f", value, annotation)
+
+    def test_arrays_come_back_as_float64(self):
+        got = check_value("f", [[1, 2]], np.ndarray)
+        assert got.dtype == np.float64 and got.shape == (1, 2)
+
+    @pytest.mark.parametrize("field, value", [("n_samples", "3"), ("seed", -1),
+                                              ("class_cov_scale", float("nan")),
+                                              ("class_means", [[0.0, np.nan], [3.0, 0.0]])])
+    def test_spec_fields_are_checked(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            simple_spec(**{field: value})

@@ -214,15 +214,15 @@ class TestMatrixStructure:
             assert len(set(cell.seeds)) == 3
 
     def test_single_source_learning_rate_preset(self):
-        from udakit.harness import SINGLE_SOURCE_LEARNING_RATE, _build_configs
+        from udakit.harness import SINGLE_SOURCE_LEARNING_RATE, trainer_config
 
         cfg = quick_config(["single-erm", "combined-erm"])
-        single, _ = _build_configs(cfg, "single-erm", 2, seed=0)
-        combined, _ = _build_configs(cfg, "combined-erm", 2, seed=0)
+        single = trainer_config(cfg, "single-erm", 2, seed=0)
+        combined = trainer_config(cfg, "combined-erm", 2, seed=0)
         assert single.learning_rate == SINGLE_SOURCE_LEARNING_RATE
         assert combined.learning_rate == TrainConfig().learning_rate
         explicit = quick_config(["single-erm"], train={"learning_rate": 0.5, "epochs": 1})
-        overridden, _ = _build_configs(explicit, "single-erm", 2, seed=0)
+        overridden = trainer_config(explicit, "single-erm", 2, seed=0)
         assert overridden.learning_rate == 0.5
 
     def test_scheme_overrides_reach_the_trainers(self):

@@ -25,7 +25,6 @@ from udakit.nn import (
     index_draws,
     init_mlp,
     init_sgd,
-    mlp_blocks,
     multi_source_batches,
     seed_streams,
     sgd_step,
@@ -200,7 +199,7 @@ class TestFiniteCheck:
         forward(mlp, np.array([[1e200, -1e300]]))
         with pytest.raises(NonFiniteInputError):
             forward(mlp, np.array([[1e200, np.inf]]))
-        blocks = mlp_blocks(mlp, "net")
+        blocks = [("net", mlp.params)]
         opt = init_sgd(blocks, 1e-300, 0.5)
         sgd_step(blocks, [np.full(mlp.params.size, 1e200)], opt)
         with pytest.raises(DivergenceError, match="non-finite gradient in net"):

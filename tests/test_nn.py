@@ -27,9 +27,11 @@ from udakit import (
     train_m3sda,
     train_mdan,
 )
-from udakit.nn import NonFiniteInputError, RunRecord, mlp_blocks, run_epochs
+from udakit.harness import trainer_config
+from udakit.nn import NonFiniteInputError, RunRecord, run_epochs
 from conftest import make_blobs
 from oracles import finite_difference, mlp_by_hand, relative_error
+from test_harness import quick_config
 
 
 class TestForward:
@@ -104,8 +106,7 @@ class TestFlatParams:
 
     def test_sgd_step_visible_through_layer_views(self, rng):
         mlp = init_mlp([2, 3, 2], rng)
-        blocks = mlp_blocks(mlp, "net")
-        assert len(blocks) == 1 and blocks[0][1] is mlp.params
+        blocks = [("net", mlp.params)]
         before = [w.copy() for w in mlp.weights] + [b.copy() for b in mlp.biases]
         grad = rng.normal(size=mlp.params.shape)
         state = init_sgd(blocks, learning_rate=0.1, momentum=0.0)
@@ -140,7 +141,7 @@ class TestFlatParams:
     def test_non_finite_anywhere_names_the_network(self, rng):
         ext = init_mlp([2, 3], rng, final="relu")
         head = init_mlp([3, 4, 2], rng)
-        blocks = mlp_blocks(ext, "extractor") + mlp_blocks(head, "classifier")
+        blocks = [("extractor", ext.params), ("classifier", head.params)]
         for bad in (np.nan, np.inf, -np.inf):
             for pos in range(head.params.size):
                 grads = [np.zeros_like(ext.params), np.zeros_like(head.params)]
@@ -336,7 +337,9 @@ class TestLayerSizes:
 
     def test_whole_floats_become_ints(self):
         for sizes, want in [(TrainConfig(hidden_sizes=[8.0, np.int64(4)]).hidden_sizes, (8, 4)),
-                            (TrainConfig.from_dict({"hidden_sizes": [8.0]}).hidden_sizes, (8,)),
+                            (trainer_config(quick_config(["combined-erm"],
+                                                         train={"hidden_sizes": [8.0]}),
+                                            "combined-erm", 2, 0).hidden_sizes, (8,)),
                             (AdversarialConfig(disc_hidden=[16.0]).disc_hidden, (16,))]:
             assert sizes == want and all(type(h) is int for h in sizes)
 

@@ -1,5 +1,6 @@
 """Property tests: AUROC against the pair-count oracle, sliced W1 symmetry
-and translation, and exact model and dataset file round trips.
+and translation, exact model and dataset file round trips, and experiment
+files with one malformed setting.
 
 Hypothesis runs derandomized with no example database, so every run draws
 the same examples and Tier-1 stays deterministic.
@@ -7,6 +8,9 @@ the same examples and Tier-1 stays deterministic.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -24,6 +28,7 @@ from udakit import (
     save_dataset,
     save_model,
 )
+from udakit.cli import main
 from udakit.metrics import UndefinedMetricError, auroc
 from udakit.shift import wasserstein_feature_distance
 from oracles import auroc_pairs
@@ -146,3 +151,81 @@ def test_dataset_file_round_trip_is_exact_or_refused(tmp_path_factory, data, n, 
     assert back.features.tobytes() == dataset.features.tobytes()
     assert np.array_equal(back.labels, dataset.labels)
     assert np.array_equal(back.sensitive, dataset.sensitive)
+
+
+def experiment() -> dict:
+    """A valid three-domain experiment file's contents, with an (empty)
+    override entry for one adversarial and one moment-matching scheme."""
+    domains = [{"domain_id": f"d{i}", "n_samples": 40, "dim": 2,
+                "class_means": [[0.3 * i, 0.0], [3.0 + 0.3 * i, 0.0]], "class_cov_scale": 0.6,
+                "label_distribution": [0.5, 0.5], "sensitive_distribution": [1.0],
+                "sensitive_mean_offset": [[0.0, 0.0]], "seed": 10 + i} for i in range(3)]
+    return {"task": "binary", "schemes": ["single-erm", "combined-dann", "rs-multi-m3sda"],
+            "domains": domains, "repeats": 1, "base_seed": 5, "n_classes": 2,
+            "train": {"epochs": 1, "hidden_sizes": [4], "batch_size": 32},
+            "scheme_overrides": {"combined-dann": {}, "rs-multi-m3sda": {}}}
+
+
+# every setting of the validation probe, each as its key path in experiment()
+SETTINGS = (
+    [(k,) for k in ("task", "schemes", "dataset_paths", "repeats", "base_seed",
+                    "split_ratio", "n_classes", "train", "scheme_overrides")]
+    + [("train", k) for k in ("epochs", "batch_size", "learning_rate", "momentum",
+                              "hidden_sizes", "resample", "seed", "n_classes")]
+    + [("domains", 0, k) for k in ("n_samples", "dim", "seed", "domain_id", "class_cov_scale")]
+    + [("scheme_overrides", "combined-dann", k)
+       for k in ("domain_weight", "schedule", "ramp_fraction", "disc_hidden", "gamma",
+                 "hard_max", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate")]
+    + [("scheme_overrides", "rs-multi-m3sda", k)
+       for k in ("align_weight", "discrepancy_weight", "ensemble", "holdout_ratio")])
+# the probe's values, as JSON text
+PROBE_VALUES = ['"3"', "null", "[]", "{}", "true", "-1", "0", "1.5", "NaN"]
+# the probe values each setting legitimately takes; every other pair is malformed
+VALID = {
+    ("dataset_paths",): ["null"], ("base_seed",): ["-1", "0"], ("n_classes",): ["null"],
+    ("train",): ["{}"], ("scheme_overrides",): ["{}"], ("train", "epochs"): ["0"],
+    ("train", "learning_rate"): ["1.5"], ("train", "momentum"): ["0"],
+    ("domains", 0, "seed"): ["0"], ("domains", 0, "domain_id"): ['"3"'],
+    ("domains", 0, "class_cov_scale"): ["1.5"],
+    ("scheme_overrides", "combined-dann", "domain_weight"): ["0", "1.5"],
+    ("scheme_overrides", "combined-dann", "ramp_fraction"): ["0"],
+    ("scheme_overrides", "combined-dann", "disc_hidden"): ["[]"],
+    ("scheme_overrides", "combined-dann", "gamma"): ["1.5"],
+    ("scheme_overrides", "combined-dann", "hard_max"): ["true"],
+    ("scheme_overrides", "combined-dann", "pretrain_epochs"): ["null", "0"],
+    ("scheme_overrides", "combined-dann", "adapt_epochs"): ["null", "0"],
+    ("scheme_overrides", "combined-dann", "adapt_learning_rate"): ["null", "1.5"],
+    ("scheme_overrides", "rs-multi-m3sda", "align_weight"): ["0", "1.5"],
+    ("scheme_overrides", "rs-multi-m3sda", "discrepancy_weight"): ["0", "1.5"],
+}
+MALFORMED = [(setting, text) for setting in SETTINGS for text in PROBE_VALUES
+             if text not in VALID.get(setting, [])]
+
+
+def setting_name(setting: tuple) -> str:
+    """How an error message names the setting: domains[0]: n_samples, or the
+    dotted path such as scheme_overrides.combined-dann.gamma."""
+    if setting[0] == "domains":
+        return f"domains[{setting[1]}]: {setting[2]}"
+    return ".".join(setting)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=len(MALFORMED))
+@given(st.sampled_from(MALFORMED))
+def test_a_malformed_setting_is_a_config_error_naming_it(tmp_path_factory, pair):
+    setting, text = pair
+    config = experiment()
+    parent = config
+    for key in setting[:-1]:
+        parent = parent[key]
+    parent[setting[-1]] = json.loads(text)
+    folder = tmp_path_factory.mktemp("malformed")
+    (folder / "experiment.json").write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["matrix", "--config", str(folder / "experiment.json"),
+                     "--out", str(folder / "report.json")])
+    assert code == 1
+    assert err.getvalue().startswith("udakit: error: ")
+    assert setting_name(setting) in err.getvalue()
+    assert not (folder / "report.json").exists()

@@ -53,3 +53,31 @@ def test_demos_import_only_names_udakit_exports():
                if isinstance(node, ast.ImportFrom) and node.module == "udakit"
                for alias in node.names if not hasattr(udakit, alias.name)]
     assert missing == []
+
+
+def python_blocks(markdown: str) -> list[str]:
+    """The ```python fenced code blocks of a markdown text."""
+    return [block.split("```", 1)[0] for block in markdown.split("```python\n")[1:]]
+
+
+def unused_public_definitions(root: Path) -> list[str]:
+    """Public top-level functions and classes of src/udakit that nothing in
+    src/, demos/, perfbench/ or README's Python blocks refers to by name,
+    as module:name. An import or an __all__ entry is not a use."""
+    package = root / "src" / "udakit"
+    sources = [p.read_text(encoding="utf-8")
+               for folder in (package, root / "demos", root / "perfbench")
+               for p in sorted(folder.glob("*.py"))]
+    sources += python_blocks((root / "README.md").read_text(encoding="utf-8"))
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for text in sources for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Name | ast.Attribute)}
+    return [f"{path.stem}:{node.name}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef | ast.ClassDef)
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_every_public_definition_has_a_use_outside_the_tests():
+    assert unused_public_definitions(PACKAGE.parents[1]) == []
