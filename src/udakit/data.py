@@ -410,13 +410,17 @@ def load_dataset(path: str | Path, n_classes: int | None = None,
         domains.add(parts[1])
         labels[r] = _parse_id_field(parts[2], "label", r, n_classes, path)
         sensitive[r] = _parse_id_field(parts[3], "sensitive", r, n_groups, path)
-        for j in range(dim):
-            try:
-                features[r, j] = float(parts[4 + j])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric feature {parts[4 + j]!r} at row {r + 1}, column f{j}"
-                ) from None
+        try:
+            features[r] = [float(t) for t in parts[4:]]
+        except ValueError:
+            # only a failed row pays for finding its first bad column
+            for j, text in enumerate(parts[4:]):
+                try:
+                    float(text)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: non-numeric feature {text!r} at row {r + 1}, column f{j}"
+                    ) from None
     if len(domains) != 1:
         raise ValueError(f"{path}: mixed domain ids {sorted(domains)}")
     return DomainDataset(domains.pop(), features, labels, sensitive, tuple(ids))

@@ -41,6 +41,7 @@ from .metrics import (
     accuracy,
     auroc,
     fairness_report,
+    group_bins,
     group_partition,
 )
 from .moment import MomentConfig, train_m3sda
@@ -135,6 +136,19 @@ class ExperimentConfig:
         n = len(self.domains) if self.domains is not None else len(self.dataset_paths)
         if n < 2:
             raise ValueError("need at least 2 domains")
+        ids = [spec.domain_id for spec in self.domains or []]
+        for i, did in enumerate(ids):
+            if did in ids[:i]:
+                raise ValueError(f"domains[{i}]: domain_id {did!r} is already the id of "
+                                 f"domains[{ids.index(did)}]")
+        for i, entry in enumerate(self.dataset_paths or []):
+            paths = (list(entry.values())
+                     if isinstance(entry, dict) and entry.keys() == {"train", "test"} else [entry])
+            if not all(isinstance(p, str) and p for p in paths):
+                raise ValueError(f"dataset_paths[{i}] must be a non-empty path or an object with "
+                                 f"exactly the paths train and test, got {entry!r}")
+        if self.fairness_bins is not None:
+            _within("fairness_bins: ", lambda: group_bins(self.fairness_bins))
         for scheme in [*self.schemes, *(self.fairness_schemes or []), *self.scheme_overrides]:
             trainer_config(self, scheme, self.n_classes, 0)
 
@@ -180,20 +194,23 @@ def materialize_domains(cfg: ExperimentConfig) -> dict[str, SplitPair]:
     Splits are keyed on (base_seed, domain id) so repeats reuse them.
     """
     splits: dict[str, SplitPair] = {}
-    for entry in cfg.domains if cfg.domains is not None else cfg.dataset_paths:
+    where = "domains" if cfg.domains is not None else "dataset_paths"
+    for i, entry in enumerate(getattr(cfg, where)):
         if isinstance(entry, dict):
             train = load_dataset(entry["train"])
             test = load_dataset(entry["test"])
             if train.domain_id != test.domain_id:
                 raise ValueError(
                     f"pre-split pair mixes domains {train.domain_id!r} and {test.domain_id!r}")
-            splits[train.domain_id] = SplitPair(train, test, cfg.split_ratio)
-            continue
-        data = generate_domain(entry) if isinstance(entry, DomainSpec) else load_dataset(entry)
-        seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
-        splits[data.domain_id] = stratified_split(data, cfg.split_ratio, seed)
-    if len(splits) < 2:
-        raise ValueError("need at least 2 distinct domains")
+            pair = SplitPair(train, test, cfg.split_ratio)
+        else:
+            data = generate_domain(entry) if isinstance(entry, DomainSpec) else load_dataset(entry)
+            seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
+            pair = stratified_split(data, cfg.split_ratio, seed)
+        if pair.train.domain_id in splits:
+            raise ValueError(f"{where}[{i}]: domain id {pair.train.domain_id!r} is already "
+                             "the id of an earlier entry")
+        splits[pair.train.domain_id] = pair
     return splits
 
 

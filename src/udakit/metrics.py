@@ -9,6 +9,7 @@ and EOM per-class true-positive rates across groups. All three live in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,7 @@ __all__ = [
     "pqd",
     "dpm",
     "eom",
+    "group_bins",
     "group_partition",
     "fairness_report",
     "save_predictions",
@@ -226,17 +228,34 @@ def _eom_details(pred: PredictionSet,
     return sum(ratios) / len(ratios), table, flags
 
 
+def group_bins(bins: object) -> tuple[tuple[float, float], ...]:
+    """The (lo, hi] bins that bins names: a preset name from GROUP_BINS, or a
+    non-empty list of [lo, hi] number pairs with lo < hi, where lo may be
+    -inf and hi inf. Anything else raises ValueError."""
+    if isinstance(bins, str):
+        if bins not in GROUP_BINS:
+            raise ValueError(f"unknown group preset {bins!r}; have {sorted(GROUP_BINS)}")
+        return GROUP_BINS[bins]
+    if not isinstance(bins, list | tuple) or not bins:
+        raise ValueError(f"group bins must be a preset name in {sorted(GROUP_BINS)} "
+                         f"or a non-empty list of [lo, hi] pairs, got {bins!r}")
+    for j, pair in enumerate(bins):
+        if not (isinstance(pair, list | tuple) and len(pair) == 2
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair)
+                and pair[0] < pair[1]):
+            raise ValueError(f"group bin {j} must be a [lo, hi] pair of numbers "
+                             f"with lo < hi, got {pair!r}")
+    return tuple((lo, hi) for lo, hi in bins)
+
+
 def group_partition(values: np.ndarray,
                     bins: str | tuple[tuple[float, float], ...]) -> np.ndarray:
     """Map raw attribute values to group ids through (lo, hi] bins.
 
-    bins may be a preset name from GROUP_BINS or an explicit sequence of
-    (lo, hi) pairs; a value outside every bin is an error.
+    bins may be anything group_bins accepts; a value outside every bin is
+    an error.
     """
-    if isinstance(bins, str):
-        if bins not in GROUP_BINS:
-            raise ValueError(f"unknown group preset {bins!r}; have {sorted(GROUP_BINS)}")
-        bins = GROUP_BINS[bins]
+    bins = group_bins(bins)
     values = np.asarray(values, dtype=np.float64)
     out = np.full(values.shape, -1, dtype=np.int64)
     for j, (lo, hi) in enumerate(bins):

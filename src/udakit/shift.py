@@ -61,16 +61,25 @@ def _w1_per_projection(proj_a: np.ndarray, proj_b: np.ndarray) -> list[float]:
 
     Equal sizes reduce to the mean absolute difference of matched order
     statistics. Unequal sizes integrate the CDF gap over the merged
-    breakpoints: a stable argsort merges the two sorted samples, and a
-    running count of first-sample entries in that order gives both CDFs.
-    Where values tie the breakpoint gap is 0, so how ties are counted does
-    not change any term. Each projection's terms are summed as one
-    contiguous 1-D array, so the pairwise summation order, and with it every
-    bit of the result, is that of a one-projection-at-a-time loop.
+    breakpoints: a stable argsort merges the two sorted samples, and the
+    count of first-sample entries up to each merged position k gives both
+    CDFs. That count has a closed form, since both halves of the buffer are
+    ascending and the sort is stable: it is order[k] + 1 when entry k comes
+    from the first sample, and k + n_a - order[k] when it comes from the
+    second. The smaller of the two is always the right one. For a
+    first-sample entry the other is n_a plus the second-sample entries up to
+    k, never below the count; for a second-sample entry the other is
+    order[k] + 1 > n_a, while the count is at most n_a. The counts are
+    integers, exact in float64 below 2**53. Where values tie the breakpoint
+    gap is 0, so how ties are counted does not change any term. Each
+    projection's terms are summed as one contiguous 1-D array, so the
+    pairwise summation order, and with it every bit of the result, is that
+    of a one-projection-at-a-time loop.
     """
     na, nb = proj_a.shape[0], proj_b.shape[0]
     n_proj = proj_a.shape[1]
-    steps = np.arange(1, na + nb)
+    steps = np.arange(1.0, na + nb)
+    past = np.arange(na, 2.0 * na + nb)     # k + n_a at merged position k
     buffer = np.empty((min(_PROJECTION_BLOCK, n_proj), na + nb))
     values: list[float] = []
     for k0 in range(0, n_proj, _PROJECTION_BLOCK):
@@ -84,10 +93,14 @@ def _w1_per_projection(proj_a: np.ndarray, proj_b: np.ndarray) -> list[float]:
             continue
         for runs in block:
             order = np.argsort(runs, kind="stable")
-            cnt_u = np.cumsum(order < na)[:-1]
-            cnt_v = steps - cnt_u
-            deltas = np.diff(runs[order])
-            values.append(float(np.sum(np.abs(cnt_u / na - cnt_v / nb) * deltas)))
+            merged = runs[order]
+            first = order.astype(np.float64)
+            cnt_u = np.minimum(first + 1.0, past - first)[:-1]
+            terms = cnt_u / na
+            terms -= (steps - cnt_u) / nb
+            np.abs(terms, out=terms)
+            terms *= merged[1:] - merged[:-1]
+            values.append(float(np.add.reduce(terms)))
     return values
 
 

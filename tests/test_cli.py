@@ -46,6 +46,15 @@ TRAIN_FILES_SHA256 = {
 }
 
 
+# sha256 of shift.csv and shift.json that `udakit diagnose --errors` writes in
+# TestDiagnoseCommand.test_diagnose_files_are_pinned; the shift path's
+# counterpart of PINNED_REPORT_SHA256
+DIAGNOSE_FILES_SHA256 = {
+    ".csv": "353694bfa603cd37cd3cc5a4957bdf7ad0dcf20867ae6a37f2b5911f71fc1861",
+    ".json": "1a7ad3a5241a4d2c805919a722d5563e955cf3156e3b037e7ebfb175f8e7a313",
+}
+
+
 def train_files_config():
     """The pinned grid's domains at 3 epochs: all seven scheme bases, plus
     multi-m3sda weighting its heads by held-out accuracy."""
@@ -469,6 +478,63 @@ class TestMatrixCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def file_paths(*names):
+    """An edit that swaps the domain specs for dataset_paths naming the
+    workspace's generated files (a name with no file, such as 1, is kept)."""
+    def edit(config, data):
+        del config["domains"]
+        config["dataset_paths"] = [str(data / f"{n}.csv") if isinstance(n, str) else n
+                                   for n in names]
+    return edit
+
+
+def setting(key, value):
+    def edit(config, data):
+        config[key] = value
+    return edit
+
+
+def duplicate_domain_id(config, data):
+    config["domains"][1]["domain_id"] = "d0"
+
+
+class TestLoadTimeChecks:
+    """Settings that once escaped cli.main as tracebacks, trained before they
+    failed, or ran on silently: each is a config error (exit 1) naming the
+    setting, and nothing is written."""
+
+    @pytest.mark.parametrize("command, edit, message", [
+        ("matrix", file_paths(1, 2), "dataset_paths[0] must be a non-empty path"),
+        ("matrix", file_paths("d0", {"train": 1, "test": 2}), "dataset_paths[1] must be"),
+        ("matrix", file_paths("d0", {"train": "d1.csv"}), "dataset_paths[1] must be"),
+        ("matrix", setting("fairness_bins", "zodiac"),
+         "fairness_bins: unknown group preset 'zodiac'"),
+        ("fairness", setting("fairness_bins", "zodiac"),
+         "fairness_bins: unknown group preset 'zodiac'"),
+        ("fairness", setting("fairness_bins", [[0, 1, 2]]), "fairness_bins: group bin 0"),
+        ("fairness", setting("fairness_bins", [["a", 1]]), "fairness_bins: group bin 0"),
+        ("matrix", duplicate_domain_id, "domains[1]: domain_id 'd0' is already the id of "
+                                        "domains[0]"),
+        ("matrix", file_paths("d0", "d1", "d0-copy"),
+         "dataset_paths[2]: domain id 'd0' is already the id of an earlier entry"),
+    ], ids=["paths-not-strings", "pair-not-strings", "pair-without-test", "matrix-unknown-bins",
+            "fairness-unknown-bins", "bin-of-three", "bin-not-numbers", "repeated-spec-id",
+            "repeated-file-id"])
+    def test_bad_setting_exits_1(self, workspace, capsys, command, edit, message):
+        tmp, spec_path, config_path = workspace
+        data = tmp / "data"
+        assert main(["gen", "--config", str(spec_path), "--out", str(data)]) == 0
+        (data / "d0-copy.csv").write_bytes((data / "d0.csv").read_bytes())
+        config = json.loads(config_path.read_text())
+        edit(config, data)
+        config_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        out = tmp / "report.json"
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFairnessCommand:
     def test_fairness_output(self, workspace):
         tmp, _, config_path = workspace
@@ -545,6 +611,28 @@ class TestDiagnoseCommand:
         assert code == 0
         summary = json.loads(out.with_suffix(".json").read_text())
         assert summary["pearson_label_error"] is not None
+
+    def test_diagnose_files_are_pinned(self, tmp_path):
+        # three unequal sizes take the merged-CDF path of sliced W1, the
+        # equal-size twin t1 of d1 the matched order-statistics path
+        specs = [blob_spec(f"d{i}", 60 + i, n=n, mean_shift=0.5 * i)
+                 for i, n in enumerate((70, 95, 130))]
+        specs.append(blob_spec("t1", 64, n=95, mean_shift=1.3, mix=(0.3, 0.7)))
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(json.dumps([spec_to_dict(s) for s in specs]))
+        assert main(["gen", "--config", str(spec_path), "--out", str(tmp_path / "data")]) == 0
+        ids = [s.domain_id for s in specs]
+        rows = ["source,target,test_error"]
+        rows += [f"{s},{t},{0.05 * (i + 2 * j) % 0.7:.3f}"
+                 for i, s in enumerate(ids) for j, t in enumerate(ids) if s != t]
+        (tmp_path / "errors.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "shift"
+        code = main(["diagnose", "--data", *[str(tmp_path / "data" / f"{d}.csv") for d in ids],
+                     "--errors", str(tmp_path / "errors.csv"), "--projections", "32",
+                     "--seed", "2", "--out", str(out)])
+        assert code == 0
+        assert {suffix: hashlib.sha256(out.with_suffix(suffix).read_bytes()).hexdigest()
+                for suffix in (".csv", ".json")} == DIAGNOSE_FILES_SHA256
 
     @pytest.mark.parametrize("bad_row, message", [
         ("d1,d0,nan", "line 4: test error 'nan' is not finite"),

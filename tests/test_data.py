@@ -287,6 +287,14 @@ class TestDatasetFiles:
         path.write_text("id,domain,label,sensitive,f0\na,d,0,0,oops\n")
         with pytest.raises(ValueError, match=r"non-numeric feature 'oops' at row 1, column f0"):
             load_dataset(path)
+        header = "id,domain,label,sensitive,f0,f1,f2,f3,f4\n"
+        path.write_text(header + "a,d,0,0,1,2,3,4,5\nb,d,0,0,1,2,3,x3,5\n")
+        with pytest.raises(ValueError, match=r"non-numeric feature 'x3' at row 2, column f3"):
+            load_dataset(path)
+        # with two bad fields in a row, the first is named
+        path.write_text(header + "a,d,0,0,1,bad1,3,bad3,5\n")
+        with pytest.raises(ValueError, match=r"non-numeric feature 'bad1' at row 1, column f1"):
+            load_dataset(path)
 
     def test_spec_round_trip(self):
         spec = simple_spec(seed=123)

@@ -173,6 +173,7 @@ SETTINGS = (
     + [("train", k) for k in ("epochs", "batch_size", "learning_rate", "momentum",
                               "hidden_sizes", "resample", "seed", "n_classes")]
     + [("domains", 0, k) for k in ("n_samples", "dim", "seed", "domain_id", "class_cov_scale")]
+    + [("fairness_bins",), ("dataset_paths", 1), ("domains", 1, "domain_id")]
     + [("scheme_overrides", "combined-dann", k)
        for k in ("domain_weight", "schedule", "ramp_fraction", "disc_hidden", "gamma",
                  "hard_max", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate")]
@@ -186,6 +187,8 @@ VALID = {
     ("train",): ["{}"], ("scheme_overrides",): ["{}"], ("train", "epochs"): ["0"],
     ("train", "learning_rate"): ["1.5"], ("train", "momentum"): ["0"],
     ("domains", 0, "seed"): ["0"], ("domains", 0, "domain_id"): ['"3"'],
+    ("domains", 1, "domain_id"): ['"3"'], ("fairness_bins",): ["null"],
+    ("dataset_paths", 1): ['"3"'],
     ("domains", 0, "class_cov_scale"): ["1.5"],
     ("scheme_overrides", "combined-dann", "domain_weight"): ["0", "1.5"],
     ("scheme_overrides", "combined-dann", "ramp_fraction"): ["0"],
@@ -198,15 +201,26 @@ VALID = {
     ("scheme_overrides", "rs-multi-m3sda", "align_weight"): ["0", "1.5"],
     ("scheme_overrides", "rs-multi-m3sda", "discrepancy_weight"): ["0", "1.5"],
 }
+# values malformed for one setting alone, beyond the probe's
+SPECIFIC = {
+    ("fairness_bins",): ['"zodiac"', "[[0, 1, 2]]", '[["a", 1]]', "[[1, 0]]", "[[0, NaN]]"],
+    ("dataset_paths", 1): ['""', "[1, 2]", '{"train": 1, "test": 2}', '{"train": "d1.csv"}',
+                           '{"train": "a.csv", "test": "b.csv", "extra": "c.csv"}'],
+    ("domains", 1, "domain_id"): ['"d0"'],
+}
 MALFORMED = [(setting, text) for setting in SETTINGS for text in PROBE_VALUES
              if text not in VALID.get(setting, [])]
+MALFORMED += [(setting, text) for setting, texts in SPECIFIC.items() for text in texts]
 
 
 def setting_name(setting: tuple) -> str:
-    """How an error message names the setting: domains[0]: n_samples, or the
-    dotted path such as scheme_overrides.combined-dann.gamma."""
+    """How an error message names the setting: domains[0]: n_samples,
+    dataset_paths[1], or the dotted path such as
+    scheme_overrides.combined-dann.gamma."""
     if setting[0] == "domains":
         return f"domains[{setting[1]}]: {setting[2]}"
+    if setting[0] == "dataset_paths" and len(setting) > 1:
+        return f"dataset_paths[{setting[1]}]"
     return ".".join(setting)
 
 
@@ -215,6 +229,10 @@ def setting_name(setting: tuple) -> str:
 def test_a_malformed_setting_is_a_config_error_naming_it(tmp_path_factory, pair):
     setting, text = pair
     config = experiment()
+    if setting[0] == "dataset_paths" and len(setting) > 1:
+        # a file-based experiment: its entries are checked before any file is read
+        del config["domains"]
+        config["dataset_paths"] = [f"d{i}.csv" for i in range(3)]
     parent = config
     for key in setting[:-1]:
         parent = parent[key]

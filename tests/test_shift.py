@@ -184,6 +184,20 @@ class TestWassersteinBitIdentity:
             # the projected values themselves tie in 1-D
             assert len(np.unique(np.concatenate([a, b]))) < len(a) + len(b)
 
+    @pytest.mark.parametrize("u, v", [
+        (np.arange(5.0), np.arange(10.0, 17.0)),
+        (np.arange(10.0, 17.0), np.arange(5.0)),
+        (np.array([2.5]), np.linspace(0.0, 5.0, 9)),
+        (np.linspace(0.0, 5.0, 9), np.array([-1.0])),
+        (np.full(6, 1.5), np.full(11, 1.5)),
+        (np.r_[np.zeros(40), np.ones(25), [3.0]], np.r_[[-1.0], np.zeros(30), np.ones(70)]),
+    ], ids=["disjoint-below", "disjoint-above", "size-1-first", "size-1-second",
+            "all-equal", "tied-runs-split-across-both"])
+    def test_closed_form_count_cases(self, u, v):
+        for a, b in ((u, v), (v, u)):
+            got = wasserstein_feature_distance(a[:, None], b[:, None])
+            assert got == w1_exact_1d_reference(a, b)
+
     def test_projection_counts_off_the_block_size(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(90, 4))
