@@ -40,6 +40,7 @@ from .nn import (
 
 __all__ = [
     "AdversarialConfig",
+    "TRAINER_FIELDS",
     "soft_aggregate",
     "train_dann",
     "train_adda",
@@ -84,6 +85,15 @@ class AdversarialConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.adapt_learning_rate is not None and self.adapt_learning_rate <= 0:
             raise ValueError("adapt_learning_rate must be > 0")
+
+
+# the AdversarialConfig fields, beside train, that each trainer reads
+TRAINER_FIELDS = {
+    "train_dann": ("domain_weight", "schedule", "ramp_fraction", "disc_hidden"),
+    "train_adda": ("disc_hidden", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate"),
+    "train_mdan": ("domain_weight", "schedule", "ramp_fraction", "disc_hidden", "gamma",
+                   "hard_max"),
+}
 
 
 def soft_aggregate(values: Sequence[float], gamma: float) -> float:

@@ -272,7 +272,6 @@ class SplitPair:
 
     train: DomainDataset
     test: DomainDataset
-    ratio: float
 
 
 def generate_domain(spec: DomainSpec) -> DomainDataset:
@@ -309,7 +308,7 @@ def stratified_split(data: DomainDataset, ratio: float, seed: int) -> SplitPair:
         test_mask[members[picked]] = True
     train_idx = np.flatnonzero(~test_mask)
     test_idx = np.flatnonzero(test_mask)
-    return SplitPair(data.subset(train_idx), data.subset(test_idx), ratio)
+    return SplitPair(data.subset(train_idx), data.subset(test_idx))
 
 
 def concat_domains(domains: list[DomainDataset]) -> DomainDataset:
@@ -376,13 +375,8 @@ def save_dataset(data: DomainDataset, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_dataset(path: str | Path, n_classes: int | None = None,
-                 n_groups: int | None = None) -> DomainDataset:
-    """Read a dataset CSV; inverse of save_dataset.
-
-    Optional n_classes / n_groups bounds turn out-of-range ids into errors
-    that name the offending row and column.
-    """
+def load_dataset(path: str | Path) -> DomainDataset:
+    """Read a dataset CSV; inverse of save_dataset. A bad field is named by row and column."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -408,8 +402,8 @@ def load_dataset(path: str | Path, n_classes: int | None = None,
             raise ValueError(f"{path}: row {r + 1} has {len(parts)} fields, expected {4 + dim}")
         ids.append(parts[0])
         domains.add(parts[1])
-        labels[r] = _parse_id_field(parts[2], "label", r, n_classes, path)
-        sensitive[r] = _parse_id_field(parts[3], "sensitive", r, n_groups, path)
+        labels[r] = _parse_id_field(parts[2], "label", r, path)
+        sensitive[r] = _parse_id_field(parts[3], "sensitive", r, path)
         try:
             features[r] = [float(t) for t in parts[4:]]
         except ValueError:
@@ -421,17 +415,22 @@ def load_dataset(path: str | Path, n_classes: int | None = None,
                     raise ValueError(
                         f"{path}: non-numeric feature {text!r} at row {r + 1}, column f{j}"
                     ) from None
+    # float() also reads nan, inf and overflowing text such as 1e999
+    if not np.isfinite(features).all():
+        r, j = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(f"{path}: non-finite feature {rows[r].split(',')[4 + j]!r} "
+                         f"at row {r + 1}, column f{j}")
     if len(domains) != 1:
         raise ValueError(f"{path}: mixed domain ids {sorted(domains)}")
     return DomainDataset(domains.pop(), features, labels, sensitive, tuple(ids))
 
 
-def _parse_id_field(text: str, column: str, row: int, bound: int | None, path: Path) -> int:
+def _parse_id_field(text: str, column: str, row: int, path: Path) -> int:
     try:
         value = int(text)
     except ValueError:
         raise ValueError(f"{path}: non-integer {column} {text!r} at row {row + 1}, column {column}") from None
-    if value < 0 or (bound is not None and value >= bound):
+    if value < 0:
         raise ValueError(
             f"{path}: {column} {value} out of range at row {row + 1}, column {column}"
         )

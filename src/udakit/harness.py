@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .adversarial import AdversarialConfig, train_adda, train_dann, train_mdan
+from .adversarial import TRAINER_FIELDS, AdversarialConfig, train_adda, train_dann, train_mdan
 from .data import (
     DomainDataset,
     DomainSpec,
@@ -123,8 +123,9 @@ class ExperimentConfig:
         check_fields(self)
         if self.task not in ("binary", "multiclass"):
             raise ValueError(f"task must be binary or multiclass, got {self.task!r}")
-        if not self.schemes:
-            raise ValueError("schemes must name at least one scheme")
+        for key in ("schemes", "fairness_schemes"):
+            if getattr(self, key) == []:
+                raise ValueError(f"{key} must name at least one scheme")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not 0.0 < self.split_ratio < 1.0:
@@ -149,7 +150,11 @@ class ExperimentConfig:
                                  f"exactly the paths train and test, got {entry!r}")
         if self.fairness_bins is not None:
             _within("fairness_bins: ", lambda: group_bins(self.fairness_bins))
-        for scheme in [*self.schemes, *(self.fairness_schemes or []), *self.scheme_overrides]:
+        named = [(f"{key}[{i}]", scheme) for key in ("schemes", "fairness_schemes")
+                 for i, scheme in enumerate(getattr(self, key) or [])]
+        named += [(f"scheme_overrides.{scheme}", scheme) for scheme in self.scheme_overrides]
+        for path, scheme in named:
+            _within(f"{path}: ", lambda: parse_scheme(scheme))
             trainer_config(self, scheme, self.n_classes, 0)
 
     @staticmethod
@@ -202,7 +207,7 @@ def materialize_domains(cfg: ExperimentConfig) -> dict[str, SplitPair]:
             if train.domain_id != test.domain_id:
                 raise ValueError(
                     f"pre-split pair mixes domains {train.domain_id!r} and {test.domain_id!r}")
-            pair = SplitPair(train, test, cfg.split_ratio)
+            pair = SplitPair(train, test)
         else:
             data = generate_domain(entry) if isinstance(entry, DomainSpec) else load_dataset(entry)
             seed = cell_seed(cfg.base_seed, f"split:{data.domain_id}", 0)
@@ -284,10 +289,10 @@ def trainer_config(cfg: ExperimentConfig, scheme: str, n_classes: int | None,
     schemes, else an AdversarialConfig or MomentConfig around one.
 
     Settings come from cfg.train, then the scheme's overrides, which alone may
-    set the trainer's own fields; single-source schemes default learning_rate
-    to SINGLE_SOURCE_LEARNING_RATE. The harness sets seed, resample (the
-    "rs-" prefix) and n_classes, so the config may not. A bad setting raises
-    ValueError naming its path, e.g. scheme_overrides.single-dann.gamma.
+    set the own fields its trainer reads (adversarial ones: TRAINER_FIELDS);
+    single-source schemes default learning_rate to SINGLE_SOURCE_LEARNING_RATE.
+    The harness sets seed, resample (the "rs-" prefix) and n_classes, so the config
+    may not. A bad setting raises ValueError naming its path (scheme_overrides.multi-mdan.gamma).
     """
     base, resample = parse_scheme(scheme)
     kind = (TrainConfig if base.endswith("-erm")
@@ -296,7 +301,9 @@ def trainer_config(cfg: ExperimentConfig, scheme: str, n_classes: int | None,
     overrides = check_value(where, cfg.scheme_overrides.get(scheme, {}), dict)
     fixed = {"n_classes": n_classes, "resample": resample, "seed": seed}
     train_keys = TrainConfig.__dataclass_fields__.keys() - fixed.keys()
-    own_keys = set() if kind is TrainConfig else kind.__dataclass_fields__.keys() - {"train"}
+    # M3SDA reads every MomentConfig field; ERM reads none beyond train
+    own_keys = (MomentConfig.__dataclass_fields__.keys() - {"train"} if kind is MomentConfig
+                else set(TRAINER_FIELDS.get(f"train_{base.split('-')[1]}", ())))
     settings = {"learning_rate": SINGLE_SOURCE_LEARNING_RATE} if base.startswith("single") else {}
     for path, label, given, allowed in (("train", "train", cfg.train, train_keys),
                                         (where, "override", overrides, train_keys | own_keys)):
@@ -306,8 +313,8 @@ def trainer_config(cfg: ExperimentConfig, scheme: str, n_classes: int | None,
                              "resample by the rs- prefix, n_classes by the experiment or data)")
         unknown = sorted(given.keys() - allowed)
         if unknown:
-            raise ValueError(f"unknown {label} keys {unknown} for {scheme}; "
-                             f"its trainer reads {sorted(allowed)}")
+            raise ValueError(f"{path}.{unknown[0]}: unknown {label} keys {unknown} for "
+                             f"{scheme}; its trainer reads {sorted(allowed)}")
         settings.update((k, v) for k, v in given.items() if k in train_keys)
         train = _within(f"{path}.", lambda: TrainConfig(**settings, **fixed))
     if kind is TrainConfig:

@@ -284,13 +284,12 @@ class FairnessReport:
         return asdict(self)
 
 
-def fairness_report(pred: PredictionSet, basis: str = "auto",
-                    strict: bool = False) -> FairnessReport:
+def fairness_report(pred: PredictionSet) -> FairnessReport:
     """Compute PQD/DPM/EOM together with the tables behind them."""
-    basis = _resolve_basis(pred, basis)
+    basis = _resolve_basis(pred, "auto")
     per_group = _group_quality(pred, basis)
     rates = _prediction_rates(pred)
-    eom_value, recall_table, flags = _eom_details(pred, strict)
+    eom_value, recall_table, flags = _eom_details(pred, strict=False)
     if basis == "accuracy":
         overall = accuracy(pred)
     else:

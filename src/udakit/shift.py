@@ -211,7 +211,6 @@ class ShiftReport:
 def build_shift_matrix(domains: list[DomainDataset],
                        error_table: dict[tuple[str, str], float] | None = None,
                        projections: int = 256, seed: int = 0,
-                       epsilon: float = 1e-6,
                        n_classes: int | None = None) -> ShiftReport:
     """Distances for every ordered pair of distinct domains.
 
@@ -241,7 +240,7 @@ def build_shift_matrix(domains: list[DomainDataset],
                 continue
             pairs[(src.domain_id, tgt.domain_id)] = PairShift(
                 feature_distance=w1[(i, j)],
-                label_distance=chi_square_label_divergence(src, tgt, epsilon, n_classes),
+                label_distance=chi_square_label_divergence(src, tgt, n_classes=n_classes),
             )
 
     report = ShiftReport(ids, pairs)

@@ -20,7 +20,11 @@ from udakit import harness
 from udakit.cli import main
 from udakit.data import spec_to_dict
 from test_harness import (
+    MOMENT_KEYS,
+    OWN_KEYS,
+    OWN_VALUES,
     PINNED_SCHEMES,
+    TRAIN_KEYS,
     accuracy_weighted_m3sda_config,
     blob_spec,
     diverging_fairness_config,
@@ -60,6 +64,13 @@ def train_files_config():
     multi-m3sda weighting its heads by held-out accuracy."""
     return pinned_grid_config(PINNED_SCHEMES + ["multi-m3sda"], epochs=3,
                               scheme_overrides={"multi-m3sda": {"ensemble": "accuracy"}})
+
+
+# a valid value, other than the default, of every AdversarialConfig field
+ADVERSARIAL_VALUES = {k: v for k, v in OWN_VALUES.items() if k not in MOMENT_KEYS}
+# the 18 (scheme base, AdversarialConfig field its trainer never reads) pairs
+UNREAD_OVERRIDES = [(scheme, key) for scheme, own in OWN_KEYS.items()
+                    for key in ADVERSARIAL_VALUES if key not in own]
 
 
 @pytest.fixture
@@ -379,6 +390,21 @@ class TestMatrixCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme, key", UNREAD_OVERRIDES)
+    def test_override_the_trainer_does_not_read_is_a_config_error(self, workspace, capsys,
+                                                                  scheme, key):
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        config["scheme_overrides"] = {scheme: {key: ADVERSARIAL_VALUES[key]}}
+        bad = tmp / "unread.json"
+        bad.write_text(json.dumps(config))
+        out = tmp / "report.json"
+        assert main(["matrix", "--config", str(bad), "--out", str(out)]) == 1
+        reads = sorted([*TRAIN_KEYS, *OWN_KEYS[scheme]])
+        assert (f"udakit: error: scheme_overrides.{scheme}.{key}: unknown override keys "
+                f"['{key}'] for {scheme}; its trainer reads {reads}" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_float_hidden_sizes_train_as_their_ints(self, workspace):
         tmp, _, config_path = workspace
         config = json.loads(config_path.read_text())
@@ -498,6 +524,14 @@ def duplicate_domain_id(config, data):
     config["domains"][1]["domain_id"] = "d0"
 
 
+def nan_feature(config, data):
+    """dataset_paths naming the generated files, with nan put in d1's row 3, column f1."""
+    lines = (data / "d1.csv").read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:5] + ["nan"])
+    (data / "d1.csv").write_text("\n".join(lines) + "\n")
+    file_paths("d0", "d1", "d2")(config, data)
+
+
 class TestLoadTimeChecks:
     """Settings that once escaped cli.main as tracebacks, trained before they
     failed, or ran on silently: each is a config error (exit 1) naming the
@@ -517,9 +551,19 @@ class TestLoadTimeChecks:
                                         "domains[0]"),
         ("matrix", file_paths("d0", "d1", "d0-copy"),
          "dataset_paths[2]: domain id 'd0' is already the id of an earlier entry"),
+        ("matrix", setting("schemes", ["single-erm", "bogus"]),
+         "schemes[1]: unknown scheme 'bogus'; bases are"),
+        ("fairness", setting("fairness_schemes", ["combined-erm", "bogus"]),
+         "fairness_schemes[1]: unknown scheme 'bogus'; bases are"),
+        ("matrix", setting("scheme_overrides", {"bogus": {}}),
+         "scheme_overrides.bogus: unknown scheme 'bogus'; bases are"),
+        ("fairness", setting("fairness_schemes", []),
+         "fairness_schemes must name at least one scheme"),
+        ("matrix", nan_feature, "d1.csv: non-finite feature 'nan' at row 3, column f1"),
     ], ids=["paths-not-strings", "pair-not-strings", "pair-without-test", "matrix-unknown-bins",
             "fairness-unknown-bins", "bin-of-three", "bin-not-numbers", "repeated-spec-id",
-            "repeated-file-id"])
+            "repeated-file-id", "unknown-scheme", "unknown-fairness-scheme",
+            "unknown-override-scheme", "no-fairness-schemes", "nan-feature-file"])
     def test_bad_setting_exits_1(self, workspace, capsys, command, edit, message):
         tmp, spec_path, config_path = workspace
         data = tmp / "data"

@@ -278,9 +278,19 @@ class TestDatasetFiles:
         path = tmp_path / "bad.csv"
         path.write_text("id,domain,label,sensitive,f0\n"
                         "a,d,0,0,1.5\n"
-                        "b,d,2,0,2.5\n")
-        with pytest.raises(ValueError, match=r"label 2 out of range at row 2, column label"):
-            load_dataset(path, n_classes=2)
+                        "b,d,-1,0,2.5\n")
+        with pytest.raises(ValueError, match=r"label -1 out of range at row 2, column label"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_names_file_row_and_column(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,domain,label,sensitive,f0,f1\n"
+                        "a,d,1,0,2.0,1.0\n"
+                        f"b,d,1,0,1.0,{text}\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: non-finite feature '{text}' at row 2, column f1"
 
     def test_non_numeric_feature_names_position(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -60,6 +60,24 @@ PINNED_SCHEMES = ["single-erm", "single-dann", "combined-erm", "rs-combined-dann
 PINNED_REPORT_SHA256 = "5f4810f126a407c6dde28c39d29909f031fb47436602901e314820c50fb0bc62"
 
 
+# the settings every scheme's overrides take, the AdversarialConfig fields that
+# each adversarial scheme base's trainer reads beside them, and the MomentConfig
+# fields that train_m3sda reads
+TRAIN_KEYS = ["epochs", "batch_size", "learning_rate", "momentum", "hidden_sizes"]
+REVERSAL_KEYS = ["domain_weight", "schedule", "ramp_fraction", "disc_hidden"]
+OWN_KEYS = {"single-dann": REVERSAL_KEYS, "combined-dann": REVERSAL_KEYS,
+            "combined-adda": ["disc_hidden", "pretrain_epochs", "adapt_epochs",
+                              "adapt_learning_rate"],
+            "multi-mdan": [*REVERSAL_KEYS, "gamma", "hard_max"]}
+MOMENT_KEYS = ["align_weight", "discrepancy_weight", "ensemble", "holdout_ratio"]
+# a valid value, other than the default, of every AdversarialConfig and MomentConfig field
+OWN_VALUES = {"domain_weight": 0.5, "schedule": "constant", "ramp_fraction": 0.5,
+              "disc_hidden": [8], "gamma": 3.0, "hard_max": True, "pretrain_epochs": 1,
+              "adapt_epochs": 1, "adapt_learning_rate": 1e-2,
+              "align_weight": 0.3, "discrepancy_weight": 0.5, "ensemble": "accuracy",
+              "holdout_ratio": 0.4}
+
+
 def one_class_target_config(repeats=2):
     """The pinned grid's domains with the third one holding class 0 only;
     all seven scheme bases, trained briefly."""
@@ -163,6 +181,23 @@ class TestConfigValidation:
     def test_override_keys_of_the_schemes_trainer_accepted(self, scheme, key, value):
         cfg = quick_config([scheme], scheme_overrides={scheme: {key: value}})
         assert cfg.scheme_overrides[scheme] == {key: value}
+
+    @pytest.mark.parametrize("scheme, key", [
+        (scheme, key) for scheme, keys in [*OWN_KEYS.items(), ("multi-m3sda", MOMENT_KEYS)]
+        for key in keys])
+    def test_every_own_key_a_scheme_accepts_changes_its_model(self, scheme, key):
+        # holdout_ratio sizes the held-out slice only under the accuracy ensemble
+        base = {"ensemble": "accuracy"} if key == "holdout_ratio" else {}
+        models = []
+        for overrides in (base, {**base, key: OWN_VALUES[key]}):
+            cfg = quick_config([scheme], n_domains=3, train={"epochs": 2},
+                               scheme_overrides={scheme: overrides})
+            grid = harness.open_grid(cfg, [scheme])
+            source = harness.scheme_sources(scheme, grid.ids, "d0")[0]
+            model = harness.train_cell(grid.splits, "d0", scheme, source, cfg, 2, seed=1)
+            params = np.concatenate([net.params for net in (model.extractor, *model.classifiers)])
+            models.append((params.tobytes(), model.ensemble_weights))
+        assert models[0] != models[1]
 
     def test_binary_task_requires_two_classes(self):
         specs = [DomainSpec(f"d{i}", 40, 2, np.array([[0, 0], [2, 0], [1, 1]]), 0.5,

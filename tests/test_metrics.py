@@ -166,7 +166,8 @@ class TestEom:
         # recalls are 1.0 and 0.5, so EOM = (0.5 + 1.0) / 2
         p = pset([0, 0, 0, 0], [0, 0, 0, 1], sensitive=[0, 0, 1, 1], n_classes=2)
         assert eom(p) == pytest.approx(0.75)
-        report = fairness_report(p, basis="accuracy")
+        report = fairness_report(p)     # no scores: the basis is accuracy
+        assert report.quality_basis == "accuracy"
         assert any("absent from every group" in f for f in report.flags)
 
     def test_partial_absence_skipped_by_default(self):

@@ -155,7 +155,8 @@ def test_dataset_file_round_trip_is_exact_or_refused(tmp_path_factory, data, n, 
 
 def experiment() -> dict:
     """A valid three-domain experiment file's contents, with an (empty)
-    override entry for one adversarial and one moment-matching scheme."""
+    override entry for a scheme of each adversarial trainer and the
+    moment-matching one."""
     domains = [{"domain_id": f"d{i}", "n_samples": 40, "dim": 2,
                 "class_means": [[0.3 * i, 0.0], [3.0 + 0.3 * i, 0.0]], "class_cov_scale": 0.6,
                 "label_distribution": [0.5, 0.5], "sensitive_distribution": [1.0],
@@ -163,7 +164,8 @@ def experiment() -> dict:
     return {"task": "binary", "schemes": ["single-erm", "combined-dann", "rs-multi-m3sda"],
             "domains": domains, "repeats": 1, "base_seed": 5, "n_classes": 2,
             "train": {"epochs": 1, "hidden_sizes": [4], "batch_size": 32},
-            "scheme_overrides": {"combined-dann": {}, "rs-multi-m3sda": {}}}
+            "scheme_overrides": {"combined-dann": {}, "combined-adda": {}, "multi-mdan": {},
+                                 "rs-multi-m3sda": {}}}
 
 
 # every setting of the validation probe, each as its key path in experiment()
@@ -174,7 +176,8 @@ SETTINGS = (
                               "hidden_sizes", "resample", "seed", "n_classes")]
     + [("domains", 0, k) for k in ("n_samples", "dim", "seed", "domain_id", "class_cov_scale")]
     + [("fairness_bins",), ("dataset_paths", 1), ("domains", 1, "domain_id")]
-    + [("scheme_overrides", "combined-dann", k)
+    + [("scheme_overrides", scheme, k)
+       for scheme in ("combined-dann", "combined-adda", "multi-mdan")
        for k in ("domain_weight", "schedule", "ramp_fraction", "disc_hidden", "gamma",
                  "hard_max", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate")]
     + [("scheme_overrides", "rs-multi-m3sda", k)
@@ -190,14 +193,19 @@ VALID = {
     ("domains", 1, "domain_id"): ['"3"'], ("fairness_bins",): ["null"],
     ("dataset_paths", 1): ['"3"'],
     ("domains", 0, "class_cov_scale"): ["1.5"],
+    # an override key its trainer does not read takes no value at all
     ("scheme_overrides", "combined-dann", "domain_weight"): ["0", "1.5"],
     ("scheme_overrides", "combined-dann", "ramp_fraction"): ["0"],
     ("scheme_overrides", "combined-dann", "disc_hidden"): ["[]"],
-    ("scheme_overrides", "combined-dann", "gamma"): ["1.5"],
-    ("scheme_overrides", "combined-dann", "hard_max"): ["true"],
-    ("scheme_overrides", "combined-dann", "pretrain_epochs"): ["null", "0"],
-    ("scheme_overrides", "combined-dann", "adapt_epochs"): ["null", "0"],
-    ("scheme_overrides", "combined-dann", "adapt_learning_rate"): ["null", "1.5"],
+    ("scheme_overrides", "combined-adda", "disc_hidden"): ["[]"],
+    ("scheme_overrides", "combined-adda", "pretrain_epochs"): ["null", "0"],
+    ("scheme_overrides", "combined-adda", "adapt_epochs"): ["null", "0"],
+    ("scheme_overrides", "combined-adda", "adapt_learning_rate"): ["null", "1.5"],
+    ("scheme_overrides", "multi-mdan", "domain_weight"): ["0", "1.5"],
+    ("scheme_overrides", "multi-mdan", "ramp_fraction"): ["0"],
+    ("scheme_overrides", "multi-mdan", "disc_hidden"): ["[]"],
+    ("scheme_overrides", "multi-mdan", "gamma"): ["1.5"],
+    ("scheme_overrides", "multi-mdan", "hard_max"): ["true"],
     ("scheme_overrides", "rs-multi-m3sda", "align_weight"): ["0", "1.5"],
     ("scheme_overrides", "rs-multi-m3sda", "discrepancy_weight"): ["0", "1.5"],
 }

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "udakit"
 
@@ -81,3 +85,60 @@ def unused_public_definitions(root: Path) -> list[str]:
 
 def test_every_public_definition_has_a_use_outside_the_tests():
     assert unused_public_definitions(PACKAGE.parents[1]) == []
+
+
+# The benchmark under perfbench/ drives udakit through these entry points;
+# a simplification that breaks one of them breaks the benchmark.
+
+def perfbench_constant(module: str, name: str):
+    """The literal value of a top-level constant of perfbench/<module>.py."""
+    path = PACKAGE.parents[1] / "perfbench" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == name for target in node.targets))
+
+
+def test_train_cell_takes_the_positional_parameters_perfbench_passes():
+    from udakit import harness
+
+    params = inspect.signature(harness.train_cell).parameters.values()
+    assert [p.name for p in params] == ["splits", "target_id", "scheme", "source_label", "cfg",
+                                        "n_classes", "seed"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+
+
+@pytest.mark.parametrize("command", ["matrix", "fairness"])
+def test_matrix_and_fairness_accept_workers(tmp_path, capsys, command):
+    from udakit.cli import main
+
+    # a usage error raises SystemExit; a missing config file returns 1
+    assert main([command, "--config", str(tmp_path / "missing.json"), "--workers", "2"]) == 1
+    assert "missing.json" in capsys.readouterr().err
+
+
+def test_harness_binds_the_trainers_perfbench_calls_through_it():
+    from udakit import adversarial, harness, nn
+
+    assert harness.train_erm is nn.train_erm
+    assert harness.train_adda is adversarial.train_adda
+
+
+def test_every_trainer_perfbench_traces_is_a_udakit_function():
+    trainers = perfbench_constant("tracer", "TRAINERS")
+    assert len(trainers) == 5
+    for name in trainers:
+        module, function = name.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module(f"udakit.{module}"), function))
+
+
+def test_every_udakit_name_perfbench_imports_exists():
+    imports = [(node.module, alias.name)
+               for path in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("udakit")
+               for alias in node.names]
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
