@@ -53,18 +53,18 @@ class AdversarialConfig:
     """Knobs shared by the adversarial trainers.
 
     domain_weight scales the reversed gradient flowing from the domain
-    branch into the extractor; with the "ramp" schedule it rises linearly
-    from 0 over the first ramp_fraction of all steps. gamma sets how sharply
-    the multi-source trainer's soft maximum concentrates on the worst source.
+    branch into the extractor; it rises linearly from 0 over the first
+    ramp_fraction of all steps, and ramp_fraction 0 gives the full weight
+    from the first step. gamma sets how sharply the multi-source trainer's
+    soft maximum concentrates on the worst source; None takes the hard
+    maximum, the gamma -> inf limit.
     """
 
     train: TrainConfig = field(default_factory=TrainConfig)
     domain_weight: float = 1.0
-    schedule: str = "ramp"
     ramp_fraction: float = 0.2
     disc_hidden: tuple[int, ...] = (16,)
-    gamma: float = 10.0
-    hard_max: bool = False
+    gamma: float | None = 10.0
     pretrain_epochs: int | None = None
     adapt_epochs: int | None = None
     adapt_learning_rate: float | None = None  # stage-2 target-extractor rate
@@ -73,12 +73,10 @@ class AdversarialConfig:
         check_fields(self)
         if self.domain_weight < 0:
             raise ValueError("domain_weight must be >= 0")
-        if self.schedule not in ("constant", "ramp"):
-            raise ValueError(f"schedule: unknown schedule {self.schedule!r}")
         if not 0.0 <= self.ramp_fraction <= 1.0:
             raise ValueError("ramp_fraction must be in [0, 1]")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if self.gamma is not None and self.gamma <= 0:
+            raise ValueError("gamma must be > 0, or null for the hard maximum")
         self.disc_hidden = layer_sizes(self.disc_hidden, "disc_hidden")
         for name in ("pretrain_epochs", "adapt_epochs"):
             if getattr(self, name) is not None and getattr(self, name) < 0:
@@ -89,10 +87,9 @@ class AdversarialConfig:
 
 # the AdversarialConfig fields, beside train, that each trainer reads
 TRAINER_FIELDS = {
-    "train_dann": ("domain_weight", "schedule", "ramp_fraction", "disc_hidden"),
+    "train_dann": ("domain_weight", "ramp_fraction", "disc_hidden"),
     "train_adda": ("disc_hidden", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate"),
-    "train_mdan": ("domain_weight", "schedule", "ramp_fraction", "disc_hidden", "gamma",
-                   "hard_max"),
+    "train_mdan": ("domain_weight", "ramp_fraction", "disc_hidden", "gamma"),
 }
 
 
@@ -109,8 +106,13 @@ def soft_aggregate(values: Sequence[float], gamma: float) -> float:
     return float(m + np.log(np.mean(np.exp(z - m)))) / gamma
 
 
+def _discriminator(cfg: AdversarialConfig, rng: np.random.Generator) -> Mlp:
+    """A fresh binary domain discriminator on the extractor's features."""
+    return init_mlp([cfg.train.hidden_sizes[-1], *cfg.disc_hidden, 2], rng, final="identity")
+
+
 def _domain_weight_at(cfg: AdversarialConfig, step: int, total_steps: int) -> float:
-    if cfg.schedule == "constant":
+    if not cfg.ramp_fraction:
         return float(cfg.domain_weight)
     ramp_steps = max(1.0, cfg.ramp_fraction * total_steps)
     return cfg.domain_weight * min(1.0, step / ramp_steps)
@@ -131,7 +133,7 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     n_classes = resolve_n_classes(tcfg, source.labels)
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
     extractor, classifier = build_model(source.dim, n_classes, tcfg, rng_init)
-    disc = init_mlp([tcfg.hidden_sizes[-1], *cfg.disc_hidden, 2], rng_disc, final="identity")
+    disc = _discriminator(cfg, rng_disc)
     blocks = [("extractor", extractor.params), ("classifier", classifier.params),
               ("discriminator", disc.params)]
     opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
@@ -172,8 +174,22 @@ def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
     reversal is that sign and scale, applied to the discriminator's input
     gradient).
     """
-    feats_s, acts_s = forward(extractor, xs)
     feats_t, acts_t = forward(extractor, xt)
+    cls_loss, dom_loss, acts_s, c_grad, dfeat_cls, d_grad, ddom_in = _source_step(
+        extractor, classifier, disc, xs, ys, feats_t, dom_labels)
+    rev = -lam * ddom_in
+
+    f_grad, _ = backward(extractor, acts_s, dfeat_cls + rev[:len(xs)], input_grad=False)
+    f_grad += backward(extractor, acts_t, rev[len(xs):], input_grad=False)[0]
+    return cls_loss, dom_loss, [f_grad, c_grad, d_grad]
+
+
+def _source_step(extractor: Mlp, classifier: Mlp, disc: Mlp, xs: np.ndarray, ys: np.ndarray,
+                 feats_t: np.ndarray, dom_labels: np.ndarray) -> tuple:
+    """One source batch through the classifier, then through disc beside feats_t:
+    (cls_loss, dom_loss, acts_s, classifier grad, its feature grad, disc grad,
+    disc input grad)."""
+    feats_s, acts_s = forward(extractor, xs)
     logits, c_acts = forward(classifier, feats_s)
     cls_loss, dlogits = cross_entropy(logits, ys)
     c_grad, dfeat_cls = backward(classifier, c_acts, dlogits)
@@ -182,12 +198,7 @@ def _dann_step_grads(extractor: Mlp, classifier: Mlp, disc: Mlp,
     dom_logits, d_acts = forward(disc, dom_in)
     dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
     d_grad, ddom_in = backward(disc, d_acts, ddl)
-    rev = -lam * ddom_in
-
-    f_grad, _ = backward(extractor, acts_s, dfeat_cls + rev[:len(xs)], input_grad=False)
-    f_grad_t, _ = backward(extractor, acts_t, rev[len(xs):], input_grad=False)
-    f_grad += f_grad_t
-    return cls_loss, dom_loss, [f_grad, c_grad, d_grad]
+    return cls_loss, dom_loss, acts_s, c_grad, dfeat_cls, d_grad, ddom_in
 
 
 def train_adda(source: DomainDataset, target: UnlabeledDomain,
@@ -211,7 +222,7 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     streams = seed_streams(tcfg.seed, n=8)
     rng_batch, rng_tgt, rng_disc = streams[5], streams[6], streams[4]
     target_extractor = source_extractor.copy()
-    disc = init_mlp([tcfg.hidden_sizes[-1], *cfg.disc_hidden, 2], rng_disc, final="identity")
+    disc = _discriminator(cfg, rng_disc)
     disc_blocks = [("discriminator", disc.params)]
     ext_blocks = [("target_extractor", target_extractor.params)]
     disc_opt = init_sgd(disc_blocks, tcfg.learning_rate, tcfg.momentum)
@@ -258,7 +269,7 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     record.warnings += [f"discriminator accuracy {acc:.3f} > 0.99 through epoch {epoch}"
                         for epoch, acc in enumerate(record.epoch_losses["discriminator_accuracy"])
                         if acc > 0.99]
-    record.final["classification_loss"] = stage1.record.final["classification_loss"]
+    record.final.update(stage1.record.final)   # classification_loss, once stage 1 ran
     if adapt:
         record.final["domain_loss"] = record.epoch_losses["domain"][-1]
         record.final["discriminator_accuracy"] = record.epoch_losses["discriminator_accuracy"][-1]
@@ -272,7 +283,8 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     One shared extractor and label predictor train on every source; each
     source k gets its own discriminator against the target. Per-source loss
     e_k = classification_k + domain_weight * domain_k combines through
-    soft_aggregate, so harder sources dominate the update.
+    soft_aggregate (or, with gamma None, their maximum), so harder sources
+    dominate the update.
     """
     if len(sources) < 2:
         raise ValueError("train_mdan needs at least 2 sources; use train_dann for one source")
@@ -281,8 +293,7 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     n_classes = resolve_n_classes(tcfg, *[s.labels for s in sources])
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
     extractor, classifier = build_model(target.dim, n_classes, tcfg, rng_init)
-    discs = [init_mlp([tcfg.hidden_sizes[-1], *cfg.disc_hidden, 2], rng_disc, final="identity")
-             for _ in sources]
+    discs = [_discriminator(cfg, rng_disc) for _ in sources]
 
     blocks = [("extractor", extractor.params), ("classifier", classifier.params)]
     for k, d in enumerate(discs):
@@ -298,8 +309,7 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     def step(batch) -> tuple[dict[str, float], list[np.ndarray]]:
         batches, xt = batch
         return _mdan_step_grads(extractor, classifier, discs, batches, xt, dom_labels,
-                                _domain_weight_at(cfg, opt.step, total_steps),
-                                cfg.gamma, cfg.hard_max)
+                                _domain_weight_at(cfg, opt.step, total_steps), cfg.gamma)
 
     run_epochs(record, blocks, opt, tcfg.epochs,
                multi_source_batches(sources, target, tcfg, n_classes, rng_batch, rng_tgt),
@@ -312,10 +322,11 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
 
 def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
                      batches: list[tuple[np.ndarray, np.ndarray]], xt: np.ndarray,
-                     dom_labels: np.ndarray, lam: float, gamma: float, hard_max: bool,
+                     dom_labels: np.ndarray, lam: float, gamma: float | None,
                      reverse_domain: bool = True) -> tuple[dict, list[np.ndarray]]:
     """Losses and gradients for one multi-source step. Each source batch has as
     many rows as xt; dom_labels is 0 for a source batch's rows, then 1 for xt's.
+    gamma None puts all the weight on the worst source (the hard maximum).
 
     Setting reverse_domain=False yields the true gradient of the aggregated
     scalar (used by finite-difference checks); training keeps the reversal on
@@ -324,26 +335,11 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
     feats_t, acts_t = forward(extractor, xt)
     # -1: reversal (extractor fights the discriminators); +1: plain gradient
     sign = -1.0 if reverse_domain else 1.0
+    per_source = [_source_step(extractor, classifier, disc, xs, ys, feats_t, dom_labels)
+                  for (xs, ys), disc in zip(batches, discs)]
 
-    per_source = []
-    for (xs, ys), disc in zip(batches, discs):
-        feats_s, acts_s = forward(extractor, xs)
-        logits, c_acts = forward(classifier, feats_s)
-        cls_loss, dlogits = cross_entropy(logits, ys)
-        c_grad, dfeat_cls = backward(classifier, c_acts, dlogits)
-
-        dom_in = np.concatenate([feats_s, feats_t], axis=0)
-        dom_logits, d_acts = forward(disc, dom_in)
-        dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
-        d_grad, ddom_in = backward(disc, d_acts, ddl)
-        per_source.append({
-            "cls_loss": cls_loss, "dom_loss": dom_loss, "acts_s": acts_s,
-            "c_grad": c_grad, "dfeat_cls": dfeat_cls, "d_grad": d_grad,
-            "ddom_in": ddom_in, "n_s": len(xs),
-        })
-
-    e = np.array([p["cls_loss"] + lam * p["dom_loss"] for p in per_source])
-    if hard_max:
+    e = np.array([cls_loss + lam * dom_loss for cls_loss, dom_loss, *_ in per_source])
+    if gamma is None:
         total = float(e.max())
         w = np.zeros_like(e)
         w[int(np.argmax(e))] = 1.0
@@ -356,21 +352,20 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
     # the sums (and the signs of zero entries) match term-by-term addition
     disc_grads: list[np.ndarray] = []
     dfeat_t_total = np.zeros_like(feats_t)
-    for k, p in enumerate(per_source):
-        dfs = p["dfeat_cls"] + sign * lam * p["ddom_in"][:p["n_s"]]
-        f_grad_k, _ = backward(extractor, p["acts_s"], w[k] * dfs, input_grad=False)
-        cls_k = w[k] * p["c_grad"]
+    for k, (_, _, acts_s, c_grad, dfeat_cls, d_grad, ddom_in) in enumerate(per_source):
+        n_s = len(dfeat_cls)
+        dfs = dfeat_cls + sign * lam * ddom_in[:n_s]
+        f_grad_k, _ = backward(extractor, acts_s, w[k] * dfs, input_grad=False)
+        cls_k = w[k] * c_grad
         if k == 0:
             ext_grad, cls_grad = f_grad_k, cls_k
         else:
             ext_grad += f_grad_k
             cls_grad += cls_k
-        disc_grads.append(w[k] * lam * p["d_grad"])
-        dfeat_t_total += w[k] * sign * lam * p["ddom_in"][p["n_s"]:]
+        disc_grads.append(w[k] * lam * d_grad)
+        dfeat_t_total += w[k] * sign * lam * ddom_in[n_s:]
     ext_grad += backward(extractor, acts_t, dfeat_t_total, input_grad=False)[0]
 
-    parts = {"classification": float(np.mean([p["cls_loss"] for p in per_source])),
-             "total": total}
-    parts.update({f"domain_{k}": per_source[k]["dom_loss"] for k in range(len(per_source))})
+    parts = {"classification": float(np.mean([p[0] for p in per_source])), "total": total}
+    parts.update({f"domain_{k}": p[1] for k, p in enumerate(per_source)})
     return parts, [ext_grad, cls_grad, *disc_grads]
-

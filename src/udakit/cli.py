@@ -58,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(text: str) -> int:
+    """A whole number >= 0: seeds and repeat indices."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     def flag(*names: str, **kw) -> argparse.ArgumentParser:
         holder = argparse.ArgumentParser(add_help=False)
@@ -65,7 +72,7 @@ def _build_parser() -> _Parser:
         return holder
 
     # each subcommand takes only the shared flags it reads
-    seed = flag("--seed", type=int, default=None, help="override the base seed")
+    seed = flag("--seed", type=_count, default=None, help="override the base seed")
     out = flag("--out", type=str, default=None, help="output path or directory")
     config = flag("--config", type=str, default=None, help="experiment or spec file")
     workers = flag("--workers", type=int, default=1,
@@ -85,7 +92,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--source", default=None, help="source domain (single-* schemes)")
-    p.add_argument("--repeat", type=int, default=0)
+    p.add_argument("--repeat", type=_count, default=0)
     p.add_argument("--features-out", default=None, help="export target-test features")
 
     p = sub.add_parser("eval", parents=[out], help="evaluate a saved model on a dataset")

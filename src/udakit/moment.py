@@ -43,23 +43,22 @@ __all__ = [
 @dataclass
 class MomentConfig:
     """align_weight scales the moment-alignment term, discrepancy_weight the
-    mean pairwise L1 gap between classifier outputs on target batches."""
+    mean pairwise L1 gap between classifier outputs on target batches.
+    holdout_ratio 0 weights the heads equally; a ratio in (0, 1) holds out
+    that share of each source and weights each head by its held-out accuracy."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
     align_weight: float = 1.0
     discrepancy_weight: float = 0.1
-    ensemble: str = "uniform"        # "uniform" | "accuracy"
-    holdout_ratio: float = 0.2       # held-out slice sizing accuracy weights
+    holdout_ratio: float = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
         for name in ("align_weight", "discrepancy_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.ensemble not in ("uniform", "accuracy"):
-            raise ValueError(f"ensemble: unknown ensemble rule {self.ensemble!r}")
-        if not 0.0 < self.holdout_ratio < 1.0:
-            raise ValueError("holdout_ratio must be in (0, 1)")
+        if not 0.0 <= self.holdout_ratio < 1.0:
+            raise ValueError("holdout_ratio must be in [0, 1)")
 
 
 def moment_distance_grads(features_a: np.ndarray,
@@ -102,7 +101,7 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
 
     With align_weight = discrepancy_weight = 0 the loss decomposes into
     independent per-source heads on a shared extractor. The ensemble weights
-    are uniform, or with the accuracy rule each head's accuracy on its
+    are uniform, or with a holdout_ratio above 0 each head's accuracy on its
     source's held-out slice, scaled to sum to 1.
     """
     if len(sources) < 2:
@@ -112,15 +111,12 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
     n_classes = resolve_n_classes(tcfg, *[s.labels for s in sources])
     rng_init, rng_batch, rng_tgt, rng_aux = seed_streams(tcfg.seed)
 
-    holdouts: list[DomainDataset] | None = None
-    if cfg.ensemble == "accuracy":
+    train_sources, holdouts = list(sources), None
+    if cfg.holdout_ratio:
         split_seeds = [int(rng_aux.integers(2 ** 31)) for _ in sources]
         pairs = [stratified_split(s, cfg.holdout_ratio, seed)
                  for s, seed in zip(sources, split_seeds)]
-        train_sources = [p.train for p in pairs]
-        holdouts = [p.test for p in pairs]
-    else:
-        train_sources = list(sources)
+        train_sources, holdouts = [p.train for p in pairs], [p.test for p in pairs]
 
     extractor = init_mlp([target.dim, *tcfg.hidden_sizes], rng_init, final="relu")
     classifiers = [init_mlp([tcfg.hidden_sizes[-1], n_classes], rng_init, final="identity")

@@ -324,7 +324,7 @@ def save_run_record(record: RunRecord, path: str | Path,
                     model_ref: str | None = None) -> None:
     payload = record.to_dict()
     payload["model_ref"] = model_ref
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                           encoding="utf-8")
 
 
@@ -460,8 +460,8 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ModelBundle:
     run_epochs(record, blocks, opt, cfg.epochs,
                lambda: epoch_batches(rng_batch, source.labels, cfg.batch_size,
                                      cfg.resample, n_classes), step)
-    record.final["classification_loss"] = (
-        record.epoch_losses["classification"][-1] if cfg.epochs else float("nan"))
+    if cfg.epochs:
+        record.final["classification_loss"] = record.epoch_losses["classification"][-1]
     return ModelBundle(extractor, [classifier], None, cfg.to_dict(), cfg.seed, record)
 
 
@@ -561,7 +561,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "train_config": bundle.train_config,
         "seed": bundle.seed,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                           encoding="utf-8")
 
 

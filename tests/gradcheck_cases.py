@@ -93,11 +93,11 @@ def mdan_case(seed: int, lam: float = 0.6, gamma: float = 5.0) -> float:
 
     def total():
         parts, _ = _mdan_step_grads(ext, cls, discs, batches, xt, labels, lam, gamma,
-                                    hard_max=False, reverse_domain=False)
+                                    reverse_domain=False)
         return parts["total"]
 
     _, grads = _mdan_step_grads(ext, cls, discs, batches, xt, labels, lam, gamma,
-                                hard_max=False, reverse_domain=False)
+                                reverse_domain=False)
     fd = finite_difference(total, _params(ext, cls, *discs), H)
     return relative_error(grads, fd)
 

@@ -13,7 +13,8 @@ from udakit import (
     train_erm,
     train_mdan,
 )
-from udakit.nn import save_run_record
+from udakit.adversarial import _domain_weight_at, _mdan_step_grads
+from udakit.nn import init_mlp, save_run_record
 from conftest import make_blobs
 from gradcheck_cases import dann_case, mdan_case
 
@@ -44,6 +45,12 @@ class TestTrainDann:
         empty = tgt.subset(np.array([], dtype=int)).unlabeled()
         with pytest.raises(ValueError, match="empty"):
             train_dann(src, empty, adv_cfg())
+
+    def test_zero_ramp_fraction_gives_full_weight_from_the_first_step(self):
+        assert _domain_weight_at(adv_cfg(domain_weight=0.7, ramp_fraction=0), 0, 100) == 0.7
+        ramp = adv_cfg(domain_weight=0.7, ramp_fraction=0.2)
+        assert [_domain_weight_at(ramp, step, 100) for step in (0, 10, 20, 90)] == [
+            0.0, 0.35, 0.7, 0.7]
 
     def test_zero_weight_reduces_to_erm_exactly(self):
         src = make_blobs("s", 3, n=150, mix=[0.6, 0.4])
@@ -174,6 +181,23 @@ class TestTrainMdan:
         res = train_mdan([s1, s2], tgt.unlabeled(), adv_cfg(epochs=3))
         assert "domain_0" in res.record.epoch_losses
         assert "domain_1" in res.record.epoch_losses
+
+    def test_no_gamma_is_the_hard_maximum(self):
+        # gamma None is the gamma -> inf limit of the soft maximum: the worst
+        # source alone carries the step, so only its discriminator moves
+        rng = np.random.default_rng(3)
+        ext = init_mlp([3, 6], rng, final="relu")
+        cls = init_mlp([6, 3], rng)
+        discs = [init_mlp([6, 5, 2], rng) for _ in range(3)]
+        batches = [(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4)) for _ in range(3)]
+        xt = rng.normal(size=(4, 3))
+        labels = np.repeat([0, 1], 4)
+        hard, hard_grads = _mdan_step_grads(ext, cls, discs, batches, xt, labels, 0.6, None)
+        soft, soft_grads = _mdan_step_grads(ext, cls, discs, batches, xt, labels, 0.6, 1e6)
+        assert hard["total"] == pytest.approx(soft["total"], abs=1e-5)
+        assert sum(bool(g.any()) for g in hard_grads[2:]) == 1
+        for a, b in zip(hard_grads, soft_grads):
+            assert np.allclose(a, b, atol=1e-9)
 
     def test_aggregate_gradient_matches_scalar(self):
         assert mdan_case(23) < 1e-4

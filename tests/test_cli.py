@@ -40,13 +40,13 @@ from oracles import load_predictions
 # that moves the numerics or the file layout on purpose updates them and says why
 TRAIN_FILES_SHA256 = {
     "single-erm": "49a8b6b0a31869d2947eaec68d38b4efe89397159c5e91673544a2d47a85f016",
-    "single-dann": "94684a046db01380aca4df8c4b04e874816ff81ed5758cd14ffcb6809d9dcc0b",
+    "single-dann": "58fce21e05bb45b26323e8956c63031badac7f9ea9963188ed4b8843e4c15548",
     "combined-erm": "2e30b708ad2a40560e26211bab954c11aac346e57b2c81f48381de3cce0a0c92",
-    "rs-combined-dann": "9a7d5b017a4f8ec3c6dfe3a242006f9bfe00c31f68bdeb59fe82d602c1745ec2",
-    "rs-multi-m3sda": "41cb125f1029f3fa16f2639637a85590633019cae05a753fc710c4872d08e290",
-    "multi-mdan": "20cbcc677941393d9f21abe379b171ca407f00ef9ef8aec7e570717770202c20",
-    "combined-adda": "dd8ec0f12102cbfddf3e9132521d3b4b3d6a5aaa30010fca4e9bd9bcbf80f05b",
-    "multi-m3sda": "8647ba6e34f0f5432641a7f1d9179e561eb9eb54930995714ba9a02e63d89599",
+    "rs-combined-dann": "0181c6f08ded6e7192fa9389fd933e16dd98df613333b7c88db99d60be1bef53",
+    "rs-multi-m3sda": "f1a1ce699fee88f9b96745dbafb72433caef500e660449590d7284e0fc7e04f8",
+    "multi-mdan": "0ce866f1d5b85f6d2f622174315d976635602948d9e803b6d78f36c36af80de5",
+    "combined-adda": "c8b7190523899fa42fbe440692c11be5a402ac7b9f528c8fa0c3372227c44ab3",
+    "multi-m3sda": "c4c0722736fad9384cc0e6400c95536e0f91adb67da2798d4806f5a538e894df",
 }
 
 
@@ -59,16 +59,37 @@ DIAGNOSE_FILES_SHA256 = {
 }
 
 
-def train_files_config():
+def train_files_config(scheme_overrides=None):
     """The pinned grid's domains at 3 epochs: all seven scheme bases, plus
     multi-m3sda weighting its heads by held-out accuracy."""
     return pinned_grid_config(PINNED_SCHEMES + ["multi-m3sda"], epochs=3,
-                              scheme_overrides={"multi-m3sda": {"ensemble": "accuracy"}})
+                              scheme_overrides=scheme_overrides
+                              or {"multi-m3sda": {"holdout_ratio": 0.2}})
 
+
+# (scheme, an override that chooses a trainer variant, and sha256 of the model
+# file that `udakit train` writes with it for target d0 of train_files_config()).
+# Each variant had its own key before: schedule "constant", hard_max true and
+# ensemble "accuracy" trained these very files.
+FOLDED_SPELLINGS = [
+    ("combined-dann", {"ramp_fraction": 0},
+     "559b5f1fb9f6b0bdbf672f470651de06e2fb148b805189be84c5eebcab3b2164"),
+    ("multi-mdan", {"gamma": None},
+     "03beb14808449e4a3ccb103c834ea332e84fd893eb0afe7a3a3086981c5297a4"),
+    ("multi-m3sda", {"holdout_ratio": 0.2},
+     "578fe9188c729809f25c4b19d770a6033680bfa43044a320b8f57fb91dd3cd55"),
+]
+# each (scheme base, key) pair that chose a variant before its key was folded
+# into the key it governed, with a value the key took
+DELETED_OVERRIDES = [("single-dann", "schedule", "constant"),
+                     ("combined-dann", "schedule", "constant"),
+                     ("multi-mdan", "schedule", "ramp"),
+                     ("multi-mdan", "hard_max", True),
+                     ("multi-m3sda", "ensemble", "accuracy")]
 
 # a valid value, other than the default, of every AdversarialConfig field
 ADVERSARIAL_VALUES = {k: v for k, v in OWN_VALUES.items() if k not in MOMENT_KEYS}
-# the 18 (scheme base, AdversarialConfig field its trainer never reads) pairs
+# the 14 (scheme base, AdversarialConfig field its trainer never reads) pairs
 UNREAD_OVERRIDES = [(scheme, key) for scheme, own in OWN_KEYS.items()
                     for key in ADVERSARIAL_VALUES if key not in own]
 
@@ -171,6 +192,53 @@ class TestTrainEval:
         for kind in ("model", "record", "metrics"):
             digest.update((tmp_path / f"d0.{scheme}.{source}.r0.{kind}.json").read_bytes())
         assert digest.hexdigest() == TRAIN_FILES_SHA256[scheme]
+
+    @pytest.mark.parametrize("scheme, override, model_sha256", FOLDED_SPELLINGS)
+    def test_each_variant_trains_the_model_of_its_deleted_key(self, tmp_path, capsys, scheme,
+                                                              override, model_sha256):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(train_files_config({scheme: override}).to_dict()))
+        assert main(["train", "--config", str(config), "--target", "d0", "--scheme", scheme,
+                     "--out", str(tmp_path)]) == 0
+        model = next(tmp_path.glob(f"d0.{scheme}.*.r0.model.json"))
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == model_sha256
+
+    @pytest.mark.parametrize("scheme, key, value", DELETED_OVERRIDES)
+    def test_a_deleted_override_key_is_a_config_error(self, tmp_path, capsys, scheme, key,
+                                                      value):
+        payload = train_files_config().to_dict()
+        payload["scheme_overrides"] = {scheme: {key: value}}
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(payload))
+        argv = ["train", "--config", str(config), "--target", "d0", "--scheme", scheme,
+                "--out", str(tmp_path / "runs")]
+        assert main(argv + (["--source", "d1"] if scheme.startswith("single") else [])) == 1
+        assert (f"udakit: error: scheme_overrides.{scheme}.{key}: unknown override keys "
+                f"['{key}'] for {scheme}" in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("scheme, edit", [
+        ("combined-erm", lambda c: c["train"].update(epochs=0)),
+        ("combined-adda", lambda c: c.update(scheme_overrides={"combined-adda":
+                                                               {"pretrain_epochs": 0}})),
+    ], ids=["combined-erm-epochs", "combined-adda-pretrain_epochs"])
+    def test_zero_epoch_files_are_strict_json(self, workspace, capsys, scheme, edit):
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        edit(config)
+        config_path.write_text(json.dumps(config))
+        out = tmp / "runs"
+        assert main(["train", "--config", str(config_path), "--target", "d0",
+                     "--scheme", scheme, "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        for kind in ("model", "record", "metrics"):
+            text = (out / f"d0.{scheme}.combined.r0.{kind}.json").read_text()
+            json.loads(text, parse_constant=refuse)
+        record = json.loads((out / f"d0.{scheme}.combined.r0.record.json").read_text())
+        assert "classification_loss" not in record["final"]
 
     @pytest.mark.parametrize("scheme, source", [("single-erm", "d1"), ("multi-m3sda", "all")])
     def test_eval_reproduces_the_training_scores(self, tmp_path, capsys, scheme, source):
@@ -455,7 +523,7 @@ class TestMatrixCommand:
          "domains[2]: n_samples must be a whole number, got '3'"),
         ("fairness", lambda c: c.update(repeats=True), "repeats must be a whole number, got True"),
         ("train", lambda c: c.update(scheme_overrides={"multi-mdan": {"gamma": "x"}}),
-         "scheme_overrides.multi-mdan.gamma must be a finite number, got 'x'"),
+         "scheme_overrides.multi-mdan.gamma must be a finite number or null, got 'x'"),
     ], ids=["train-value", "override", "domain-field", "fairness-repeats", "train-unlisted-scheme"])
     def test_malformed_settings_fail_before_any_domain_exists(self, workspace, capsys,
                                                               monkeypatch, command, edit,
@@ -480,6 +548,21 @@ class TestMatrixCommand:
         bad = tmp_path / "broken.json"
         bad.write_text(json.dumps({"task": "binary", "schemes": ["nope"]}))
         assert main(["matrix", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--target", "d0", "--scheme", "combined-erm", "--repeat", "-3"], "--repeat"),
+        (["gen", "--seed", "-4"], "--seed"),
+        (["matrix", "--seed", "2.5"], "--seed"),
+    ], ids=["train-repeat", "gen-seed", "matrix-seed"])
+    def test_negative_seed_or_repeat_is_a_config_error(self, workspace, capsys, argv, flag):
+        tmp, spec_path, config_path = workspace
+        config = spec_path if argv[0] == "gen" else config_path
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(config), "--out", str(tmp / "out")])
+        assert exc.value.code == 1
+        assert (f"error: argument {flag}: must be a non-negative integer, got '{argv[-1]}'"
+                in capsys.readouterr().err)
+        assert not (tmp / "out").exists()
 
     def test_usage_error_maps_to_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -64,18 +64,20 @@ PINNED_REPORT_SHA256 = "5f4810f126a407c6dde28c39d29909f031fb47436602901e314820c5
 # each adversarial scheme base's trainer reads beside them, and the MomentConfig
 # fields that train_m3sda reads
 TRAIN_KEYS = ["epochs", "batch_size", "learning_rate", "momentum", "hidden_sizes"]
-REVERSAL_KEYS = ["domain_weight", "schedule", "ramp_fraction", "disc_hidden"]
+REVERSAL_KEYS = ["domain_weight", "ramp_fraction", "disc_hidden"]
 OWN_KEYS = {"single-dann": REVERSAL_KEYS, "combined-dann": REVERSAL_KEYS,
             "combined-adda": ["disc_hidden", "pretrain_epochs", "adapt_epochs",
                               "adapt_learning_rate"],
-            "multi-mdan": [*REVERSAL_KEYS, "gamma", "hard_max"]}
-MOMENT_KEYS = ["align_weight", "discrepancy_weight", "ensemble", "holdout_ratio"]
-# a valid value, other than the default, of every AdversarialConfig and MomentConfig field
-OWN_VALUES = {"domain_weight": 0.5, "schedule": "constant", "ramp_fraction": 0.5,
-              "disc_hidden": [8], "gamma": 3.0, "hard_max": True, "pretrain_epochs": 1,
-              "adapt_epochs": 1, "adapt_learning_rate": 1e-2,
-              "align_weight": 0.3, "discrepancy_weight": 0.5, "ensemble": "accuracy",
-              "holdout_ratio": 0.4}
+            "multi-mdan": [*REVERSAL_KEYS, "gamma"]}
+MOMENT_KEYS = ["align_weight", "discrepancy_weight", "holdout_ratio"]
+# a valid value, other than the default, of every AdversarialConfig and MomentConfig
+# field; holdout_ratio 0.4 turns on the held-out accuracy weights
+OWN_VALUES = {"domain_weight": 0.5, "ramp_fraction": 0.5, "disc_hidden": [8], "gamma": 3.0,
+              "pretrain_epochs": 1, "adapt_epochs": 1, "adapt_learning_rate": 1e-2,
+              "align_weight": 0.3, "discrepancy_weight": 0.5, "holdout_ratio": 0.4}
+# the other choice each of these keys carries: full domain weight from the
+# first step, and the hard maximum over the per-source losses
+FOLDED_VALUES = {"ramp_fraction": 0, "gamma": None}
 
 
 def one_class_target_config(repeats=2):
@@ -91,7 +93,7 @@ def accuracy_weighted_m3sda_config():
     multi-m3sda weighting its three heads by held-out accuracy, 5 epochs."""
     return pinned_grid_config(
         ["multi-m3sda"], mixes=((0.8, 0.2), (0.55, 0.45), (0.3, 0.7), (0.6, 0.4)), epochs=5,
-        scheme_overrides={"multi-m3sda": {"ensemble": "accuracy", "align_weight": 0.1}})
+        scheme_overrides={"multi-m3sda": {"holdout_ratio": 0.2, "align_weight": 0.1}})
 
 
 def overflow_config():
@@ -164,7 +166,7 @@ class TestConfigValidation:
         ("rs-single-erm", "domain_weight", 2.0),
         ("multi-m3sda", "domain_weight", 9.0),
         ("multi-m3sda", "pretrain_epochs", 1),
-        ("single-dann", "ensemble", "accuracy"),
+        ("single-dann", "holdout_ratio", 0.2),
         ("multi-mdan", "align_weight", 0.1),
     ])
     def test_override_keys_of_another_trainer_rejected(self, scheme, key, value):
@@ -176,20 +178,24 @@ class TestConfigValidation:
         ("combined-adda", "adapt_epochs", 2),
         ("rs-multi-mdan", "gamma", 3.0),
         ("single-dann", "domain_weight", 0.5),
-        ("multi-m3sda", "ensemble", "accuracy"),
+        ("multi-m3sda", "holdout_ratio", 0.2),
+        ("combined-dann", "ramp_fraction", 0),
+        ("multi-mdan", "gamma", None),
     ])
     def test_override_keys_of_the_schemes_trainer_accepted(self, scheme, key, value):
         cfg = quick_config([scheme], scheme_overrides={scheme: {key: value}})
         assert cfg.scheme_overrides[scheme] == {key: value}
 
-    @pytest.mark.parametrize("scheme, key", [
-        (scheme, key) for scheme, keys in [*OWN_KEYS.items(), ("multi-m3sda", MOMENT_KEYS)]
-        for key in keys])
-    def test_every_own_key_a_scheme_accepts_changes_its_model(self, scheme, key):
-        # holdout_ratio sizes the held-out slice only under the accuracy ensemble
-        base = {"ensemble": "accuracy"} if key == "holdout_ratio" else {}
+    @pytest.mark.parametrize("scheme, key, value", [
+        *[pytest.param(scheme, key, OWN_VALUES[key], id=f"{scheme}-{key}")
+          for scheme, keys in [*OWN_KEYS.items(), ("multi-m3sda", MOMENT_KEYS)]
+          for key in keys],
+        *[pytest.param(scheme, key, value, id=f"{scheme}-{key}={value}")
+          for scheme, keys in OWN_KEYS.items()
+          for key, value in FOLDED_VALUES.items() if key in keys]])
+    def test_every_own_key_a_scheme_accepts_changes_its_model(self, scheme, key, value):
         models = []
-        for overrides in (base, {**base, key: OWN_VALUES[key]}):
+        for overrides in ({}, {key: value}):
             cfg = quick_config([scheme], n_domains=3, train={"epochs": 2},
                                scheme_overrides={scheme: overrides})
             grid = harness.open_grid(cfg, [scheme])

@@ -139,12 +139,18 @@ class TestTrainM3sda:
     def test_accuracy_rule_reports_holdout_accuracies(self):
         srcs = [make_blobs(f"s{i}", 70 + i, n=200, sigma=0.4) for i in range(2)]
         tgt = make_blobs("t", 80, n=100, sigma=0.4)
-        cfg = mom_cfg(seed=4, epochs=40, ensemble="accuracy")
+        cfg = mom_cfg(seed=4, epochs=40, holdout_ratio=0.2)
         res = train_m3sda(srcs, tgt.unlabeled(), cfg)
         accuracies = res.record.final["source_accuracies"]
         assert len(accuracies) == 2
         assert all(0.0 <= a <= 1.0 for a in accuracies)
         assert res.ensemble_weights == (np.array(accuracies) / sum(accuracies)).tolist()
+
+    def test_no_holdout_weights_heads_equally(self):
+        srcs = [make_blobs(f"s{i}", 70 + i, n=80) for i in range(2)]
+        res = train_m3sda(srcs, make_blobs("t", 80, n=80).unlabeled(), mom_cfg(epochs=2))
+        assert res.ensemble_weights == [0.5, 0.5]
+        assert "source_accuracies" not in res.record.final
 
     def test_full_objective_gradcheck(self):
         assert m3sda_case(31) < 1e-4
@@ -185,11 +191,14 @@ class TestEnsemblePredict:
         scores, _ = predict(ModelBundle(ext, heads), rng.normal(size=(20, 3)))
         assert np.abs(scores.sum(axis=1) - 1.0).max() < 1e-9
 
-    def test_bad_rule_and_weights(self, rng):
+    @pytest.mark.parametrize("ratio", [-0.1, 1.0])
+    def test_holdout_ratio_outside_zero_to_one_rejected(self, ratio):
+        with pytest.raises(ValueError, match=r"holdout_ratio must be in \[0, 1\)"):
+            MomentConfig(holdout_ratio=ratio)
+
+    def test_bad_weights(self, rng):
         ext = init_mlp([2, 4], rng, final="relu")
         heads = [init_mlp([4, 2], rng)]
-        with pytest.raises(ValueError, match="unknown ensemble rule"):
-            MomentConfig(ensemble="median")
         with pytest.raises(ValueError, match="one ensemble weight per classifier"):
             ModelBundle(ext, heads, [0.5, 0.5])
         with pytest.raises(ValueError, match="at least one"):

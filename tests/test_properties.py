@@ -178,10 +178,10 @@ SETTINGS = (
     + [("fairness_bins",), ("dataset_paths", 1), ("domains", 1, "domain_id")]
     + [("scheme_overrides", scheme, k)
        for scheme in ("combined-dann", "combined-adda", "multi-mdan")
-       for k in ("domain_weight", "schedule", "ramp_fraction", "disc_hidden", "gamma",
-                 "hard_max", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate")]
+       for k in ("domain_weight", "ramp_fraction", "disc_hidden", "gamma",
+                 "pretrain_epochs", "adapt_epochs", "adapt_learning_rate")]
     + [("scheme_overrides", "rs-multi-m3sda", k)
-       for k in ("align_weight", "discrepancy_weight", "ensemble", "holdout_ratio")])
+       for k in ("align_weight", "discrepancy_weight", "holdout_ratio")])
 # the probe's values, as JSON text
 PROBE_VALUES = ['"3"', "null", "[]", "{}", "true", "-1", "0", "1.5", "NaN"]
 # the probe values each setting legitimately takes; every other pair is malformed
@@ -204,10 +204,10 @@ VALID = {
     ("scheme_overrides", "multi-mdan", "domain_weight"): ["0", "1.5"],
     ("scheme_overrides", "multi-mdan", "ramp_fraction"): ["0"],
     ("scheme_overrides", "multi-mdan", "disc_hidden"): ["[]"],
-    ("scheme_overrides", "multi-mdan", "gamma"): ["1.5"],
-    ("scheme_overrides", "multi-mdan", "hard_max"): ["true"],
+    ("scheme_overrides", "multi-mdan", "gamma"): ["null", "1.5"],
     ("scheme_overrides", "rs-multi-m3sda", "align_weight"): ["0", "1.5"],
     ("scheme_overrides", "rs-multi-m3sda", "discrepancy_weight"): ["0", "1.5"],
+    ("scheme_overrides", "rs-multi-m3sda", "holdout_ratio"): ["0"],
 }
 # values malformed for one setting alone, beyond the probe's
 SPECIFIC = {

@@ -142,3 +142,32 @@ def test_every_udakit_name_perfbench_imports_exists():
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def own_keys_table(markdown: str) -> dict[str, list[str]]:
+    """README's own-keys table as trainer -> the keys its row names, in order."""
+    lines = markdown.split("| scheme base | trainer | own keys |\n", 1)[1].splitlines()
+    rows = {}
+    for line in lines[1:]:
+        if not line.startswith("|"):
+            break
+        _, trainer, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[trainer.strip("`")] = [] if keys == "none" else [
+            key.strip().strip("`") for key in keys.split(",")]
+    return rows
+
+
+def test_readme_own_keys_table_matches_the_trainers():
+    from udakit import MomentConfig
+    from udakit.adversarial import TRAINER_FIELDS
+
+    table = own_keys_table((PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8"))
+    expected = {"train_erm": [], **{name: list(keys) for name, keys in TRAINER_FIELDS.items()},
+                "train_m3sda": [k for k in MomentConfig.__dataclass_fields__ if k != "train"]}
+    assert table == expected
+
+
+def test_own_keys_table_parser_reads_each_row():
+    text = ("intro\n\n| scheme base | trainer | own keys |\n|---|---|---|\n"
+            "| `a` | `train_a` | none |\n| `b`, `c` | `train_b` | `x`, `y` |\n\nafter | z |\n")
+    assert own_keys_table(text) == {"train_a": [], "train_b": ["x", "y"]}
