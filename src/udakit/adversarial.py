@@ -40,7 +40,6 @@ from .nn import (
 
 __all__ = [
     "AdversarialConfig",
-    "TRAINER_FIELDS",
     "soft_aggregate",
     "train_dann",
     "train_adda",
@@ -83,14 +82,6 @@ class AdversarialConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.adapt_learning_rate is not None and self.adapt_learning_rate <= 0:
             raise ValueError("adapt_learning_rate must be > 0")
-
-
-# the AdversarialConfig fields, beside train, that each trainer reads
-TRAINER_FIELDS = {
-    "train_dann": ("domain_weight", "ramp_fraction", "disc_hidden"),
-    "train_adda": ("disc_hidden", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate"),
-    "train_mdan": ("domain_weight", "ramp_fraction", "disc_hidden", "gamma"),
-}
 
 
 def soft_aggregate(values: Sequence[float], gamma: float) -> float:
@@ -239,27 +230,15 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
 
     def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
         k = idx.size
-        xt = target.features.take(draw_target(k), axis=0)
-        dom_labels = both[bs - k:bs + k]
-
-        # discriminator step, on its own optimiser: source features are
-        # frozen stage-1 outputs
-        feats_s, _ = forward(source_extractor, source.features.take(idx, axis=0))
-        feats_t, t_acts = forward(target_extractor, xt)
-        dom_in = np.concatenate([feats_s, feats_t], axis=0)
-        dom_logits, d_acts = forward(disc, dom_in)
-        dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
-        d_grad, _ = backward(disc, d_acts, ddl, input_grad=False)
-        acc = float(np.mean(np.argmax(dom_logits, axis=1) == dom_labels))
+        feats_t, t_acts = forward(target_extractor, target.features.take(draw_target(k), axis=0))
+        # the discriminator steps on its own optimiser before the inversion
+        # pass reads it; the target extractor moves only when run_epochs
+        # applies t_grad, so one forward trace serves both passes
+        dom_loss, acc, d_grad = _adda_disc_grads(source_extractor, disc,
+                                                 source.features.take(idx, axis=0), feats_t,
+                                                 both[bs - k:bs + k])
         sgd_step(disc_blocks, [d_grad], disc_opt)
-
-        # target-extractor gradient (run_epochs applies it): make target
-        # features read as source; the extractor has not moved since the
-        # forward pass above, so its trace is reused
-        inv_logits, d_acts = forward(disc, feats_t)
-        inv_loss, ddl = cross_entropy(inv_logits, both[bs - k:bs])
-        _, dfeat = backward(disc, d_acts, ddl)
-        t_grad, _ = backward(target_extractor, t_acts, dfeat, input_grad=False)
+        inv_loss, t_grad = _adda_inversion_grads(target_extractor, disc, feats_t, t_acts)
         return {"domain": dom_loss, "alignment": inv_loss,
                 "discriminator_accuracy": acc}, [t_grad]
 
@@ -274,6 +253,30 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
         record.final["domain_loss"] = record.epoch_losses["domain"][-1]
         record.final["discriminator_accuracy"] = record.epoch_losses["discriminator_accuracy"][-1]
     return ModelBundle(target_extractor, [classifier], None, tcfg.to_dict(), tcfg.seed, record)
+
+
+def _adda_disc_grads(source_extractor: Mlp, disc: Mlp, xs: np.ndarray, feats_t: np.ndarray,
+                     dom_labels: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Discriminator loss, accuracy and gradient on the frozen source features
+    of xs beside the target features feats_t (dom_labels is 0 for each row of
+    xs, then 1 for each row of feats_t)."""
+    feats_s, _ = forward(source_extractor, xs)
+    dom_logits, d_acts = forward(disc, np.concatenate([feats_s, feats_t], axis=0))
+    dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
+    d_grad, _ = backward(disc, d_acts, ddl, input_grad=False)
+    return dom_loss, float(np.mean(np.argmax(dom_logits, axis=1) == dom_labels)), d_grad
+
+
+def _adda_inversion_grads(target_extractor: Mlp, disc: Mlp, feats_t: np.ndarray,
+                          t_acts: list) -> tuple[float, np.ndarray]:
+    """Inversion loss and target-extractor gradient: the discriminator's loss
+    with every target row labelled source (0), so descent makes target
+    features read as source. feats_t and t_acts are the target extractor's
+    output and trace on the batch."""
+    inv_logits, d_acts = forward(disc, feats_t)
+    inv_loss, ddl = cross_entropy(inv_logits, np.zeros(len(feats_t), dtype=np.int64))
+    _, dfeat = backward(disc, d_acts, ddl)
+    return inv_loss, backward(target_extractor, t_acts, dfeat, input_grad=False)[0]
 
 
 def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,

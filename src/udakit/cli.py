@@ -26,6 +26,7 @@ from .data import (
     stratified_split,
 )
 from .harness import (
+    SINGLE,
     ExperimentConfig,
     emit_report,
     export_features,
@@ -161,7 +162,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    single = parse_scheme(args.scheme)[0].startswith("single")
+    single = parse_scheme(args.scheme)[0].mode == SINGLE
     if single and args.source is None:
         raise ValueError("single-source schemes need --source")
     if not single and args.source is not None:

@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .adversarial import TRAINER_FIELDS, AdversarialConfig, train_adda, train_dann, train_mdan
+from .adversarial import AdversarialConfig, train_adda, train_dann, train_mdan
 from .data import (
     DomainDataset,
     DomainSpec,
@@ -57,6 +57,7 @@ from .nn import (
 
 __all__ = [
     "SCHEME_BASES",
+    "SchemeBase",
     "ExperimentConfig",
     "CellResult",
     "EvalReport",
@@ -80,10 +81,38 @@ __all__ = [
     "export_features",
 ]
 
-SCHEME_BASES = (
-    "single-erm", "single-dann", "combined-erm", "combined-dann",
-    "combined-adda", "multi-mdan", "multi-m3sda",
-)
+# a scheme's source mode: the non-target domains one at a time, pooled into
+# one source, or kept apart as several; a pooled mode trains one cell per
+# target, under its label here
+SINGLE, COMBINED, MULTI = "single", "combined", "multi"
+POOLED_LABELS = {COMBINED: "combined", MULTI: "all"}
+
+
+@dataclass(frozen=True)
+class SchemeBase:
+    """A scheme base's row: its source mode, the name of the module-global
+    trainer train_cell calls, that trainer's config class (TrainConfig: no
+    adaptation) and the keys beside train that the scheme's overrides may set."""
+
+    mode: str
+    trainer: str
+    config: type
+    own_keys: tuple[str, ...] = ()
+
+
+_REVERSAL_KEYS = ("domain_weight", "ramp_fraction", "disc_hidden")
+SCHEME_BASES = {
+    "single-erm": SchemeBase(SINGLE, "train_erm", TrainConfig),
+    "single-dann": SchemeBase(SINGLE, "train_dann", AdversarialConfig, _REVERSAL_KEYS),
+    "combined-erm": SchemeBase(COMBINED, "train_erm", TrainConfig),
+    "combined-dann": SchemeBase(COMBINED, "train_dann", AdversarialConfig, _REVERSAL_KEYS),
+    "combined-adda": SchemeBase(COMBINED, "train_adda", AdversarialConfig, (
+        "disc_hidden", "pretrain_epochs", "adapt_epochs", "adapt_learning_rate")),
+    "multi-mdan": SchemeBase(MULTI, "train_mdan", AdversarialConfig, (*_REVERSAL_KEYS, "gamma")),
+    "multi-m3sda": SchemeBase(MULTI, "train_m3sda", MomentConfig, (
+        "align_weight", "discrepancy_weight", "holdout_ratio")),
+}
+
 
 def _within(prefix: str, make: Callable[[], Any]) -> Any:
     """make(), with prefix put before the message of a ValueError it raises."""
@@ -93,13 +122,25 @@ def _within(prefix: str, make: Callable[[], Any]) -> Any:
         raise ValueError(f"{prefix}{err}") from None
 
 
-def parse_scheme(name: str) -> tuple[str, bool]:
-    """Split an optional class-rebalancing "rs-" prefix off a scheme name."""
+def parse_scheme(name: str) -> tuple[SchemeBase, bool]:
+    """The row of a scheme name's base, and whether the name carries the
+    class-rebalancing "rs-" prefix."""
     resample = isinstance(name, str) and name.startswith("rs-")
     base = name[3:] if resample else name
-    if base not in SCHEME_BASES:
+    if not isinstance(name, str) or base not in SCHEME_BASES:
         raise ValueError(f"unknown scheme {name!r}; bases are {list(SCHEME_BASES)}")
-    return base, resample
+    return SCHEME_BASES[base], resample
+
+
+def _scheme_row(scheme: str, n_domains: int) -> SchemeBase:
+    """The row of scheme, checked against the experiment's domain count: a
+    multi-source trainer needs two sources beside the target."""
+    row = parse_scheme(scheme)[0]
+    need = 3 if row.mode == MULTI else 2
+    if n_domains < need:
+        raise ValueError(f"{scheme} needs at least {need} domains ({need - 1} sources), "
+                         f"the experiment has {n_domains}")
+    return row
 
 
 @dataclass
@@ -150,12 +191,17 @@ class ExperimentConfig:
                                  f"exactly the paths train and test, got {entry!r}")
         if self.fairness_bins is not None:
             _within("fairness_bins: ", lambda: group_bins(self.fairness_bins))
-        named = [(f"{key}[{i}]", scheme) for key in ("schemes", "fairness_schemes")
+        named = [(key, f"{key}[{i}]", scheme) for key in ("schemes", "fairness_schemes")
                  for i, scheme in enumerate(getattr(self, key) or [])]
-        named += [(f"scheme_overrides.{scheme}", scheme) for scheme in self.scheme_overrides]
-        for path, scheme in named:
-            _within(f"{path}: ", lambda: parse_scheme(scheme))
+        named += [("scheme_overrides", f"scheme_overrides.{scheme}", scheme)
+                  for scheme in self.scheme_overrides]
+        first: dict[tuple[str, str], str] = {}      # (key, scheme) -> path of its first entry
+        for key, path, scheme in named:
+            _within(f"{path}: ", lambda: _scheme_row(scheme, n))
             trainer_config(self, scheme, self.n_classes, 0)
+            earlier = first.setdefault((key, scheme), path)
+            if earlier != path:
+                raise ValueError(f"{path}: {scheme} is already {earlier}")
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
@@ -259,11 +305,14 @@ def prediction_set(model: ModelBundle, data: DomainDataset, groups: np.ndarray,
 
 
 def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
-    """Check each scheme's trainer config and task, then materialize the domains
-    and count classes (cfg.n_classes when set) and sensitive groups."""
+    """Check each scheme's domain count, trainer config and task, then
+    materialize the domains and count classes (cfg.n_classes when set) and
+    sensitive groups."""
+    n_domains = len(cfg.domains if cfg.domains is not None else cfg.dataset_paths)
     for scheme in schemes:
+        row = _scheme_row(scheme, n_domains)
         trainer_config(cfg, scheme, cfg.n_classes, 0)
-        if cfg.task == "multiclass" and parse_scheme(scheme)[0] == "single-dann":
+        if cfg.task == "multiclass" and row.mode == SINGLE and row.config is not TrainConfig:
             raise ValueError(
                 "single-source UDA is rejected for multiclass tasks (target classes "
                 "may be absent from a single source); use combined or multi schemes")
@@ -285,28 +334,24 @@ SINGLE_SOURCE_LEARNING_RATE = 1e-4
 
 def trainer_config(cfg: ExperimentConfig, scheme: str, n_classes: int | None,
                    seed: int) -> TrainConfig | AdversarialConfig | MomentConfig:
-    """The whole config of the scheme's trainer: a TrainConfig for the ERM
-    schemes, else an AdversarialConfig or MomentConfig around one.
+    """The whole config of the scheme's trainer: its row's config class, a
+    TrainConfig alone or an AdversarialConfig or MomentConfig around one.
 
     Settings come from cfg.train, then the scheme's overrides, which alone may
-    set the own fields its trainer reads (adversarial ones: TRAINER_FIELDS);
-    single-source schemes default learning_rate to SINGLE_SOURCE_LEARNING_RATE.
-    The harness sets seed, resample (the "rs-" prefix) and n_classes, so the config
-    may not. A bad setting raises ValueError naming its path (scheme_overrides.multi-mdan.gamma).
+    set the row's own keys; single-source schemes default learning_rate to
+    SINGLE_SOURCE_LEARNING_RATE. The harness sets seed, resample (the "rs-"
+    prefix) and n_classes, so the config may not. A bad setting raises
+    ValueError naming its path (scheme_overrides.multi-mdan.gamma).
     """
-    base, resample = parse_scheme(scheme)
-    kind = (TrainConfig if base.endswith("-erm")
-            else MomentConfig if base == "multi-m3sda" else AdversarialConfig)
+    row, resample = parse_scheme(scheme)
     where = f"scheme_overrides.{scheme}"
     overrides = check_value(where, cfg.scheme_overrides.get(scheme, {}), dict)
     fixed = {"n_classes": n_classes, "resample": resample, "seed": seed}
     train_keys = TrainConfig.__dataclass_fields__.keys() - fixed.keys()
-    # M3SDA reads every MomentConfig field; ERM reads none beyond train
-    own_keys = (MomentConfig.__dataclass_fields__.keys() - {"train"} if kind is MomentConfig
-                else set(TRAINER_FIELDS.get(f"train_{base.split('-')[1]}", ())))
-    settings = {"learning_rate": SINGLE_SOURCE_LEARNING_RATE} if base.startswith("single") else {}
+    settings = {"learning_rate": SINGLE_SOURCE_LEARNING_RATE} if row.mode == SINGLE else {}
     for path, label, given, allowed in (("train", "train", cfg.train, train_keys),
-                                        (where, "override", overrides, train_keys | own_keys)):
+                                        (where, "override", overrides,
+                                         train_keys | set(row.own_keys))):
         set_here = sorted(given.keys() & fixed.keys())
         if set_here:
             raise ValueError(f"{path}.{set_here[0]} is set by the harness (seed per cell, "
@@ -317,19 +362,17 @@ def trainer_config(cfg: ExperimentConfig, scheme: str, n_classes: int | None,
                              f"{scheme}; its trainer reads {sorted(allowed)}")
         settings.update((k, v) for k, v in given.items() if k in train_keys)
         train = _within(f"{path}.", lambda: TrainConfig(**settings, **fixed))
-    if kind is TrainConfig:
+    if row.config is TrainConfig:
         return train
-    own = {k: v for k, v in overrides.items() if k in own_keys}
-    return _within(f"{where}.", lambda: kind(train=train, **own))
+    own = {k: v for k, v in overrides.items() if k in row.own_keys}
+    return _within(f"{where}.", lambda: row.config(train=train, **own))
 
 
 def scheme_sources(scheme: str, ids: list[str], target: str) -> list[str]:
     """The source labels of a scheme's cells on one target: every other
-    domain for single-source schemes, else "combined" or "all"."""
-    base, _ = parse_scheme(scheme)
-    if base.startswith("single"):
-        return [d for d in ids if d != target]
-    return ["combined" if base.startswith("combined") else "all"]
+    domain for single-source schemes, else the mode's pooled label."""
+    mode = parse_scheme(scheme)[0].mode
+    return [d for d in ids if d != target] if mode == SINGLE else [POOLED_LABELS[mode]]
 
 
 def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
@@ -337,26 +380,20 @@ def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
                seed: int) -> ModelBundle:
     """Train one (target, scheme, source) cell with target labels hidden:
     pick the sources and configs, and return the trainer's model."""
-    base, _ = parse_scheme(scheme)
+    row = parse_scheme(scheme)[0]
     config = trainer_config(cfg, scheme, n_classes, seed)
     target = splits[target_id].train.unlabeled()
     sources = [splits[d].train for d in splits if d != target_id]
-    if base.startswith("single"):
-        sources = [splits[source_label].train]
-    elif base.startswith("combined"):
-        sources = [concat_domains(sources)]
+    data = (splits[source_label].train if row.mode == SINGLE
+            else concat_domains(sources) if row.mode == COMBINED else sources)
 
-    # trainers are looked up by their module-global names on each call, never
-    # through a table, so that patching this module's attributes reaches them
-    if base.endswith("-erm"):
-        return train_erm(sources[0], config)
-    if base == "multi-m3sda":
-        return train_m3sda(sources, target, config)
-    if base == "multi-mdan":
-        return train_mdan(sources, target, config)
-    if base == "combined-adda":
-        return train_adda(sources[0], target, config)
-    return train_dann(sources[0], target, config)
+    # the trainer is looked up by its module-global name on each call, never
+    # held as a function object, so that patching this module's attributes
+    # reaches it
+    trainer = globals()[row.trainer]
+    if row.config is TrainConfig:     # no adaptation: the target is not read
+        return trainer(data, config)
+    return trainer(data, target, config)
 
 
 @dataclass
@@ -524,8 +561,8 @@ def run_fairness(cfg: ExperimentConfig) -> FairnessMatrix:
     grid = open_grid(cfg, schemes)
     cells = []
     for scheme, target in product(schemes, grid.ids):
-        base, _ = parse_scheme(scheme)
-        sources = [d for d in grid.ids if d != target] if base.startswith("single") else ["-"]
+        single = parse_scheme(scheme)[0].mode == SINGLE
+        sources = scheme_sources(scheme, grid.ids, target) if single else ["-"]
         values: dict[str, list[float]] = {"pqd": [], "dpm": [], "eom": [], "quality": []}
         seeds, flags, failed = [], [], 0
         basis, last = "auto", None
@@ -582,7 +619,7 @@ def emit_report(report: EvalReport, fmt: str = "canonical") -> str:
         for c in cells:
             by_source.setdefault(c.source, {})[c.target] = c
         for source in sorted(by_source):
-            label = scheme if source in ("combined", "all") else f"{scheme}[{source}]"
+            label = scheme if source in POOLED_LABELS.values() else f"{scheme}[{source}]"
             rows.append((label, by_source[source]))
 
     # per-target best across all rows; ties within 0.05 percent points share the mark

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from udakit.adversarial import _dann_step_grads, _mdan_step_grads
+from udakit.adversarial import (
+    _adda_disc_grads,
+    _adda_inversion_grads,
+    _dann_step_grads,
+    _mdan_step_grads,
+)
 from udakit.moment import _m3sda_step_grads, moment_distance_grads
 from udakit.nn import backward, cross_entropy, forward, init_mlp
 
@@ -80,6 +85,36 @@ def dann_case(seed: int, lam: float = 0.7) -> float:
     return max(errs)
 
 
+def adda_case(seed: int) -> float:
+    """ADDA's stage-2 step: the discriminator's loss and gradient on frozen
+    source features beside target features, then the inversion loss (every
+    target row labelled source) and its gradient on the target extractor."""
+    rng = np.random.default_rng(seed)
+    src_ext = init_mlp([3, 6], rng, final="relu")
+    tgt_ext = init_mlp([3, 6], rng, final="relu")
+    disc = init_mlp([6, 5, 2], rng)
+    for bias in disc.biases:    # a dead feature row then sits off the relu kink
+        bias += rng.normal(scale=0.5, size=bias.shape)
+    xs = rng.normal(size=(5, 3))
+    xt = rng.normal(size=(4, 3))
+    labels = np.concatenate([np.zeros(len(xs), dtype=int), np.ones(len(xt), dtype=int)])
+
+    def dom_loss():
+        fs, _ = forward(src_ext, xs)
+        ft, _ = forward(tgt_ext, xt)
+        return cross_entropy(forward(disc, np.concatenate([fs, ft], axis=0))[0], labels)[0]
+
+    def inversion_loss():
+        ft, _ = forward(tgt_ext, xt)
+        return cross_entropy(forward(disc, ft)[0], np.zeros(len(xt), dtype=int))[0]
+
+    d_loss, _, d_grad = _adda_disc_grads(src_ext, disc, xs, forward(tgt_ext, xt)[0], labels)
+    inv_loss, t_grad = _adda_inversion_grads(tgt_ext, disc, *forward(tgt_ext, xt))
+    return max(abs(d_loss - dom_loss()), abs(inv_loss - inversion_loss()),
+               relative_error([d_grad], finite_difference(dom_loss, _params(disc), H)),
+               relative_error([t_grad], finite_difference(inversion_loss, _params(tgt_ext), H)))
+
+
 def mdan_case(seed: int, lam: float = 0.6, gamma: float = 5.0) -> float:
     """The aggregated multi-source scalar, gradient-checked without the
     extractor reversal (reverse_domain=False yields the true gradient)."""
@@ -131,6 +166,7 @@ def moment_case(seed: int) -> float:
 ALL_CASES = {
     "cross_entropy": cross_entropy_case,
     "dann": dann_case,
+    "adda": adda_case,
     "mdan": mdan_case,
     "m3sda": m3sda_case,
     "moment": moment_case,

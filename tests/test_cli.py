@@ -524,7 +524,27 @@ class TestMatrixCommand:
         ("fairness", lambda c: c.update(repeats=True), "repeats must be a whole number, got True"),
         ("train", lambda c: c.update(scheme_overrides={"multi-mdan": {"gamma": "x"}}),
          "scheme_overrides.multi-mdan.gamma must be a finite number or null, got 'x'"),
-    ], ids=["train-value", "override", "domain-field", "fairness-repeats", "train-unlisted-scheme"])
+        ("matrix", lambda c: c.update(domains=c["domains"][:2],
+                                      schemes=["combined-erm", "multi-mdan"]),
+         "schemes[1]: multi-mdan needs at least 3 domains (2 sources), the experiment has 2"),
+        ("fairness", lambda c: c.update(domains=c["domains"][:2],
+                                        fairness_schemes=["rs-multi-m3sda"]),
+         "fairness_schemes[0]: rs-multi-m3sda needs at least 3 domains (2 sources), "
+         "the experiment has 2"),
+        ("matrix", lambda c: c.update(domains=c["domains"][:2],
+                                      scheme_overrides={"multi-m3sda": {}}),
+         "scheme_overrides.multi-m3sda: multi-m3sda needs at least 3 domains"),
+        ("train", lambda c: c.update(domains=c["domains"][:2]),
+         "multi-mdan needs at least 3 domains (2 sources), the experiment has 2"),
+        ("matrix", lambda c: c.update(schemes=["combined-erm", "combined-erm"]),
+         "schemes[1]: combined-erm is already schemes[0]"),
+        ("fairness", lambda c: c.update(fairness_schemes=["rs-combined-erm", "combined-erm",
+                                                          "rs-combined-erm"]),
+         "fairness_schemes[2]: rs-combined-erm is already fairness_schemes[0]"),
+    ], ids=["train-value", "override", "domain-field", "fairness-repeats", "train-unlisted-scheme",
+            "multi-on-two-domains", "fairness-multi-on-two-domains",
+            "override-multi-on-two-domains", "train-multi-on-two-domains", "repeated-scheme",
+            "repeated-fairness-scheme"])
     def test_malformed_settings_fail_before_any_domain_exists(self, workspace, capsys,
                                                               monkeypatch, command, edit,
                                                               message):
@@ -643,10 +663,13 @@ class TestLoadTimeChecks:
         ("fairness", setting("fairness_schemes", []),
          "fairness_schemes must name at least one scheme"),
         ("matrix", nan_feature, "d1.csv: non-finite feature 'nan' at row 3, column f1"),
+        ("matrix", lambda c, d: (file_paths("d0", "d1")(c, d), c.update(schemes=["multi-mdan"])),
+         "schemes[0]: multi-mdan needs at least 3 domains (2 sources), the experiment has 2"),
     ], ids=["paths-not-strings", "pair-not-strings", "pair-without-test", "matrix-unknown-bins",
             "fairness-unknown-bins", "bin-of-three", "bin-not-numbers", "repeated-spec-id",
             "repeated-file-id", "unknown-scheme", "unknown-fairness-scheme",
-            "unknown-override-scheme", "no-fairness-schemes", "nan-feature-file"])
+            "unknown-override-scheme", "no-fairness-schemes", "nan-feature-file",
+            "multi-on-two-files"])
     def test_bad_setting_exits_1(self, workspace, capsys, command, edit, message):
         tmp, spec_path, config_path = workspace
         data = tmp / "data"

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from udakit import (
+    AdversarialConfig,
     DomainDataset,
     DomainSpec,
     TrainConfig,
+    UnlabeledDomain,
     ExperimentConfig,
+    MomentConfig,
     emit_report,
     extract_features,
     init_mlp,
@@ -121,14 +124,56 @@ def quick_config(schemes, n_domains=2, repeats=1, **kw):
                             train=train, **kw)
 
 
+# each scheme base's trainer, config class and source labels on target d0 of d0..d2
+SCHEME_ROWS = {
+    "single-erm": ("train_erm", TrainConfig, ["d1", "d2"]),
+    "single-dann": ("train_dann", AdversarialConfig, ["d1", "d2"]),
+    "combined-erm": ("train_erm", TrainConfig, ["combined"]),
+    "combined-dann": ("train_dann", AdversarialConfig, ["combined"]),
+    "combined-adda": ("train_adda", AdversarialConfig, ["combined"]),
+    "multi-mdan": ("train_mdan", AdversarialConfig, ["all"]),
+    "multi-m3sda": ("train_m3sda", MomentConfig, ["all"]),
+}
+
+
 class TestSchemeParsing:
     def test_plain_and_prefixed(self):
-        assert parse_scheme("single-erm") == ("single-erm", False)
-        assert parse_scheme("rs-multi-m3sda") == ("multi-m3sda", True)
+        assert parse_scheme("single-erm") == (harness.SCHEME_BASES["single-erm"], False)
+        assert parse_scheme("rs-multi-m3sda") == (harness.SCHEME_BASES["multi-m3sda"], True)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             parse_scheme("rs-quantum-uda")
+
+    def test_every_base_has_a_row(self):
+        assert sorted(harness.SCHEME_BASES) == sorted(SCHEME_ROWS)
+
+    @pytest.mark.parametrize("scheme", [f"{prefix}{base}" for base in SCHEME_ROWS
+                                        for prefix in ("", "rs-")])
+    def test_a_scheme_trains_sources_and_config_of_its_row(self, scheme, monkeypatch):
+        trainer, config_class, labels = SCHEME_ROWS[scheme.removeprefix("rs-")]
+        cfg = quick_config([scheme], n_domains=3)
+        grid = harness.open_grid(cfg, [scheme])
+        assert harness.scheme_sources(scheme, grid.ids, "d0") == labels
+        assert type(harness.trainer_config(cfg, scheme, 2, seed=0)) is config_class
+
+        calls = []
+        for name in {row[0] for row in SCHEME_ROWS.values()}:
+            monkeypatch.setattr(harness, name,
+                                lambda *args, name=name: calls.append((name, args)) or name)
+        assert harness.train_cell(grid.splits, "d0", scheme, labels[0], cfg, 2, seed=1) == trainer
+        [(_, args)] = calls
+        sources = args[0] if isinstance(args[0], list) else [args[0]]
+        assert [d.domain_id for d in sources] == (["d1", "d2"] if labels == ["all"]
+                                                  else labels[:1])
+        train = args[-1] if config_class is TrainConfig else args[-1].train
+        assert type(args[-1]) is config_class
+        assert (train.seed, train.resample) == (1, scheme.startswith("rs-"))
+        # an adapting trainer sees the target unlabeled; ERM does not see it
+        targets = args[1:-1]
+        assert [type(t) for t in targets] == ([] if config_class is TrainConfig
+                                              else [UnlabeledDomain])
+        assert [t.domain_id for t in targets] == ([] if config_class is TrainConfig else ["d0"])
 
 
 class TestConfigValidation:
@@ -171,7 +216,7 @@ class TestConfigValidation:
     ])
     def test_override_keys_of_another_trainer_rejected(self, scheme, key, value):
         with pytest.raises(ValueError, match=rf"unknown override keys \['{key}'\] for {scheme}"):
-            quick_config([scheme], scheme_overrides={scheme: {key: value}})
+            quick_config([scheme], n_domains=3, scheme_overrides={scheme: {key: value}})
 
     @pytest.mark.parametrize("scheme, key, value", [
         ("single-erm", "epochs", 2),
@@ -183,7 +228,7 @@ class TestConfigValidation:
         ("multi-mdan", "gamma", None),
     ])
     def test_override_keys_of_the_schemes_trainer_accepted(self, scheme, key, value):
-        cfg = quick_config([scheme], scheme_overrides={scheme: {key: value}})
+        cfg = quick_config([scheme], n_domains=3, scheme_overrides={scheme: {key: value}})
         assert cfg.scheme_overrides[scheme] == {key: value}
 
     @pytest.mark.parametrize("scheme, key, value", [

@@ -215,6 +215,7 @@ SPECIFIC = {
     ("dataset_paths", 1): ['""', "[1, 2]", '{"train": 1, "test": 2}', '{"train": "d1.csv"}',
                            '{"train": "a.csv", "test": "b.csv", "extra": "c.csv"}'],
     ("domains", 1, "domain_id"): ['"d0"'],
+    ("schemes",): ['["single-erm", "single-erm"]'],
 }
 MALFORMED = [(setting, text) for setting in SETTINGS for text in PROBE_VALUES
              if text not in VALID.get(setting, [])]

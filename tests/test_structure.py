@@ -144,30 +144,79 @@ def test_every_udakit_name_perfbench_imports_exists():
     assert missing == []
 
 
-def own_keys_table(markdown: str) -> dict[str, list[str]]:
-    """README's own-keys table as trainer -> the keys its row names, in order."""
+def own_keys_table(markdown: str) -> dict[str, tuple[str, list[str]]]:
+    """README's own-keys table as scheme base -> (the trainer of its row, the
+    keys the row names, in order)."""
     lines = markdown.split("| scheme base | trainer | own keys |\n", 1)[1].splitlines()
     rows = {}
     for line in lines[1:]:
         if not line.startswith("|"):
             break
-        _, trainer, keys = (cell.strip() for cell in line.strip("|").split("|"))
-        rows[trainer.strip("`")] = [] if keys == "none" else [
-            key.strip().strip("`") for key in keys.split(",")]
+        bases, trainer, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        for base in bases.split(","):
+            rows[base.strip().strip("`")] = (trainer.strip("`"), [] if keys == "none" else [
+                key.strip().strip("`") for key in keys.split(",")])
     return rows
 
 
 def test_readme_own_keys_table_matches_the_trainers():
-    from udakit import MomentConfig
-    from udakit.adversarial import TRAINER_FIELDS
+    from udakit import SCHEME_BASES
 
     table = own_keys_table((PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8"))
-    expected = {"train_erm": [], **{name: list(keys) for name, keys in TRAINER_FIELDS.items()},
-                "train_m3sda": [k for k in MomentConfig.__dataclass_fields__ if k != "train"]}
-    assert table == expected
+    assert table == {base: (row.trainer, list(row.own_keys)) for base, row in SCHEME_BASES.items()}
 
 
 def test_own_keys_table_parser_reads_each_row():
     text = ("intro\n\n| scheme base | trainer | own keys |\n|---|---|---|\n"
             "| `a` | `train_a` | none |\n| `b`, `c` | `train_b` | `x`, `y` |\n\nafter | z |\n")
-    assert own_keys_table(text) == {"train_a": [], "train_b": ["x", "y"]}
+    assert own_keys_table(text) == {"a": ("train_a", []), "b": ("train_b", ["x", "y"]),
+                                    "c": ("train_b", ["x", "y"])}
+
+
+# the module-level names of the scheme table in harness.py
+TABLE_NAMES = {"SINGLE", "COMBINED", "MULTI", "POOLED_LABELS", "SCHEME_BASES"}
+
+
+def scheme_name_constants(path: Path, names: set[str]) -> list[str]:
+    """String constants of the module at path that equal one of names, as
+    file:line 'text', outside the assignments to TABLE_NAMES and parse_scheme."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        assigned = {node.id for target in getattr(top, "targets", [])
+                    for node in ast.walk(target) if isinstance(node, ast.Name)}
+        if assigned & TABLE_NAMES or getattr(top, "name", None) == "parse_scheme":
+            continue
+        found += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(top)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in names]
+    return found
+
+
+def scheme_name_parts() -> set[str]:
+    """Every scheme base, its mode prefix (with and without the dash) and its
+    trainer suffix (with the dash: bare, "erm" and the like name a trainer's
+    RunRecord)."""
+    from udakit import SCHEME_BASES
+
+    modes, trainers = zip(*(base.split("-") for base in SCHEME_BASES))
+    return {*SCHEME_BASES, *modes, *(f"{m}-" for m in modes), *(f"-{t}" for t in trainers)}
+
+
+def test_no_code_reads_a_scheme_name_outside_the_table():
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in scheme_name_constants(path, scheme_name_parts())]
+    # the id concat_domains gives the pooled dataset names data, not a scheme
+    assert [hit for hit in found
+            if not (hit.startswith("data.py:") and hit.endswith(" 'combined'"))] == []
+
+
+def test_scheme_name_constants_are_detected(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("SINGLE, MULTI = 'single', 'multi'\n"
+                      "SCHEME_BASES = {'multi-mdan': 1}\n"
+                      "def parse_scheme(name):\n    return name.startswith('rs-')\n"
+                      "def pick(base):\n"
+                      "    if base.startswith('single') or base.endswith('-erm'):\n"
+                      "        return base == 'multi-m3sda', base.split('-')[1]\n")
+    assert scheme_name_constants(module, scheme_name_parts()) == [
+        "probe.py:6 'single'", "probe.py:6 '-erm'", "probe.py:7 'multi-m3sda'"]
