@@ -60,11 +60,8 @@ from .metrics import (
     UndefinedMetricError,
     accuracy,
     auroc,
-    dpm,
-    eom,
     fairness_report,
     group_partition,
-    pqd,
     save_predictions,
 )
 from .shift import (

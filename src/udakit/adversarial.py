@@ -38,14 +38,6 @@ from .nn import (
     train_erm,
 )
 
-__all__ = [
-    "AdversarialConfig",
-    "soft_aggregate",
-    "train_dann",
-    "train_adda",
-    "train_mdan",
-]
-
 
 @dataclass
 class AdversarialConfig:
@@ -325,19 +317,17 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
 
 def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
                      batches: list[tuple[np.ndarray, np.ndarray]], xt: np.ndarray,
-                     dom_labels: np.ndarray, lam: float, gamma: float | None,
-                     reverse_domain: bool = True) -> tuple[dict, list[np.ndarray]]:
+                     dom_labels: np.ndarray, lam: float,
+                     gamma: float | None) -> tuple[dict, list[np.ndarray]]:
     """Losses and gradients for one multi-source step. Each source batch has as
     many rows as xt; dom_labels is 0 for a source batch's rows, then 1 for xt's.
     gamma None puts all the weight on the worst source (the hard maximum).
 
-    Setting reverse_domain=False yields the true gradient of the aggregated
-    scalar (used by finite-difference checks); training keeps the reversal on
-    so the extractor fights the discriminators.
+    The domain gradient reaches the extractor reversed, so the extractor
+    fights the discriminators; the classifier and discriminator gradients
+    are those of the aggregated scalar.
     """
     feats_t, acts_t = forward(extractor, xt)
-    # -1: reversal (extractor fights the discriminators); +1: plain gradient
-    sign = -1.0 if reverse_domain else 1.0
     per_source = [_source_step(extractor, classifier, disc, xs, ys, feats_t, dom_labels)
                   for (xs, ys), disc in zip(batches, discs)]
 
@@ -357,7 +347,7 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
     dfeat_t_total = np.zeros_like(feats_t)
     for k, (_, _, acts_s, c_grad, dfeat_cls, d_grad, ddom_in) in enumerate(per_source):
         n_s = len(dfeat_cls)
-        dfs = dfeat_cls + sign * lam * ddom_in[:n_s]
+        dfs = dfeat_cls - lam * ddom_in[:n_s]
         f_grad_k, _ = backward(extractor, acts_s, w[k] * dfs, input_grad=False)
         cls_k = w[k] * c_grad
         if k == 0:
@@ -366,7 +356,7 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
             ext_grad += f_grad_k
             cls_grad += cls_k
         disc_grads.append(w[k] * lam * d_grad)
-        dfeat_t_total += w[k] * sign * lam * ddom_in[n_s:]
+        dfeat_t_total -= w[k] * lam * ddom_in[n_s:]
     ext_grad += backward(extractor, acts_t, dfeat_t_total, input_grad=False)[0]
 
     parts = {"classification": float(np.mean([p[0] for p in per_source])), "total": total}

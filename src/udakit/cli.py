@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    check_domain_ids,
     generate_domain,
     load_dataset,
     save_dataset,
@@ -119,6 +120,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError("gen needs --config pointing at a domain spec file")
     payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
     specs = [spec_from_dict(p) for p in (payload if isinstance(payload, list) else [payload])]
+    check_domain_ids(specs)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, spec in enumerate(specs):

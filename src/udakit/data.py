@@ -18,26 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "DomainDataset",
-    "UnlabeledDomain",
-    "require_unlabeled",
-    "DomainSpec",
-    "SplitPair",
-    "CLASS_NAMES",
-    "CLASS_DISTRIBUTIONS",
-    "class_distribution",
-    "generate_domain",
-    "stratified_split",
-    "concat_domains",
-    "weighted_sampler_weights",
-    "class_balanced_probabilities",
-    "save_dataset",
-    "load_dataset",
-    "check_value",
-    "check_fields",
-]
-
 _PROB_TOL = 1e-9
 
 # Class proportions (percent) of public skin-lesion datasets over the shared
@@ -456,3 +436,12 @@ def spec_from_dict(payload: dict) -> DomainSpec:
     if extra:
         raise ValueError(f"domain spec has unknown fields {extra}")
     return DomainSpec(**payload)
+
+
+def check_domain_ids(specs: list[DomainSpec]) -> None:
+    """Raise ValueError naming the first spec whose domain_id an earlier one has."""
+    ids = [spec.domain_id for spec in specs]
+    for i, did in enumerate(ids):
+        if did in ids[:i]:
+            raise ValueError(f"domains[{i}]: domain_id {did!r} is already the id of "
+                             f"domains[{ids.index(did)}]")

@@ -24,6 +24,7 @@ from .data import (
     DomainDataset,
     DomainSpec,
     SplitPair,
+    check_domain_ids,
     check_fields,
     check_value,
     concat_domains,
@@ -54,32 +55,6 @@ from .nn import (
     predict,
     train_erm,
 )
-
-__all__ = [
-    "SCHEME_BASES",
-    "SchemeBase",
-    "ExperimentConfig",
-    "CellResult",
-    "EvalReport",
-    "FairnessCell",
-    "FairnessMatrix",
-    "parse_scheme",
-    "load_experiment_config",
-    "materialize_domains",
-    "cell_seed",
-    "Grid",
-    "open_grid",
-    "prediction_set",
-    "scheme_sources",
-    "trainer_config",
-    "train_cell",
-    "CellRun",
-    "run_cell",
-    "run_matrix",
-    "run_fairness",
-    "emit_report",
-    "export_features",
-]
 
 # a scheme's source mode: the non-target domains one at a time, pooled into
 # one source, or kept apart as several; a pooled mode trains one cell per
@@ -132,15 +107,19 @@ def parse_scheme(name: str) -> tuple[SchemeBase, bool]:
     return SCHEME_BASES[base], resample
 
 
-def _scheme_row(scheme: str, n_domains: int) -> SchemeBase:
-    """The row of scheme, checked against the experiment's domain count: a
-    multi-source trainer needs two sources beside the target."""
+def _check_scheme(scheme: str, n_domains: int, task: str) -> None:
+    """Raise ValueError unless scheme fits the experiment: a multi-source
+    trainer needs two sources beside the target, and a multiclass task
+    takes no single-source adaptation."""
     row = parse_scheme(scheme)[0]
     need = 3 if row.mode == MULTI else 2
     if n_domains < need:
         raise ValueError(f"{scheme} needs at least {need} domains ({need - 1} sources), "
                          f"the experiment has {n_domains}")
-    return row
+    if task == "multiclass" and row.mode == SINGLE and row.config is not TrainConfig:
+        raise ValueError(f"{scheme} is single-source UDA, rejected for multiclass tasks "
+                         "(target classes may be absent from a single source); use combined "
+                         "or multi schemes")
 
 
 @dataclass
@@ -173,16 +152,15 @@ class ExperimentConfig:
             raise ValueError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
         if self.n_classes is not None and self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
+        if self.task == "binary" and self.n_classes not in (None, 2):
+            raise ValueError(f"n_classes: a binary task needs exactly 2 classes, "
+                             f"got {self.n_classes}")
         if (self.domains is None) == (self.dataset_paths is None):
             raise ValueError("provide exactly one of domains (specs) or dataset_paths")
         n = len(self.domains) if self.domains is not None else len(self.dataset_paths)
         if n < 2:
             raise ValueError("need at least 2 domains")
-        ids = [spec.domain_id for spec in self.domains or []]
-        for i, did in enumerate(ids):
-            if did in ids[:i]:
-                raise ValueError(f"domains[{i}]: domain_id {did!r} is already the id of "
-                                 f"domains[{ids.index(did)}]")
+        check_domain_ids(self.domains or [])
         for i, entry in enumerate(self.dataset_paths or []):
             paths = (list(entry.values())
                      if isinstance(entry, dict) and entry.keys() == {"train", "test"} else [entry])
@@ -197,7 +175,7 @@ class ExperimentConfig:
                   for scheme in self.scheme_overrides]
         first: dict[tuple[str, str], str] = {}      # (key, scheme) -> path of its first entry
         for key, path, scheme in named:
-            _within(f"{path}: ", lambda: _scheme_row(scheme, n))
+            _within(f"{path}: ", lambda: _check_scheme(scheme, n, self.task))
             trainer_config(self, scheme, self.n_classes, 0)
             earlier = first.setdefault((key, scheme), path)
             if earlier != path:
@@ -310,12 +288,8 @@ def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
     sensitive groups."""
     n_domains = len(cfg.domains if cfg.domains is not None else cfg.dataset_paths)
     for scheme in schemes:
-        row = _scheme_row(scheme, n_domains)
+        _check_scheme(scheme, n_domains, cfg.task)
         trainer_config(cfg, scheme, cfg.n_classes, 0)
-        if cfg.task == "multiclass" and row.mode == SINGLE and row.config is not TrainConfig:
-            raise ValueError(
-                "single-source UDA is rejected for multiclass tasks (target classes "
-                "may be absent from a single source); use combined or multi schemes")
     splits = materialize_domains(cfg)
 
     def count(attr: str) -> int:

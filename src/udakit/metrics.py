@@ -15,22 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "UndefinedMetricError",
-    "PredictionSet",
-    "FairnessReport",
-    "GROUP_BINS",
-    "accuracy",
-    "auroc",
-    "pqd",
-    "dpm",
-    "eom",
-    "group_bins",
-    "group_partition",
-    "fairness_report",
-    "save_predictions",
-]
-
 # Preset group bins: a value v falls in bin (lo, hi] when lo < v <= hi.
 # Skin-type bands 1-2 / 3-4 / 5-6; age split at 30 with <=30 in group 0.
 GROUP_BINS: dict[str, tuple[tuple[float, float], ...]] = {
@@ -131,32 +115,17 @@ def _group_indices(pred: PredictionSet) -> list[np.ndarray]:
     return groups
 
 
-def _resolve_basis(pred: PredictionSet, basis: str) -> str:
-    if basis == "auto":
-        return "auroc" if pred.n_classes == 2 and pred.scores is not None else "accuracy"
-    if basis not in ("accuracy", "auroc"):
-        raise ValueError(f"unknown quality basis {basis!r}")
-    return basis
-
-
 def _group_quality(pred: PredictionSet, basis: str) -> list[float]:
     qualities = []
     for j, idx in enumerate(_group_indices(pred)):
         if basis == "accuracy":
             qualities.append(float(np.mean(pred.y_pred[idx] == pred.y_true[idx])))
         else:
-            if pred.scores is None:
-                raise ValueError("AUROC basis needs scores")
             try:
                 qualities.append(auroc(pred.scores[idx], pred.y_true[idx]))
             except ValueError as err:
                 raise ValueError(f"group {j}: {err}") from None
     return qualities
-
-
-def pqd(pred: PredictionSet, basis: str = "auto") -> float:
-    """Worst-to-best ratio of per-group prediction quality."""
-    return _pqd_of(_group_quality(pred, _resolve_basis(pred, basis)))
 
 
 def _pqd_of(qualities: list[float]) -> float:
@@ -175,11 +144,6 @@ def _rate_ratio(values: list[float]) -> float:
     return lo / hi
 
 
-def dpm(pred: PredictionSet) -> float:
-    """Average over classes of the cross-group prediction-rate ratio."""
-    return _dpm_of(_prediction_rates(pred))
-
-
 def _prediction_rates(pred: PredictionSet) -> list[list[float]]:
     """Fraction of each group predicted as each class, [group][class]."""
     return [[float(np.mean(pred.y_pred[idx] == cls)) for cls in range(pred.n_classes)]
@@ -191,14 +155,7 @@ def _dpm_of(rates: list[list[float]]) -> float:
     return sum(ratios) / len(ratios)
 
 
-def eom(pred: PredictionSet, strict: bool = False) -> float:
-    """Average over classes of the cross-group true-positive-rate ratio."""
-    value, _, _ = _eom_details(pred, strict)
-    return value
-
-
-def _eom_details(pred: PredictionSet,
-                 strict: bool) -> tuple[float, list[list[float | None]], list[str]]:
+def _eom_details(pred: PredictionSet) -> tuple[float, list[list[float | None]], list[str]]:
     groups = _group_indices(pred)
     table: list[list[float | None]] = []
     ratios: list[float] = []
@@ -217,9 +174,6 @@ def _eom_details(pred: PredictionSet,
             ratios.append(1.0)
             flags.append(f"class {cls} absent from every group's true labels")
         elif any(s == 0 for s in supports):
-            if strict:
-                missing = [j for j, s in enumerate(supports) if s == 0]
-                raise ValueError(f"class {cls} has no true instances in groups {missing}")
             flags.append(f"class {cls} skipped: no true instances in some group")
         else:
             ratios.append(_rate_ratio([r for r in recalls]))
@@ -286,10 +240,10 @@ class FairnessReport:
 
 def fairness_report(pred: PredictionSet) -> FairnessReport:
     """Compute PQD/DPM/EOM together with the tables behind them."""
-    basis = _resolve_basis(pred, "auto")
+    basis = "auroc" if pred.n_classes == 2 and pred.scores is not None else "accuracy"
     per_group = _group_quality(pred, basis)
     rates = _prediction_rates(pred)
-    eom_value, recall_table, flags = _eom_details(pred, strict=False)
+    eom_value, recall_table, flags = _eom_details(pred)
     if basis == "accuracy":
         overall = accuracy(pred)
     else:

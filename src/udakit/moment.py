@@ -33,12 +33,6 @@ from .nn import (
     softmax,
 )
 
-__all__ = [
-    "MomentConfig",
-    "moment_distance_grads",
-    "train_m3sda",
-]
-
 
 @dataclass
 class MomentConfig:

@@ -24,33 +24,6 @@ import numpy as np
 
 from .data import DomainDataset, UnlabeledDomain, check_fields, check_value, class_balanced_probabilities
 
-__all__ = [
-    "Mlp",
-    "SgdState",
-    "TrainConfig",
-    "RunRecord",
-    "ModelBundle",
-    "DivergenceError",
-    "NonFiniteInputError",
-    "layer_sizes",
-    "init_mlp",
-    "forward",
-    "backward",
-    "softmax",
-    "cross_entropy",
-    "init_sgd",
-    "sgd_step",
-    "run_epochs",
-    "record_config",
-    "multi_source_batches",
-    "train_erm",
-    "predict",
-    "extract_features",
-    "save_model",
-    "load_model",
-    "save_run_record",
-]
-
 
 class DivergenceError(RuntimeError):
     """Raised when training produces a non-finite loss or gradient."""
@@ -355,7 +328,7 @@ def epoch_batches(rng: np.random.Generator, labels: np.ndarray, batch_size: int,
     """
     n = labels.shape[0]
     if resample:
-        idx = rng.choice(n, size=n, replace=True, p=class_balanced_probabilities(labels, n_classes))
+        idx = index_draws(rng, n, class_balanced_probabilities(labels, n_classes))(n)
     else:
         idx = rng.permutation(n)
     return [idx[s:s + batch_size] for s in range(0, n, batch_size)]

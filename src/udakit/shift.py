@@ -17,18 +17,6 @@ import numpy as np
 
 from .data import DomainDataset
 
-__all__ = [
-    "PairShift",
-    "ShiftReport",
-    "wasserstein_feature_distance",
-    "chi_square_label_divergence",
-    "pearson",
-    "build_shift_matrix",
-    "save_shift_csv",
-    "save_shift_summary",
-    "load_error_table",
-]
-
 
 def _features_of(data) -> np.ndarray:
     feats = data.features if isinstance(data, DomainDataset) else np.asarray(data, dtype=np.float64)
@@ -138,17 +126,19 @@ def wasserstein_feature_distance(a, b, projections: int = 256, seed: int = 0) ->
     return total / projections / _mean_abs_projection(dim)
 
 
+# added to each target class probability in the chi-square denominator
+CHI_SQUARE_EPSILON = 1e-6
+
+
 def chi_square_label_divergence(a: DomainDataset, b: DomainDataset,
-                                epsilon: float = 1e-6,
                                 n_classes: int | None = None) -> float:
     """Chi-square divergence between class distributions, source vs target.
 
     Asymmetric by construction: the target's empirical distribution sits in
     the denominator, so source mass on target-rare classes is penalized;
-    epsilon keeps the statistic finite when the target lacks a class.
+    CHI_SQUARE_EPSILON keeps the statistic finite when the target lacks a
+    class.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
     if a.n_samples == 0 or b.n_samples == 0:
         raise ValueError("empty dataset")
     if n_classes is None:
@@ -157,7 +147,7 @@ def chi_square_label_divergence(a: DomainDataset, b: DomainDataset,
     q = np.bincount(b.labels, minlength=n_classes) / b.n_samples
     if p.size > n_classes or q.size > n_classes:
         raise ValueError(f"labels exceed the shared universe of {n_classes} classes")
-    return float(np.sum((p - q) ** 2 / (q + epsilon)))
+    return float(np.sum((p - q) ** 2 / (q + CHI_SQUARE_EPSILON)))
 
 
 def pearson(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -7,6 +7,8 @@ against central finite differences (h = 1e-4 on float64).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from udakit.adversarial import (
@@ -115,9 +117,12 @@ def adda_case(seed: int) -> float:
                relative_error([t_grad], finite_difference(inversion_loss, _params(tgt_ext), H)))
 
 
-def mdan_case(seed: int, lam: float = 0.6, gamma: float = 5.0) -> float:
-    """The aggregated multi-source scalar, gradient-checked without the
-    extractor reversal (reverse_domain=False yields the true gradient)."""
+def mdan_case(seed: int, lam: float = 0.6, gamma: float | None = 5.0) -> float:
+    """The multi-source step as training applies it, like dann_case: the
+    extractor gradient must equal FD(sum_k w_k cls_k) - lam * FD(sum_k w_k
+    dom_k) with the source weights w frozen at the current parameters; the
+    classifier and discriminator gradients check against FD of the aggregated
+    scalar. gamma None is the hard maximum."""
     rng = np.random.default_rng(seed)
     ext = init_mlp([3, 6], rng, final="relu")
     cls = init_mlp([6, 3], rng)
@@ -126,15 +131,31 @@ def mdan_case(seed: int, lam: float = 0.6, gamma: float = 5.0) -> float:
     xt = rng.normal(size=(4, 3))
     labels = np.repeat([0, 1], 4)
 
+    def branches():
+        """Each source's (classification loss, domain loss), one row per source."""
+        ft, _ = forward(ext, xt)
+        losses = []
+        for (xs, ys), disc in zip(batches, discs):
+            fs, _ = forward(ext, xs)
+            losses.append((cross_entropy(forward(cls, fs)[0], ys)[0],
+                           cross_entropy(forward(disc, np.concatenate([fs, ft]))[0], labels)[0]))
+        return np.array(losses)
+
     def total():
-        parts, _ = _mdan_step_grads(ext, cls, discs, batches, xt, labels, lam, gamma,
-                                    reverse_domain=False)
+        parts, _ = _mdan_step_grads(ext, cls, discs, batches, xt, labels, lam, gamma)
         return parts["total"]
 
-    _, grads = _mdan_step_grads(ext, cls, discs, batches, xt, labels, lam, gamma,
-                                reverse_domain=False)
-    fd = finite_difference(total, _params(ext, cls, *discs), H)
-    return relative_error(grads, fd)
+    e = branches() @ [1.0, lam]
+    if gamma is None:
+        w = np.eye(len(e))[np.argmax(e)]
+    else:
+        w = np.exp(gamma * (e - e.max()))
+        w /= w.sum()
+    _, (ext_grad, *rest) = _mdan_step_grads(ext, cls, discs, batches, xt, labels, lam, gamma)
+    [fd_cls_on_ext] = finite_difference(lambda: w @ branches()[:, 0], _params(ext), H)
+    [fd_dom_on_ext] = finite_difference(lambda: w @ branches()[:, 1], _params(ext), H)
+    return max(relative_error([ext_grad], [fd_cls_on_ext - lam * fd_dom_on_ext]),
+               relative_error(rest, finite_difference(total, _params(cls, *discs), H)))
 
 
 def m3sda_case(seed: int, align: float = 0.8, rho: float = 0.3) -> float:
@@ -168,6 +189,7 @@ ALL_CASES = {
     "dann": dann_case,
     "adda": adda_case,
     "mdan": mdan_case,
+    "mdan_hard_max": partial(mdan_case, gamma=None),
     "m3sda": m3sda_case,
     "moment": moment_case,
 }

@@ -42,6 +42,7 @@ from udakit import (
     wasserstein_feature_distance,
 )
 from udakit.moment import _m3sda_step_grads
+from udakit.shift import CHI_SQUARE_EPSILON
 from udakit.nn import cross_entropy, forward
 
 from conftest import make_blobs
@@ -106,9 +107,14 @@ def test_criterion_2_metric_oracles():
             labels[0] = 1 - labels[0]
         assert abs(auroc(scores, labels) - auroc_pairs(scores, labels)) <= 1e-12
 
-    # fairness metrics vs direct counting on small cases
-    from udakit import accuracy, dpm, eom, pqd
+    # fairness metrics vs direct counting on small cases, through
+    # fairness_report; where the oracle says PQD or EOM is undefined, it
+    # raises naming that metric, and the table helpers give the rest
+    from udakit import accuracy
+    from udakit.metrics import (_dpm_of, _eom_details, _group_quality, _pqd_of,
+                                _prediction_rates)
     from oracles import accuracy_counting
+    undefined_cases = 0
     for m in (1, 2, 3):
         for g in (1, 2, 3):
             rng = np.random.default_rng(100 * m + g)
@@ -119,19 +125,23 @@ def test_criterion_2_metric_oracles():
                 s = np.concatenate([np.arange(g), rng.integers(0, g, size=n - g)])
                 p = PredictionSet(y, yh, s, m, g)
                 assert accuracy(p) == accuracy_counting(list(y), list(yh))
-                expected = pqd_counting(list(y), list(yh), list(s), g)
-                if expected is None:
-                    with pytest.raises(ValueError):
-                        pqd(p, basis="accuracy")
-                else:
-                    assert pqd(p, basis="accuracy") == expected
-                assert dpm(p) == dpm_counting(list(y), list(yh), list(s), m, g)
-                expected = eom_counting(list(y), list(yh), list(s), m, g)
-                if expected is None:
-                    with pytest.raises(ValueError):
-                        eom(p)
-                else:
-                    assert eom(p) == expected
+                pqd, dpm, eom = (pqd_counting(list(y), list(yh), list(s), g),
+                                 dpm_counting(list(y), list(yh), list(s), m, g),
+                                 eom_counting(list(y), list(yh), list(s), m, g))
+                if pqd is not None and eom is not None:
+                    report = fairness_report(p)
+                    assert (report.pqd, report.dpm, report.eom) == (pqd, dpm, eom)
+                    continue
+                undefined_cases += 1
+                with pytest.raises(ValueError, match="PQD undefined" if pqd is None
+                                   else "EOM undefined"):
+                    fairness_report(p)
+                assert _dpm_of(_prediction_rates(p)) == dpm
+                if pqd is not None:
+                    assert _pqd_of(_group_quality(p, "accuracy")) == pqd
+                if eom is not None:
+                    assert _eom_details(p)[0] == eom
+    assert undefined_cases == 7
 
     # sliced W1 vs LP transport on separated families, dims 1..3, n <= 64
     worst_w1 = 0.0
@@ -158,8 +168,9 @@ def test_criterion_2_metric_oracles():
     b = make_blobs("b", 2, n=400)
     a.labels[:] = [0, 1] * 200
     b.labels[:] = [0] * 100 + [1] * 300
-    chi = chi_square_label_divergence(a, b, epsilon=1e-15)
-    assert abs(chi - 1.0 / 3.0) <= 1e-9
+    chi = chi_square_label_divergence(a, b)     # p = (0.5, 0.5), q = (0.25, 0.75)
+    assert abs(chi - (0.25 ** 2 / (0.25 + CHI_SQUARE_EPSILON)
+                      + 0.25 ** 2 / (0.75 + CHI_SQUARE_EPSILON))) <= 1e-9
     r = pearson(np.array([1.0, 2, 3, 4]), np.array([2.0, 1, 4, 3]))
     assert abs(r - 0.6) <= 1e-9
 

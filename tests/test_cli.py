@@ -138,6 +138,16 @@ class TestGenAndSplit:
     def test_gen_without_config_is_config_error(self):
         assert main(["gen"]) == 1
 
+    def test_gen_rejects_a_repeated_domain_id_before_writing(self, tmp_path, capsys):
+        specs = [spec_to_dict(blob_spec(did, 10 + i, n=20)) for i, did in enumerate("aba")]
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(json.dumps(specs))
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(spec_path), "--out", str(out)]) == 1
+        assert ("udakit: error: domains[2]: domain_id 'a' is already the id of domains[0]"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_train_writes_model_record_metrics(self, workspace, capsys):
@@ -541,10 +551,15 @@ class TestMatrixCommand:
         ("fairness", lambda c: c.update(fairness_schemes=["rs-combined-erm", "combined-erm",
                                                           "rs-combined-erm"]),
          "fairness_schemes[2]: rs-combined-erm is already fairness_schemes[0]"),
+        ("matrix", lambda c: c.update(n_classes=3),
+         "n_classes: a binary task needs exactly 2 classes, got 3"),
+        ("matrix", lambda c: c.update(task="multiclass", schemes=["combined-erm", "single-dann"]),
+         "schemes[1]: single-dann is single-source UDA, rejected for multiclass tasks"),
     ], ids=["train-value", "override", "domain-field", "fairness-repeats", "train-unlisted-scheme",
             "multi-on-two-domains", "fairness-multi-on-two-domains",
             "override-multi-on-two-domains", "train-multi-on-two-domains", "repeated-scheme",
-            "repeated-fairness-scheme"])
+            "repeated-fairness-scheme", "binary-with-three-classes",
+            "multiclass-single-source-adaptation"])
     def test_malformed_settings_fail_before_any_domain_exists(self, workspace, capsys,
                                                               monkeypatch, command, edit,
                                                               message):

@@ -9,12 +9,16 @@ from udakit import (
     PredictionSet,
     accuracy,
     auroc,
-    dpm,
-    eom,
     fairness_report,
     group_partition,
-    pqd,
     save_predictions,
+)
+from udakit.metrics import (
+    _dpm_of,
+    _eom_details,
+    _group_quality,
+    _pqd_of,
+    _prediction_rates,
 )
 from oracles import (
     accuracy_counting,
@@ -84,24 +88,24 @@ class TestAuroc:
 class TestPqd:
     def test_equal_groups(self):
         p = pset([0, 1, 0, 1], [0, 0, 0, 0], sensitive=[0, 0, 1, 1])
-        assert pqd(p, basis="accuracy") == 1.0
+        assert fairness_report(p).pqd == 1.0
 
     def test_half_versus_perfect(self):
         # group 0 accuracy 0.5, group 1 accuracy 1.0
         p = pset([0, 1, 0, 1], [0, 0, 0, 1], sensitive=[0, 0, 1, 1])
-        assert pqd(p, basis="accuracy") == 0.5
+        assert fairness_report(p).pqd == 0.5
 
     def test_single_group_is_one(self):
         p = pset([0, 1, 1], [1, 0, 0])
-        with pytest.raises(ValueError, match="quality is 0"):
-            pqd(p, basis="accuracy")
+        with pytest.raises(ValueError, match="PQD undefined: best group quality is 0"):
+            fairness_report(p)
         p = pset([0, 1, 1], [0, 1, 0])
-        assert pqd(p, basis="accuracy") == 1.0
+        assert fairness_report(p).pqd == 1.0
 
     def test_empty_group_named(self):
         p = pset([0, 1], [0, 1], sensitive=[0, 0], n_groups=2)
         with pytest.raises(ValueError, match="group 1 is empty"):
-            pqd(p, basis="accuracy")
+            fairness_report(p)
 
     def test_auroc_basis(self):
         y = np.array([0, 1, 0, 1, 0, 1])
@@ -109,22 +113,24 @@ class TestPqd:
         scores = np.array([0.2, 0.9, 0.4, 0.6, 0.7, 0.3])
         p = pset(y, y, sensitive=s, scores=scores)
         # group 0 auroc 1.0; group 1 positives both score below its negative
-        assert pqd(p, basis="auroc") == 0.0
+        assert fairness_report(p).pqd == 0.0
         scores2 = np.array([0.2, 0.9, 0.4, 0.75, 0.7, 0.6])
         p2 = pset(y, y, sensitive=s, scores=scores2)
-        assert pqd(p2, basis="auroc") == pytest.approx(0.5)
+        assert fairness_report(p2).pqd == pytest.approx(0.5)
 
-    def test_auto_basis_prefers_auroc_for_binary(self):
+    def test_binary_with_scores_takes_the_auroc_basis(self):
         y = np.array([0, 1, 0, 1])
         scores = np.array([0.1, 0.9, 0.2, 0.8])
         p = pset(y, y, sensitive=[0, 0, 1, 1], scores=scores)
-        assert pqd(p) == 1.0
+        report = fairness_report(p)
+        assert report.quality_basis == "auroc"
+        assert report.pqd == 1.0
 
 
 class TestDpm:
     def test_identical_rates(self):
         p = pset([0, 1, 0, 1], [0, 1, 0, 1], sensitive=[0, 0, 1, 1])
-        assert dpm(p) == 1.0
+        assert fairness_report(p).dpm == 1.0
 
     def test_hand_fixture(self):
         # group A predicts class 1 at 0.6, group B at 0.3
@@ -132,7 +138,7 @@ class TestDpm:
         pred_b = [1] * 3 + [0] * 7
         p = pset([0] * 20, pred_a + pred_b, sensitive=[0] * 10 + [1] * 10, n_classes=2)
         expected = (0.5 + (0.4 / 0.7)) / 2
-        assert dpm(p) == pytest.approx(expected, abs=1e-12)
+        assert fairness_report(p).dpm == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.5357142857142857, abs=1e-12)
 
     def test_unpredicted_class_by_one_group_pulls_down(self):
@@ -140,17 +146,17 @@ class TestDpm:
         pred_b = [0, 0, 0, 0]
         p = pset([0] * 8, pred_a + pred_b, sensitive=[0] * 4 + [1] * 4, n_classes=2)
         # class 1 ratio 0, class 0 ratio 0.5
-        assert dpm(p) == pytest.approx(0.25)
+        assert fairness_report(p).dpm == pytest.approx(0.25)
 
     def test_class_predicted_by_no_group_counts_as_one(self):
         p = pset([0, 0], [0, 0], sensitive=[0, 1], n_classes=2)
-        assert dpm(p) == 1.0
+        assert fairness_report(p).dpm == 1.0
 
 
 class TestEom:
     def test_perfect_classification(self):
         p = pset([0, 1, 0, 1], [0, 1, 0, 1], sensitive=[0, 0, 1, 1])
-        assert eom(p) == 1.0
+        assert fairness_report(p).eom == 1.0
 
     def test_mirror_recalls(self):
         # group A recalls (1.0, 0.5); group B recalls (0.5, 1.0)
@@ -159,28 +165,25 @@ class TestEom:
         y_b = [0, 0, 1, 1]
         p_b = [0, 1, 1, 1]
         p = pset(y_a + y_b, p_a + p_b, sensitive=[0] * 4 + [1] * 4)
-        assert eom(p) == pytest.approx(0.5)
+        assert fairness_report(p).eom == pytest.approx(0.5)
 
     def test_class_absent_everywhere_contributes_one_and_flags(self):
         # class 1 never occurs in y_true: ratio 1 by convention; class 0
         # recalls are 1.0 and 0.5, so EOM = (0.5 + 1.0) / 2
         p = pset([0, 0, 0, 0], [0, 0, 0, 1], sensitive=[0, 0, 1, 1], n_classes=2)
-        assert eom(p) == pytest.approx(0.75)
         report = fairness_report(p)     # no scores: the basis is accuracy
+        assert report.eom == pytest.approx(0.75)
         assert report.quality_basis == "accuracy"
         assert any("absent from every group" in f for f in report.flags)
 
-    def test_partial_absence_skipped_by_default(self):
+    def test_partial_absence_skipped(self):
         # class 1 present only in group 0; it is skipped, class 0 ratio stays
         y = [0, 1, 0, 0]
         yh = [0, 1, 0, 0]
         p = pset(y, yh, sensitive=[0, 0, 1, 1])
-        assert eom(p) == 1.0
-
-    def test_partial_absence_errors_in_strict_mode(self):
-        p = pset([0, 1, 0, 0], [0, 1, 0, 0], sensitive=[0, 0, 1, 1])
-        with pytest.raises(ValueError, match="no true instances"):
-            eom(p, strict=True)
+        report = fairness_report(p)
+        assert report.eom == 1.0
+        assert "class 1 skipped: no true instances in some group" in report.flags
 
 
 class TestGroupIndependence:
@@ -191,9 +194,8 @@ class TestGroupIndependence:
         yh_block = [0, 1, 1, 2, 2]
         p = pset(y_block * 2, yh_block * 2, sensitive=[0] * 5 + [1] * 5,
                  n_classes=3, n_groups=2)
-        assert pqd(p, basis="accuracy") == 1.0
-        assert dpm(p) == 1.0
-        assert eom(p) == 1.0
+        report = fairness_report(p)
+        assert (report.pqd, report.dpm, report.eom) == (1.0, 1.0, 1.0)
 
 
 class TestPermutationInvariance:
@@ -211,23 +213,31 @@ class TestPermutationInvariance:
         group_perm = rng.permutation(g)
         p2 = pset(class_perm[y], class_perm[yh], sensitive=group_perm[s],
                   n_classes=m, n_groups=g)
-        assert pqd(p2, basis="accuracy") == pytest.approx(pqd(p, basis="accuracy"), abs=1e-12)
-        assert dpm(p2) == pytest.approx(dpm(p), abs=1e-12)
-        e1, e2 = _eom_or_none(p), _eom_or_none(p2)
-        if e1 is not None and e2 is not None:
-            assert e2 == pytest.approx(e1, abs=1e-12)
+        report, renamed = fairness_report(p), fairness_report(p2)
+        for metric in ("pqd", "dpm", "eom"):
+            assert getattr(renamed, metric) == pytest.approx(getattr(report, metric), abs=1e-12)
 
 
-def _eom_or_none(p):
-    try:
-        return eom(p)
-    except ValueError:
-        return None
+def table_metrics(p):
+    """PQD, DPM and EOM of p through fairness_report's table helpers, each
+    None where it is undefined."""
+    values = []
+    for metric in (lambda: _pqd_of(_group_quality(p, "accuracy")),
+                   lambda: _dpm_of(_prediction_rates(p)),
+                   lambda: _eom_details(p)[0]):
+        try:
+            values.append(metric())
+        except ValueError:
+            values.append(None)
+    return values
 
 
 class TestOracleEquality:
     @pytest.mark.parametrize("m,g", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 1), (2, 1)])
     def test_exhaustive_small_cases(self, m, g):
+        # through fairness_report; where the oracle says PQD or EOM is
+        # undefined, it raises naming that metric, and the table helpers
+        # give the metrics that remain defined
         rng = np.random.default_rng(m * 10 + g)
         for trial in range(60):
             n = int(rng.integers(g, 31))
@@ -236,19 +246,17 @@ class TestOracleEquality:
             s = np.concatenate([np.arange(g), rng.integers(0, g, size=n - g)])
             p = pset(y, yh, sensitive=s, n_classes=m, n_groups=g)
             assert accuracy(p) == accuracy_counting(list(y), list(yh))
-            expected_pqd = pqd_counting(list(y), list(yh), list(s), g)
-            if expected_pqd is None:
-                with pytest.raises(ValueError, match="quality is 0"):
-                    pqd(p, basis="accuracy")
+            expected = [pqd_counting(list(y), list(yh), list(s), g),
+                        dpm_counting(list(y), list(yh), list(s), m, g),
+                        eom_counting(list(y), list(yh), list(s), m, g)]
+            if None in expected:
+                undefined = "PQD" if expected[0] is None else "EOM"
+                with pytest.raises(ValueError, match=f"{undefined} undefined"):
+                    fairness_report(p)
+                assert table_metrics(p) == expected
             else:
-                assert pqd(p, basis="accuracy") == expected_pqd
-            assert dpm(p) == dpm_counting(list(y), list(yh), list(s), m, g)
-            expected_eom = eom_counting(list(y), list(yh), list(s), m, g)
-            if expected_eom is None:
-                with pytest.raises(ValueError):
-                    eom(p)
-            else:
-                assert eom(p) == expected_eom
+                report = fairness_report(p)
+                assert [report.pqd, report.dpm, report.eom] == expected
 
 
 class TestGroupPartition:

@@ -222,8 +222,9 @@ class TestChiSquare:
         b = make_blobs("b", 2, n=400)
         a.labels[:] = [0, 1] * 200                    # p = (0.5, 0.5)
         b.labels[:] = [0] * 100 + [1] * 300           # q = (0.25, 0.75)
-        got = chi_square_label_divergence(a, b, epsilon=1e-15)
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-9)
+        got = chi_square_label_divergence(a, b)
+        eps = shift.CHI_SQUARE_EPSILON
+        assert got == pytest.approx(0.25 ** 2 / (0.25 + eps) + 0.25 ** 2 / (0.75 + eps), abs=1e-9)
 
     def test_asymmetric(self):
         a = make_blobs("a", 3, n=300, mix=[0.9, 0.1])
@@ -234,10 +235,10 @@ class TestChiSquare:
     def test_missing_target_class_large_but_finite(self):
         a = make_blobs("a", 5, n=200, mix=[0.5, 0.5])
         b = make_blobs("b", 6, n=200, mix=[1.0, 0.0])
-        eps = 1e-6
-        got = chi_square_label_divergence(a, b, epsilon=eps, n_classes=2)
+        got = chi_square_label_divergence(a, b, n_classes=2)
         p1 = np.mean(a.labels == 1)
-        assert got > p1 ** 2 / (2 * eps)  # dominated by the missing-class term
+        # dominated by the missing-class term
+        assert got > p1 ** 2 / (2 * shift.CHI_SQUARE_EPSILON)
         assert np.isfinite(got)
 
     def test_nonnegative_random(self, rng):
@@ -245,11 +246,6 @@ class TestChiSquare:
             a = make_blobs("a", seed, n=150, mix=[0.6, 0.4])
             b = make_blobs("b", seed + 50, n=150, mix=[0.2, 0.8])
             assert chi_square_label_divergence(a, b) >= 0.0
-
-    def test_epsilon_must_be_positive(self):
-        a = make_blobs("a", 0, n=10)
-        with pytest.raises(ValueError, match="epsilon"):
-            chi_square_label_divergence(a, a, epsilon=0.0)
 
 
 class TestPearson:

@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -64,27 +65,182 @@ def python_blocks(markdown: str) -> list[str]:
     return [block.split("```", 1)[0] for block in markdown.split("```python\n")[1:]]
 
 
-def unused_public_definitions(root: Path) -> list[str]:
-    """Public top-level functions and classes of src/udakit that nothing in
-    src/, demos/, perfbench/ or README's Python blocks refers to by name,
-    as module:name. An import or an __all__ entry is not a use."""
+def imported_module(node: ast.ImportFrom) -> str | None:
+    """The dotted name of the udakit module an import-from reads, or None.
+    Every module sits directly in the package, so a relative import reads
+    the package or one of its modules."""
+    if node.level:
+        return "udakit" + (f".{node.module}" if node.module else "")
+    return node.module if (node.module or "").split(".")[0] == "udakit" else None
+
+
+def package_bindings(modules: dict[str, tuple[str, ast.Module]]) -> dict[str, dict[str, str]]:
+    """Each module's top-level names that are bound to a udakit function or
+    class, by its definition or by an import, as name -> module:definition."""
+    bindings = {name: {node.name: f"{label}:{node.name}" for node in tree.body
+                       if isinstance(node, ast.FunctionDef | ast.ClassDef)}
+                for name, (label, tree) in modules.items()}
+    imports = [(name, imported_module(node), alias)
+               for name, (_, tree) in modules.items() for node in tree.body
+               if isinstance(node, ast.ImportFrom) and imported_module(node) in bindings
+               for alias in node.names]
+    changed = True
+    while changed:      # a module may import a name that another module imported
+        changed = False
+        for name, source, alias in imports:
+            bound, target = alias.asname or alias.name, bindings[source].get(alias.name)
+            if target and bound not in bindings[name]:
+                bindings[name][bound] = target
+                changed = True
+    return bindings
+
+
+def definition_resolver(tree: ast.Module, bindings: dict[str, dict[str, str]],
+                        module: str | None) -> Callable[[ast.AST], str | None]:
+    """For a node of tree (the text of the udakit module named module, or of
+    a file outside the package when None), the udakit definition it names,
+    as module:definition, or None. A name names a definition when it is
+    bound to it in module or by an import from udakit anywhere in tree; an
+    attribute does when its object is a udakit module."""
+    names, modules = dict(bindings.get(module, {})), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name) if alias.asname else ("udakit", "udakit")
+                           for alias in node.names if alias.name.split(".")[0] == "udakit")
+        elif isinstance(node, ast.ImportFrom) and imported_module(node) in bindings:
+            source = imported_module(node)
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if f"{source}.{alias.name}" in bindings:
+                    modules[bound] = f"{source}.{alias.name}"
+                elif alias.name in bindings[source]:
+                    names[bound] = bindings[source][alias.name]
+
+    def module_of(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name):
+            return modules.get(node.id)
+        if isinstance(node, ast.Attribute) and (parent := module_of(node.value)):
+            return f"{parent}.{node.attr}" if f"{parent}.{node.attr}" in bindings else None
+        return None
+
+    def definition_of(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and (parent := module_of(node.value)):
+            return bindings[parent].get(node.attr)
+        return None
+
+    return definition_of
+
+
+def program(root: Path) -> tuple[dict[str, tuple[str, ast.Module]],
+                                 list[tuple[ast.Module, Callable[[ast.AST], str | None]]]]:
+    """The package's modules, as dotted name ("udakit" for __init__.py) ->
+    (the label of its definitions, its syntax tree), and one
+    (tree, definition_of) pair per text outside the tests: each module of
+    src/udakit, of demos/ and of perfbench/, and each of README's Python
+    blocks."""
     package = root / "src" / "udakit"
-    sources = [p.read_text(encoding="utf-8")
-               for folder in (package, root / "demos", root / "perfbench")
-               for p in sorted(folder.glob("*.py"))]
-    sources += python_blocks((root / "README.md").read_text(encoding="utf-8"))
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for text in sources for node in ast.walk(ast.parse(text))
-            if isinstance(node, ast.Name | ast.Attribute)}
-    return [f"{path.stem}:{node.name}"
-            for path in sorted(package.glob("*.py"))
-            for node in ast.parse(path.read_text(encoding="utf-8")).body
+    modules = {("udakit" if path.stem == "__init__" else f"udakit.{path.stem}"):
+               (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+               for path in sorted(package.glob("*.py"))}
+    bindings = package_bindings(modules)
+    texts = [(name, tree) for name, (_, tree) in modules.items()]
+    texts += [(None, ast.parse(path.read_text(encoding="utf-8")))
+              for folder in (root / "demos", root / "perfbench")
+              for path in sorted(folder.glob("*.py"))]
+    texts += [(None, ast.parse(block))
+              for block in python_blocks((root / "README.md").read_text(encoding="utf-8"))]
+    return modules, [(tree, definition_resolver(tree, bindings, name)) for name, tree in texts]
+
+
+def unused_public_definitions(root: Path) -> list[str]:
+    """Public top-level functions and classes of src/udakit that no text
+    outside the tests uses, as module:name. A use is a name or attribute
+    bound to the definition (see definition_resolver): an import is not
+    one, and neither is another file's variable or another object's
+    attribute that happens to share the name."""
+    modules, texts = program(root)
+    used = {definition_of(node) for tree, definition_of in texts for node in ast.walk(tree)}
+    return [f"{label}:{node.name}" for label, tree in modules.values() for node in tree.body
             if isinstance(node, ast.FunctionDef | ast.ClassDef)
-            and not node.name.startswith("_") and node.name not in used]
+            and not node.name.startswith("_") and f"{label}:{node.name}" not in used]
 
 
 def test_every_public_definition_has_a_use_outside_the_tests():
     assert unused_public_definitions(PACKAGE.parents[1]) == []
+
+
+def probe_program(root: Path) -> Path:
+    """A package of one module a.py beside a demo, a perfbench file and a
+    README, each using some of a.py's definitions."""
+    for folder in ("src/udakit", "demos", "perfbench"):
+        (root / folder).mkdir(parents=True)
+    (root / "src/udakit/__init__.py").write_text("from .a import Kept, used_by_demo\n")
+    (root / "src/udakit/a.py").write_text(
+        "def used_by_demo(x, scale=1.0, *, mode='a'):\n    return x\n"
+        "def via_module(x, flag=False, level=0):\n    return _helper(y=1) + _unused_flag()\n"
+        "def shadowed():\n    pass\n"
+        "def attribute_only():\n    pass\n"
+        "def _helper(y=0):\n    return y\n"
+        "def _unused_flag(z=0):\n    return z\n"
+        "class Kept:\n    pass\n")
+    (root / "demos/d.py").write_text("from udakit import used_by_demo\nimport udakit.a as m\n"
+                                     "used_by_demo(1, 2.0)\nm.via_module(*args)\n")
+    (root / "perfbench/p.py").write_text("shadowed = 1\nprint(shadowed, report.attribute_only)\n")
+    (root / "README.md").write_text("Use:\n\n```python\nimport udakit\nudakit.Kept()\n```\n")
+    return root
+
+
+def test_a_use_is_a_binding_to_the_definition(tmp_path):
+    assert unused_public_definitions(probe_program(tmp_path)) == ["a:shadowed",
+                                                                  "a:attribute_only"]
+
+
+def passes(call: ast.Call, positional: list[str], param: str) -> bool:
+    """Whether call passes param of a function whose positional parameters
+    are positional; *args and **kwargs pass every parameter they can reach."""
+    if any(keyword.arg in (param, None) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return param in positional
+    return param in positional[:len(call.args)]
+
+
+def unpassed_defaults(root: Path) -> list[str]:
+    """Defaulted parameters of the top-level functions of src/udakit that no
+    call outside the tests passes, by keyword or by position, as
+    module:function(parameter). A call counts where its callee is bound to
+    the function (see definition_resolver)."""
+    modules, texts = program(root)
+    calls: dict[str, list[ast.Call]] = {}
+    for tree, definition_of in texts:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (target := definition_of(node.func)):
+                calls.setdefault(target, []).append(node)
+    found = []
+    for label, tree in modules.values():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            found += [f"{label}:{node.name}({param})" for param in defaulted
+                      if not any(passes(call, positional, param)
+                                 for call in calls.get(f"{label}:{node.name}", []))]
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    assert unpassed_defaults(PACKAGE.parents[1]) == []
+
+
+def test_defaulted_parameters_no_call_passes_are_detected(tmp_path):
+    assert unpassed_defaults(probe_program(tmp_path)) == ["a:used_by_demo(mode)",
+                                                          "a:_unused_flag(z)"]
 
 
 # The benchmark under perfbench/ drives udakit through these entry points;
