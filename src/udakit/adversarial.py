@@ -117,10 +117,6 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
     extractor, classifier = build_model(source.dim, n_classes, tcfg, rng_init)
     disc = _discriminator(cfg, rng_disc)
-    blocks = [("extractor", extractor.params), ("classifier", classifier.params),
-              ("discriminator", disc.params)]
-    opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
-
     total_steps = tcfg.epochs * -(-source.n_samples // tcfg.batch_size)
     record = RunRecord("dann", tcfg.seed, record_config(cfg),
                        {"classification": [], "domain": []})
@@ -129,20 +125,18 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     bs = tcfg.batch_size
     both = np.repeat(np.array([0, 1]), bs)
 
-    def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
+    def step(idx: np.ndarray, t: int) -> tuple[dict[str, float], list[np.ndarray]]:
         k = idx.size
         cls_loss, dom_loss, grads = _dann_step_grads(
             extractor, classifier, disc, source.features.take(idx, axis=0),
             source.labels.take(idx), target.features.take(draw_target(k), axis=0),
-            both[bs - k:bs + k], _domain_weight_at(cfg, opt.step, total_steps))
+            both[bs - k:bs + k], _domain_weight_at(cfg, t, total_steps))
         return {"classification": cls_loss, "domain": dom_loss}, grads
 
-    run_epochs(record, blocks, opt, tcfg.epochs,
+    run_epochs(record, {"extractor": extractor, "classifier": classifier, "discriminator": disc},
+               tcfg.learning_rate, tcfg.momentum, tcfg.epochs,
                lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
-                                     tcfg.resample, n_classes), step)
-    if tcfg.epochs:
-        record.final["classification_loss"] = record.epoch_losses["classification"][-1]
-        record.final["domain_loss"] = record.epoch_losses["domain"][-1]
+                                     tcfg.resample, n_classes), step, ("classification", "domain"))
     return ModelBundle(extractor, [classifier], None, tcfg.to_dict(), tcfg.seed, record)
 
 
@@ -207,20 +201,19 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     target_extractor = source_extractor.copy()
     disc = _discriminator(cfg, rng_disc)
     disc_blocks = [("discriminator", disc.params)]
-    ext_blocks = [("target_extractor", target_extractor.params)]
     disc_opt = init_sgd(disc_blocks, tcfg.learning_rate, tcfg.momentum)
     adapt_lr = cfg.adapt_learning_rate if cfg.adapt_learning_rate is not None else tcfg.learning_rate
-    ext_opt = init_sgd(ext_blocks, adapt_lr, tcfg.momentum)
 
     record = RunRecord("adda", tcfg.seed, record_config(cfg),
                        {"classification": list(stage1.record.epoch_losses["classification"]),
-                        "domain": [], "alignment": [], "discriminator_accuracy": []})
+                        "domain": [], "alignment": [], "discriminator_accuracy": []},
+                       final=dict(stage1.record.final))
     draw_target = index_draws(rng_tgt, target.n_samples)
     # domain labels: k source rows take both[bs-k:bs] (zeros), k target rows both[bs:bs+k]
     bs = tcfg.batch_size
     both = np.repeat(np.array([0, 1]), bs)
 
-    def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
+    def step(idx: np.ndarray, t: int) -> tuple[dict[str, float], list[np.ndarray]]:
         k = idx.size
         feats_t, t_acts = forward(target_extractor, target.features.take(draw_target(k), axis=0))
         # the discriminator steps on its own optimiser before the inversion
@@ -234,15 +227,13 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
         return {"domain": dom_loss, "alignment": inv_loss,
                 "discriminator_accuracy": acc}, [t_grad]
 
-    run_epochs(record, ext_blocks, ext_opt, adapt,
+    run_epochs(record, {"target_extractor": target_extractor}, adapt_lr, tcfg.momentum, adapt,
                lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
-                                     tcfg.resample, n_classes), step)
+                                     tcfg.resample, n_classes), step, ("domain",))
     record.warnings += [f"discriminator accuracy {acc:.3f} > 0.99 through epoch {epoch}"
                         for epoch, acc in enumerate(record.epoch_losses["discriminator_accuracy"])
                         if acc > 0.99]
-    record.final.update(stage1.record.final)   # classification_loss, once stage 1 ran
     if adapt:
-        record.final["domain_loss"] = record.epoch_losses["domain"][-1]
         record.final["discriminator_accuracy"] = record.epoch_losses["discriminator_accuracy"][-1]
     return ModelBundle(target_extractor, [classifier], None, tcfg.to_dict(), tcfg.seed, record)
 
@@ -289,29 +280,22 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
     extractor, classifier = build_model(target.dim, n_classes, tcfg, rng_init)
     discs = [_discriminator(cfg, rng_disc) for _ in sources]
-
-    blocks = [("extractor", extractor.params), ("classifier", classifier.params)]
-    for k, d in enumerate(discs):
-        blocks.append((f"discriminator{k}", d.params))
-    opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
-
     total_steps = tcfg.epochs * -(-max(s.n_samples for s in sources) // tcfg.batch_size)
     loss_keys = {"classification": [], "total": []}
     loss_keys.update({f"domain_{k}": [] for k in range(len(sources))})
     record = RunRecord("mdan", tcfg.seed, record_config(cfg), loss_keys)
     dom_labels = np.repeat(np.array([0, 1]), tcfg.batch_size)   # a source batch, then xt
 
-    def step(batch) -> tuple[dict[str, float], list[np.ndarray]]:
+    def step(batch, t: int) -> tuple[dict[str, float], list[np.ndarray]]:
         batches, xt = batch
         return _mdan_step_grads(extractor, classifier, discs, batches, xt, dom_labels,
-                                _domain_weight_at(cfg, opt.step, total_steps), cfg.gamma)
+                                _domain_weight_at(cfg, t, total_steps), cfg.gamma)
 
-    run_epochs(record, blocks, opt, tcfg.epochs,
+    nets = {"extractor": extractor, "classifier": classifier}
+    nets.update((f"discriminator{k}", d) for k, d in enumerate(discs))
+    run_epochs(record, nets, tcfg.learning_rate, tcfg.momentum, tcfg.epochs,
                multi_source_batches(sources, target, tcfg, n_classes, rng_batch, rng_tgt),
-               step)
-    if tcfg.epochs:
-        record.final["classification_loss"] = record.epoch_losses["classification"][-1]
-        record.final["total_loss"] = record.epoch_losses["total"][-1]
+               step, ("classification", "total"))
     return ModelBundle(extractor, [classifier], None, tcfg.to_dict(), tcfg.seed, record)
 
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from .data import (
     check_domain_ids,
+    domain_specs,
     generate_domain,
     load_dataset,
     save_dataset,
-    spec_from_dict,
     stratified_split,
 )
 from .harness import (
@@ -119,7 +119,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if not args.config:
         raise ValueError("gen needs --config pointing at a domain spec file")
     payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    specs = [spec_from_dict(p) for p in (payload if isinstance(payload, list) else [payload])]
+    specs = domain_specs(payload if isinstance(payload, list) else [payload])
     check_domain_ids(specs)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

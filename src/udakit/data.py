@@ -184,6 +184,14 @@ def check_value(name: str, value: object, annotation: object) -> object:
     raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
+def within(prefix: str, make: typing.Callable[[], typing.Any]) -> typing.Any:
+    """make(), with prefix put before the message of a ValueError it raises."""
+    try:
+        return make()
+    except ValueError as err:
+        raise ValueError(f"{prefix}{err}") from None
+
+
 def check_fields(obj: object) -> None:
     """Replace each field of the dataclass obj by check_value of it against its
     annotation; the config dataclasses call this before their range checks."""
@@ -436,6 +444,13 @@ def spec_from_dict(payload: dict) -> DomainSpec:
     if extra:
         raise ValueError(f"domain spec has unknown fields {extra}")
     return DomainSpec(**payload)
+
+
+def domain_specs(payload: object) -> list[DomainSpec]:
+    """payload, a list of DomainSpec dicts, as specs; a malformed entry raises
+    ValueError naming it domains[i], as check_domain_ids names a repeated id."""
+    return [within(f"domains[{i}]: ", lambda: spec_from_dict(entry))
+            for i, entry in enumerate(check_value("domains", payload, list))]
 
 
 def check_domain_ids(specs: list[DomainSpec]) -> None:

@@ -15,7 +15,7 @@ import zlib
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from .data import (
     check_fields,
     check_value,
     concat_domains,
+    domain_specs,
     generate_domain,
     load_dataset,
     save_dataset,
-    spec_from_dict,
     spec_to_dict,
     stratified_split,
+    within,
 )
 from .metrics import (
     FairnessReport,
@@ -87,14 +88,6 @@ SCHEME_BASES = {
     "multi-m3sda": SchemeBase(MULTI, "train_m3sda", MomentConfig, (
         "align_weight", "discrepancy_weight", "holdout_ratio")),
 }
-
-
-def _within(prefix: str, make: Callable[[], Any]) -> Any:
-    """make(), with prefix put before the message of a ValueError it raises."""
-    try:
-        return make()
-    except ValueError as err:
-        raise ValueError(f"{prefix}{err}") from None
 
 
 def parse_scheme(name: str) -> tuple[SchemeBase, bool]:
@@ -168,14 +161,14 @@ class ExperimentConfig:
                 raise ValueError(f"dataset_paths[{i}] must be a non-empty path or an object with "
                                  f"exactly the paths train and test, got {entry!r}")
         if self.fairness_bins is not None:
-            _within("fairness_bins: ", lambda: group_bins(self.fairness_bins))
+            within("fairness_bins: ", lambda: group_bins(self.fairness_bins))
         named = [(key, f"{key}[{i}]", scheme) for key in ("schemes", "fairness_schemes")
                  for i, scheme in enumerate(getattr(self, key) or [])]
         named += [("scheme_overrides", f"scheme_overrides.{scheme}", scheme)
                   for scheme in self.scheme_overrides]
         first: dict[tuple[str, str], str] = {}      # (key, scheme) -> path of its first entry
         for key, path, scheme in named:
-            _within(f"{path}: ", lambda: _check_scheme(scheme, n, self.task))
+            within(f"{path}: ", lambda: _check_scheme(scheme, n, self.task))
             trainer_config(self, scheme, self.n_classes, 0)
             earlier = first.setdefault((key, scheme), path)
             if earlier != path:
@@ -191,9 +184,7 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"experiment config is missing fields {missing}")
         if payload.get("domains") is not None:
-            domains = check_value("domains", payload["domains"], list)
-            payload["domains"] = [_within(f"domains[{i}]: ", lambda: spec_from_dict(d))
-                                  for i, d in enumerate(domains)]
+            payload["domains"] = domain_specs(payload["domains"])
         return ExperimentConfig(**payload)
 
     def to_dict(self) -> dict:
@@ -263,14 +254,20 @@ class Grid:
         pred = prediction_set(model, test, test.sensitive, self.n_groups)
         return auroc(pred.scores, test.labels) if self.cfg.task == "binary" else accuracy(pred)
 
+    def fairness_groups(self, target: str) -> np.ndarray:
+        """Each row's group in the target's full data (train, then test rows):
+        its sensitive value, banded through cfg.fairness_bins if given."""
+        split, bins = self.splits[target], self.cfg.fairness_bins
+        sensitive = np.concatenate([split.train.sensitive, split.test.sensitive])
+        return sensitive if bins is None else within(
+            f"fairness_bins: domain {target!r}: ", lambda: group_partition(sensitive, bins))
+
     def fairness(self, model: ModelBundle, target: str) -> FairnessReport:
-        """fairness_report over the target's full data (train and test rows),
-        with the sensitive attribute banded through cfg.fairness_bins if given."""
+        """fairness_report over the target's full data, in fairness_groups."""
         split = self.splits[target]
-        full = concat_domains([split.train, split.test])
-        groups = (group_partition(full.sensitive, self.cfg.fairness_bins)
-                  if self.cfg.fairness_bins is not None else full.sensitive)
-        return fairness_report(prediction_set(model, full, groups, int(groups.max()) + 1))
+        groups = self.fairness_groups(target)
+        return fairness_report(prediction_set(model, concat_domains([split.train, split.test]),
+                                              groups, int(groups.max()) + 1))
 
 
 def prediction_set(model: ModelBundle, data: DomainDataset, groups: np.ndarray,
@@ -284,22 +281,25 @@ def prediction_set(model: ModelBundle, data: DomainDataset, groups: np.ndarray,
 
 def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
     """Check each scheme's domain count, trainer config and task, then
-    materialize the domains and count classes (cfg.n_classes when set) and
-    sensitive groups."""
+    materialize the domains and count classes (cfg.n_classes when set, which
+    every domain's labels must fit) and sensitive groups."""
     n_domains = len(cfg.domains if cfg.domains is not None else cfg.dataset_paths)
     for scheme in schemes:
         _check_scheme(scheme, n_domains, cfg.task)
         trainer_config(cfg, scheme, cfg.n_classes, 0)
     splits = materialize_domains(cfg)
 
-    def count(attr: str) -> int:
-        return 1 + int(max(getattr(d, attr).max(initial=0)
-                           for p in splits.values() for d in (p.train, p.test)))
+    def count(attr: str, pair: SplitPair) -> int:
+        return 1 + int(max(getattr(d, attr).max(initial=0) for d in (pair.train, pair.test)))
 
-    n_classes = int(cfg.n_classes) if cfg.n_classes is not None else count("labels")
+    classes = {domain: count("labels", pair) for domain, pair in splits.items()}
+    n_classes = max(classes.values()) if cfg.n_classes is None else int(cfg.n_classes)
+    for domain, found in classes.items():
+        if found > n_classes:
+            raise ValueError(f"n_classes: {n_classes}, but domain {domain!r} has label {found - 1}")
     if cfg.task == "binary" and n_classes != 2:
         raise ValueError(f"binary task needs exactly 2 classes, found {n_classes}")
-    return Grid(cfg, splits, n_classes, count("sensitive"))
+    return Grid(cfg, splits, n_classes, max(count("sensitive", pair) for pair in splits.values()))
 
 
 # single-source arms default to a gentler rate; any explicit setting wins
@@ -335,11 +335,11 @@ def trainer_config(cfg: ExperimentConfig, scheme: str, n_classes: int | None,
             raise ValueError(f"{path}.{unknown[0]}: unknown {label} keys {unknown} for "
                              f"{scheme}; its trainer reads {sorted(allowed)}")
         settings.update((k, v) for k, v in given.items() if k in train_keys)
-        train = _within(f"{path}.", lambda: TrainConfig(**settings, **fixed))
+        train = within(f"{path}.", lambda: TrainConfig(**settings, **fixed))
     if row.config is TrainConfig:
         return train
     own = {k: v for k, v in overrides.items() if k in row.own_keys}
-    return _within(f"{where}.", lambda: row.config(train=train, **own))
+    return within(f"{where}.", lambda: row.config(train=train, **own))
 
 
 def scheme_sources(scheme: str, ids: list[str], target: str) -> list[str]:
@@ -533,6 +533,8 @@ def run_fairness(cfg: ExperimentConfig) -> FairnessMatrix:
     """
     schemes = cfg.fairness_schemes if cfg.fairness_schemes is not None else cfg.schemes
     grid = open_grid(cfg, schemes)
+    for target in grid.ids:
+        grid.fairness_groups(target)      # bins that miss a value fail before any training
     cells = []
     for scheme, target in product(schemes, grid.ids):
         single = parse_scheme(scheme)[0].mode == SINGLE

@@ -216,7 +216,7 @@ def group_partition(values: np.ndarray,
         out[(values > lo) & (values <= hi) & (out < 0)] = j
     if (out < 0).any():
         bad = values[out < 0][0]
-        raise ValueError(f"attribute value {bad!r} falls outside every group bin")
+        raise ValueError(f"attribute value {bad:g} falls outside every group bin")
     return out
 
 

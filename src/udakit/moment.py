@@ -24,7 +24,6 @@ from .nn import (
     cross_entropy,
     forward,
     init_mlp,
-    init_sgd,
     multi_source_batches,
     record_config,
     resolve_n_classes,
@@ -115,11 +114,6 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
     extractor = init_mlp([target.dim, *tcfg.hidden_sizes], rng_init, final="relu")
     classifiers = [init_mlp([tcfg.hidden_sizes[-1], n_classes], rng_init, final="identity")
                    for _ in sources]
-    blocks = [("extractor", extractor.params)]
-    for k, c in enumerate(classifiers):
-        blocks.append((f"classifier{k}", c.params))
-    opt = init_sgd(blocks, tcfg.learning_rate, tcfg.momentum)
-
     keys = {"classification": [], "moment": [], "discrepancy": [], "total": []}
     for k in range(len(sources)):
         keys[f"moment:src{k}|target"] = []
@@ -127,17 +121,16 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
             keys[f"moment:src{k}|src{l}"] = []
     record = RunRecord("m3sda", tcfg.seed, record_config(cfg), keys)
 
-    def step(batch) -> tuple[dict[str, float], list[np.ndarray]]:
+    def step(batch, t: int) -> tuple[dict[str, float], list[np.ndarray]]:
         batches, xt = batch
         return _m3sda_step_grads(extractor, classifiers, batches, xt,
                                  cfg.align_weight, cfg.discrepancy_weight)
 
-    run_epochs(record, blocks, opt, tcfg.epochs,
+    nets = {"extractor": extractor}
+    nets.update((f"classifier{k}", c) for k, c in enumerate(classifiers))
+    run_epochs(record, nets, tcfg.learning_rate, tcfg.momentum, tcfg.epochs,
                multi_source_batches(train_sources, target, tcfg, n_classes, rng_batch, rng_tgt),
-               step)
-    if tcfg.epochs:
-        record.final["classification_loss"] = record.epoch_losses["classification"][-1]
-        record.final["total_loss"] = record.epoch_losses["total"][-1]
+               step, ("classification", "total"))
 
     weights = [1.0 / len(sources)] * len(sources)
     if holdouts is not None:

@@ -5,9 +5,10 @@ Everything is float64 numpy so gradients can be checked against central
 finite differences. Training uses a feature extractor (rectifier MLP whose
 output is the feature vector), one or more label predictor heads, and, for
 the adversarial trainers, one or more domain discriminators. A trainer (ERM
-here, DANN/ADDA/MDAN in adversarial, M3SDA in moment) is a model build plus
-a step function handed to run_epochs. Every trainer returns a ModelBundle:
-the extractor, the heads with the ensemble weights that score them, and the
+here, DANN/ADDA/MDAN in adversarial, M3SDA in moment) is a model build plus a
+step function handed to run_epochs, which owns the networks' SGD state, the
+step count and the final losses. Every trainer returns a ModelBundle: the
+extractor, the heads with the ensemble weights that score them, and the
 training provenance; discriminators serve training only and are dropped.
 """
 
@@ -358,24 +359,30 @@ def multi_source_batches(sources: list[DomainDataset], target: UnlabeledDomain,
     return epoch
 
 
-def run_epochs(record: RunRecord, blocks: list[tuple[str, np.ndarray]], opt: SgdState,
-               epochs: int, batches: Callable[[], Iterable],
-               step: Callable[[object], tuple[dict[str, float], list[np.ndarray]]]) -> None:
+def run_epochs(record: RunRecord, nets: dict[str, Mlp], learning_rate: float,
+               momentum: float, epochs: int, batches: Callable[[], Iterable],
+               step: Callable[[object, int], tuple[dict[str, float], list[np.ndarray]]],
+               final: tuple[str, ...]) -> None:
     """The training loop of every trainer.
 
-    Each epoch iterates over batches(); step(batch) returns named losses and
-    one gradient per block. A non-finite loss raises DivergenceError before
-    that step updates anything; otherwise sgd_step applies the gradients
-    (opt.step counts the steps). Any DivergenceError of an epoch, from the
-    loss check, step or sgd_step, is re-raised as its own type with
-    " at epoch N" appended. Each loss's epoch mean is appended to
-    record.epoch_losses[name].
+    nets names the networks that train, in the order of step's gradients;
+    one SGD state with the given rate and momentum updates them all. Each
+    epoch iterates over batches(); step(batch, t), t the count of steps
+    already taken, returns named losses and one gradient per network. A
+    non-finite loss raises DivergenceError before that step updates
+    anything; otherwise sgd_step applies the gradients. Any DivergenceError
+    of an epoch, from the loss check, step or sgd_step, is re-raised as its
+    own type with " at epoch N" appended. Each loss's epoch mean is appended
+    to record.epoch_losses[name]; once an epoch has run, the last mean of
+    each loss named in final is record.final["<name>_loss"].
     """
+    blocks = [(name, net.params) for name, net in nets.items()]
+    opt = init_sgd(blocks, learning_rate, momentum)
     for epoch in range(epochs):
         trace: dict[str, list[float]] = {}
         try:
             for batch in batches():
-                losses, grads = step(batch)
+                losses, grads = step(batch, opt.step)
                 for name, value in losses.items():
                     if not math.isfinite(value):
                         raise DivergenceError(f"non-finite {name} loss")
@@ -386,6 +393,8 @@ def run_epochs(record: RunRecord, blocks: list[tuple[str, np.ndarray]], opt: Sgd
             raise type(err)(f"{err} at epoch {epoch}") from err
         for name, values in trace.items():
             record.epoch_losses.setdefault(name, []).append(float(np.mean(values)))
+    if epochs:
+        record.final.update((f"{name}_loss", record.epoch_losses[name][-1]) for name in final)
 
 
 def record_config(cfg) -> dict:
@@ -417,12 +426,9 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ModelBundle:
     n_classes = resolve_n_classes(cfg, source.labels)
     rng_init, rng_batch = seed_streams(cfg.seed)[:2]
     extractor, classifier = build_model(source.dim, n_classes, cfg, rng_init)
-    blocks = [("extractor", extractor.params), ("classifier", classifier.params)]
-    opt = init_sgd(blocks, cfg.learning_rate, cfg.momentum)
-
     record = RunRecord("erm", cfg.seed, cfg.to_dict(), {"classification": []})
 
-    def step(idx: np.ndarray) -> tuple[dict[str, float], list[np.ndarray]]:
+    def step(idx: np.ndarray, t: int) -> tuple[dict[str, float], list[np.ndarray]]:
         feats, f_acts = forward(extractor, source.features.take(idx, axis=0))
         logits, c_acts = forward(classifier, feats)
         loss, dlogits = cross_entropy(logits, source.labels.take(idx))
@@ -430,11 +436,10 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ModelBundle:
         f_grad, _ = backward(extractor, f_acts, dfeats, input_grad=False)
         return {"classification": loss}, [f_grad, c_grad]
 
-    run_epochs(record, blocks, opt, cfg.epochs,
+    run_epochs(record, {"extractor": extractor, "classifier": classifier}, cfg.learning_rate,
+               cfg.momentum, cfg.epochs,
                lambda: epoch_batches(rng_batch, source.labels, cfg.batch_size,
-                                     cfg.resample, n_classes), step)
-    if cfg.epochs:
-        record.final["classification_loss"] = record.epoch_losses["classification"][-1]
+                                     cfg.resample, n_classes), step, ("classification",))
     return ModelBundle(extractor, [classifier], None, cfg.to_dict(), cfg.seed, record)
 
 

@@ -148,6 +148,17 @@ class TestGenAndSplit:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_gen_names_a_malformed_spec(self, tmp_path, capsys):
+        specs = [spec_to_dict(blob_spec(did, 10 + i, n=20)) for i, did in enumerate("ab")]
+        del specs[1]["seed"]
+        spec_path = tmp_path / "specs.json"
+        spec_path.write_text(json.dumps(specs))
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(spec_path), "--out", str(out)]) == 1
+        assert ("udakit: error: domains[1]: domain spec is missing fields ['seed']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_train_writes_model_record_metrics(self, workspace, capsys):
@@ -650,6 +661,16 @@ def nan_feature(config, data):
     file_paths("d0", "d1", "d2")(config, data)
 
 
+def third_class(config, data):
+    """dataset_paths naming the generated files, with d1's row 3 relabelled 2,
+    so that the files hold labels 0 to 2 against n_classes 2."""
+    lines = (data / "d1.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    lines[3] = ",".join(cells[:2] + ["2"] + cells[3:])
+    (data / "d1.csv").write_text("\n".join(lines) + "\n")
+    file_paths("d0", "d1", "d2")(config, data)
+
+
 class TestLoadTimeChecks:
     """Settings that once escaped cli.main as tracebacks, trained before they
     failed, or ran on silently: each is a config error (exit 1) naming the
@@ -680,11 +701,16 @@ class TestLoadTimeChecks:
         ("matrix", nan_feature, "d1.csv: non-finite feature 'nan' at row 3, column f1"),
         ("matrix", lambda c, d: (file_paths("d0", "d1")(c, d), c.update(schemes=["multi-mdan"])),
          "schemes[0]: multi-mdan needs at least 3 domains (2 sources), the experiment has 2"),
+        ("matrix", third_class, "n_classes: 2, but domain 'd1' has label 2"),
+        ("fairness", third_class, "n_classes: 2, but domain 'd1' has label 2"),
+        ("fairness", setting("fairness_bins", "fst"),
+         "fairness_bins: domain 'd0': attribute value 0 falls outside every group bin"),
     ], ids=["paths-not-strings", "pair-not-strings", "pair-without-test", "matrix-unknown-bins",
             "fairness-unknown-bins", "bin-of-three", "bin-not-numbers", "repeated-spec-id",
             "repeated-file-id", "unknown-scheme", "unknown-fairness-scheme",
             "unknown-override-scheme", "no-fairness-schemes", "nan-feature-file",
-            "multi-on-two-files"])
+            "multi-on-two-files", "matrix-labels-beyond-n-classes",
+            "fairness-labels-beyond-n-classes", "bins-missing-a-group"])
     def test_bad_setting_exits_1(self, workspace, capsys, command, edit, message):
         tmp, spec_path, config_path = workspace
         data = tmp / "data"
@@ -698,6 +724,20 @@ class TestLoadTimeChecks:
         assert main([command, "--config", str(config_path), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_train_checks_the_labels_against_n_classes_before_training(
+            self, workspace, capsys, monkeypatch):
+        tmp, spec_path, config_path = workspace
+        data = tmp / "data"
+        assert main(["gen", "--config", str(spec_path), "--out", str(data)]) == 0
+        config = json.loads(config_path.read_text())
+        third_class(config, data)
+        config_path.write_text(json.dumps(config))
+        monkeypatch.setattr(harness, "train_cell", lambda *a: pytest.fail("trained"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path), "--target", "d0",
+                     "--scheme", "combined-erm", "--out", str(tmp / "out")]) == 1
+        assert "n_classes: 2, but domain 'd1' has label 2" in capsys.readouterr().err
 
 
 class TestFairnessCommand:

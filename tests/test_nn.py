@@ -345,33 +345,49 @@ class TestLayerSizes:
 
 
 class TestRunEpochs:
-    """The shared training loop, driven by a fake step on one parameter:
-    three batches per epoch, gradient 1, learning rate 1, no momentum."""
+    """The shared training loop, driven by a fake step on a one-weight,
+    one-bias network: three batches per epoch, gradient 1 on both
+    parameters, learning rate 1, no momentum."""
 
     def setup_method(self):
-        self.w = np.zeros(1)
-        self.blocks = [("w", self.w)]
-        self.opt = init_sgd(self.blocks, 1.0, 0.0)
+        self.net = Mlp([np.zeros((1, 1))], [np.zeros(1)], ["identity"])
         self.record = RunRecord("fake", 0, {})
-        self.seen = []
+        self.seen = []      # (batch, steps taken before it) per step call
 
-    def _run(self, epochs, losses_at):
-        def step(batch):
-            self.seen.append(batch)
-            return losses_at(len(self.seen) - 1, batch), [np.array([1.0])]
+    def _run(self, epochs, losses_at, final=(), grad_at=lambda i: 1.0):
+        def step(batch, t):
+            self.seen.append((batch, t))
+            i = len(self.seen) - 1
+            return losses_at(i, batch), [np.full(2, grad_at(i))]
 
-        run_epochs(self.record, self.blocks, self.opt, epochs, lambda: [1.0, 2.0, 6.0], step)
+        run_epochs(self.record, {"w": self.net}, 1.0, 0.0, epochs, lambda: [1.0, 2.0, 6.0],
+                   step, final)
+
+    def moved_by(self, steps):
+        return self.net.params.tolist() == [-float(steps)] * 2
 
     def test_records_epoch_means_and_steps_every_batch(self):
-        self._run(2, lambda i, b: {"a": b, "b": b + i})
-        assert self.seen == [1.0, 2.0, 6.0] * 2
+        self._run(2, lambda i, b: {"a": b, "b": b + i}, final=("b",))
+        assert self.seen == list(zip([1.0, 2.0, 6.0] * 2, range(6)))
         assert self.record.epoch_losses == {"a": [3.0, 3.0], "b": [4.0, 7.0]}
-        assert self.opt.step == 6 and self.w[0] == -6.0
+        assert self.record.final == {"b_loss": 7.0}
+        assert self.moved_by(6)
 
     def test_appends_to_existing_traces(self):
         self.record.epoch_losses = {"a": [9.0], "kept": [1.0]}
         self._run(1, lambda i, b: {"a": b})
         assert self.record.epoch_losses == {"a": [9.0, 3.0], "kept": [1.0]}
+
+    def test_rate_momentum_and_network_order_reach_the_update(self):
+        nets = {"first": Mlp([np.zeros((1, 1))], [np.zeros(1)], ["identity"]), "second": self.net}
+
+        def step(batch, t):
+            return {"a": batch}, [np.ones(2), np.full(2, 2.0)]
+
+        run_epochs(self.record, nets, 0.5, 0.5, 1, lambda: [1.0, 2.0], step, ())
+        # v = 1, 1.5 times the gradient; p = -0.5 v, so p = -0.5, then -1.25
+        assert nets["first"].params.tolist() == [-1.25, -1.25]
+        assert self.net.params.tolist() == [-2.5, -2.5]
 
     @pytest.mark.parametrize("name", ["a", "b"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -381,9 +397,10 @@ class TestRunEpochs:
             return {"a": b, "b": b, name: bad} if i == 4 else {"a": b, "b": b}
 
         with pytest.raises(DivergenceError, match=f"non-finite {name} loss at epoch 1"):
-            self._run(3, losses)
-        assert len(self.seen) == 5 and self.opt.step == 4 and self.w[0] == -4.0
+            self._run(3, losses, final=("a", "b"))
+        assert len(self.seen) == 5 and self.seen[-1][1] == 4 and self.moved_by(4)
         assert self.record.epoch_losses == {"a": [3.0], "b": [3.0]}
+        assert self.record.final == {}
 
     def test_divergence_inside_a_step_keeps_its_type_and_names_its_epoch(self):
         def losses(i, b):
@@ -394,23 +411,18 @@ class TestRunEpochs:
         with pytest.raises(NonFiniteInputError) as exc:
             self._run(3, losses)
         assert str(exc.value) == "non-finite network input at epoch 1"
-        assert len(self.seen) == 5 and self.opt.step == 4
+        assert len(self.seen) == 5 and self.seen[-1][1] == 4 and self.moved_by(4)
 
     def test_non_finite_gradient_names_its_epoch(self):
-        grads = iter([1.0] * 7 + [np.nan])
-
-        def step(batch):
-            return {"a": batch}, [np.array([next(grads)])]
-
         with pytest.raises(DivergenceError) as exc:
-            run_epochs(self.record, self.blocks, self.opt, 3, lambda: [1.0, 2.0, 6.0], step)
+            self._run(3, lambda i, b: {"a": b}, grad_at=lambda i: np.nan if i == 7 else 1.0)
         assert str(exc.value) == "non-finite gradient in w at epoch 2"
-        assert self.opt.step == 7 and self.w[0] == -7.0
+        assert len(self.seen) == 8 and self.seen[-1][1] == 7 and self.moved_by(7)
 
     def test_zero_epochs_never_draws(self):
-        self._run(0, lambda i, b: {"a": b})
+        self._run(0, lambda i, b: {"a": b}, final=("a",))
         assert self.seen == [] and self.record.epoch_losses == {}
-        assert self.opt.step == 0 and self.w[0] == 0.0
+        assert self.record.final == {} and self.moved_by(0)
 
     @pytest.mark.parametrize("trainer", ["erm", "dann", "adda", "mdan", "m3sda"])
     def test_zero_epoch_records_keep_empty_loss_keys(self, trainer):

@@ -1,6 +1,6 @@
 """Property tests: AUROC against the pair-count oracle, sliced W1 symmetry
-and translation, exact model and dataset file round trips, and experiment
-files with one malformed setting.
+and translation, exact model and dataset file round trips, experiment
+files with one malformed setting, and every gradient check on drawn shapes.
 
 Hypothesis runs derandomized with no example database, so every run draws
 the same examples and Tier-1 stays deterministic.
@@ -9,13 +9,14 @@ the same examples and Tier-1 stays deterministic.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,6 +32,7 @@ from udakit import (
 from udakit.cli import main
 from udakit.metrics import UndefinedMetricError, auroc
 from udakit.shift import wasserstein_feature_distance
+from gradcheck_cases import ALL_CASES, H
 from oracles import auroc_pairs
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -256,3 +258,30 @@ def test_a_malformed_setting_is_a_config_error_naming_it(tmp_path_factory, pair)
     assert err.getvalue().startswith("udakit: error: ")
     assert setting_name(setting) in err.getvalue()
     assert not (folder / "report.json").exists()
+
+
+# a draw whose batch sits this close to a kink of its loss is rejected: a
+# step of H on one parameter moves a pre-activation, a loss or a softmax
+# output by at most a few H on these shapes
+KINK_MARGIN = 10 * H
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@example(seed=0, rows=1, n_classes=2, n_sources=2)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 7), n_classes=st.integers(2, 6),
+       n_sources=st.integers(2, 4))
+def test_every_gradient_check_holds_on_drawn_shapes(name, seed, rows, n_classes, n_sources):
+    """Batches of rows source and rows target rows, 1 to 7 (the partial last
+    batch of any larger batch size; one row in the explicit example), 2 to 6
+    classes and 2 to 4 sources, each where the case has it, at the fixed
+    cases' 1e-4 bound."""
+    case = ALL_CASES[name]
+    shape = {"rows": rows, "target_rows": rows, "n_classes": n_classes, "n_sources": n_sources}
+    accepted = inspect.signature(case).parameters
+    kinks: list[float] = []
+    if "kinks" in accepted:
+        shape["kinks"] = kinks
+    error = case(seed, **{key: value for key, value in shape.items() if key in accepted})
+    assume(min(kinks, default=math.inf) > KINK_MARGIN)
+    assert error <= 1e-4

@@ -243,6 +243,35 @@ def test_defaulted_parameters_no_call_passes_are_detected(tmp_path):
                                                           "a:_unused_flag(z)"]
 
 
+def callers(root: Path, definition: str) -> list[str]:
+    """The top-level definitions of src/udakit whose code calls definition
+    (module:name), once per call, as module:caller; a call outside any
+    definition counts under "module:<module>"."""
+    modules, _ = program(root)
+    bindings = package_bindings(modules)
+    found = []
+    for name, (label, tree) in modules.items():
+        definition_of = definition_resolver(tree, bindings, name)
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            found += [f"{label}:{owner}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and definition_of(node.func) == definition]
+    return sorted(found)
+
+
+def test_only_run_epochs_and_the_adda_discriminator_set_up_sgd():
+    """Every trainer hands its networks to run_epochs, which builds their SGD
+    state; ADDA's discriminator, stepped inside ADDA's step, has its own."""
+    assert callers(PACKAGE.parents[1], "nn:init_sgd") == ["adversarial:train_adda",
+                                                          "nn:run_epochs"]
+
+
+def test_callers_are_found_through_bindings(tmp_path):
+    root = probe_program(tmp_path)
+    assert callers(root, "a:_helper") == ["a:via_module"]
+    assert callers(root, "a:used_by_demo") == []
+
+
 # The benchmark under perfbench/ drives udakit through these entry points;
 # a simplification that breaks one of them breaks the benchmark.
 
