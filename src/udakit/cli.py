@@ -25,15 +25,16 @@ from .data import (
     load_dataset,
     save_dataset,
     stratified_split,
+    within,
 )
 from .harness import (
     SINGLE,
     ExperimentConfig,
+    check_scheme,
     emit_report,
     export_features,
     load_experiment_config,
     open_grid,
-    parse_scheme,
     prediction_set,
     run_cell,
     run_fairness,
@@ -164,12 +165,12 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    single = parse_scheme(args.scheme)[0].mode == SINGLE
+    single = within("--scheme: ", lambda: check_scheme(args.scheme, cfg)).mode == SINGLE
     if single and args.source is None:
         raise ValueError("single-source schemes need --source")
     if not single and args.source is not None:
         raise ValueError(f"--source applies to single-* schemes only, not {args.scheme}")
-    grid = open_grid(cfg, [args.scheme])
+    grid = open_grid(cfg)
     if args.target not in grid.splits:
         raise ValueError(f"unknown target {args.target!r}; have {grid.ids}")
     labels = scheme_sources(args.scheme, grid.ids, args.target)
@@ -189,8 +190,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     save_model(model, out_dir / f"{stem}.model.json")
     save_run_record(model.record, out_dir / f"{stem}.record.json",
                     model_ref=f"{stem}.model.json")
-    metrics = {"metric": "auroc" if cfg.task == "binary" else "accuracy",
-               "value": run.score, "seed": run.seed, "target": args.target,
+    metrics = {"metric": grid.metric, "value": run.score, "seed": run.seed, "target": args.target,
                "scheme": args.scheme, "source": source_label}
     (out_dir / f"{stem}.metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -203,7 +203,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     bundle = load_model(args.model)
     data = load_dataset(args.data)
-    pred = prediction_set(bundle, data, data.sensitive, int(data.sensitive.max()) + 1)
+    pred = prediction_set(bundle, data, data.sensitive)
     metrics = {"accuracy": accuracy(pred), "n_samples": data.n_samples}
     if pred.scores is not None and len(np.unique(data.labels)) == 2:
         metrics["auroc"] = auroc(pred.scores, data.labels)

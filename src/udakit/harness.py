@@ -100,19 +100,21 @@ def parse_scheme(name: str) -> tuple[SchemeBase, bool]:
     return SCHEME_BASES[base], resample
 
 
-def _check_scheme(scheme: str, n_domains: int, task: str) -> None:
-    """Raise ValueError unless scheme fits the experiment: a multi-source
-    trainer needs two sources beside the target, and a multiclass task
-    takes no single-source adaptation."""
+def check_scheme(scheme: str, cfg: ExperimentConfig) -> SchemeBase:
+    """The scheme's row, once the scheme fits the experiment: a multi-source
+    trainer needs two sources beside the target, and a multiclass task takes
+    no single-source adaptation. Raise ValueError otherwise."""
     row = parse_scheme(scheme)[0]
+    n_domains = len(cfg.domains if cfg.domains is not None else cfg.dataset_paths)
     need = 3 if row.mode == MULTI else 2
     if n_domains < need:
         raise ValueError(f"{scheme} needs at least {need} domains ({need - 1} sources), "
                          f"the experiment has {n_domains}")
-    if task == "multiclass" and row.mode == SINGLE and row.config is not TrainConfig:
+    if cfg.task == "multiclass" and row.mode == SINGLE and row.config is not TrainConfig:
         raise ValueError(f"{scheme} is single-source UDA, rejected for multiclass tasks "
                          "(target classes may be absent from a single source); use combined "
                          "or multi schemes")
+    return row
 
 
 @dataclass
@@ -168,7 +170,7 @@ class ExperimentConfig:
                   for scheme in self.scheme_overrides]
         first: dict[tuple[str, str], str] = {}      # (key, scheme) -> path of its first entry
         for key, path, scheme in named:
-            within(f"{path}: ", lambda: _check_scheme(scheme, n, self.task))
+            within(f"{path}: ", lambda: check_scheme(scheme, self))
             trainer_config(self, scheme, self.n_classes, 0)
             earlier = first.setdefault((key, scheme), path)
             if earlier != path:
@@ -237,69 +239,75 @@ def materialize_domains(cfg: ExperimentConfig) -> dict[str, SplitPair]:
 @dataclass
 class Grid:
     """An experiment made ready to train: its config, the fixed split of
-    every domain, and the class and group counts over all of them."""
+    every domain, and the class count over all of them."""
 
     cfg: ExperimentConfig
     splits: dict[str, SplitPair]
     n_classes: int
-    n_groups: int
 
     @property
     def ids(self) -> list[str]:
         return sorted(self.splits)
 
+    @property
+    def metric(self) -> str:
+        """The task's metric: AUROC for a binary task, else accuracy."""
+        return "auroc" if self.cfg.task == "binary" else "accuracy"
+
     def task_metric(self, model: ModelBundle, target: str) -> float:
-        """AUROC (binary) or accuracy (multiclass) on the target's test split."""
+        """The task's metric on the target's test split."""
         test = self.splits[target].test
-        pred = prediction_set(model, test, test.sensitive, self.n_groups)
-        return auroc(pred.scores, test.labels) if self.cfg.task == "binary" else accuracy(pred)
+        pred = prediction_set(model, test, test.sensitive)
+        return auroc(pred.scores, test.labels) if self.metric == "auroc" else accuracy(pred)
 
     def fairness_groups(self, target: str) -> np.ndarray:
         """Each row's group in the target's full data (train, then test rows):
-        its sensitive value, banded through cfg.fairness_bins if given."""
+        its sensitive value, banded through cfg.fairness_bins if given. Every
+        id up to the largest must hold a row."""
         split, bins = self.splits[target], self.cfg.fairness_bins
         sensitive = np.concatenate([split.train.sensitive, split.test.sensitive])
-        return sensitive if bins is None else within(
-            f"fairness_bins: domain {target!r}: ", lambda: group_partition(sensitive, bins))
+        where = f"fairness_bins: domain {target!r}: "
+        groups = sensitive if bins is None else within(
+            where, lambda: group_partition(sensitive, bins))
+        empty = np.flatnonzero(np.bincount(groups) == 0)
+        if empty.size:
+            raise ValueError(f"{where}group {empty[0]} of 0 to {groups.max()} is empty")
+        return groups
 
     def fairness(self, model: ModelBundle, target: str) -> FairnessReport:
         """fairness_report over the target's full data, in fairness_groups."""
-        split = self.splits[target]
-        groups = self.fairness_groups(target)
-        return fairness_report(prediction_set(model, concat_domains([split.train, split.test]),
-                                              groups, int(groups.max()) + 1))
+        full = concat_domains([self.splits[target].train, self.splits[target].test])
+        return fairness_report(prediction_set(model, full, self.fairness_groups(target)))
 
 
-def prediction_set(model: ModelBundle, data: DomainDataset, groups: np.ndarray,
-                   n_groups: int) -> PredictionSet:
-    """The model's argmax labels on data, with positive-class scores when it
-    has two classes."""
+def prediction_set(model: ModelBundle, data: DomainDataset, groups: np.ndarray) -> PredictionSet:
+    """The model's argmax labels on data, in groups (ids 0 to their largest),
+    with positive-class scores when it has two classes."""
     scores, labels = predict(model, data.features)
     pos = scores[:, 1] if scores.shape[1] == 2 else None
+    n_groups = int(groups.max(initial=0)) + 1
     return PredictionSet(data.labels, labels, groups, scores.shape[1], n_groups, pos)
 
 
-def open_grid(cfg: ExperimentConfig, schemes: list[str]) -> Grid:
-    """Check each scheme's domain count, trainer config and task, then
-    materialize the domains and count classes (cfg.n_classes when set, which
-    every domain's labels must fit) and sensitive groups."""
-    n_domains = len(cfg.domains if cfg.domains is not None else cfg.dataset_paths)
-    for scheme in schemes:
-        _check_scheme(scheme, n_domains, cfg.task)
-        trainer_config(cfg, scheme, cfg.n_classes, 0)
+def open_grid(cfg: ExperimentConfig) -> Grid:
+    """Materialize the domains, check that they share one feature width, and
+    count classes (cfg.n_classes when set, which every domain's labels must
+    fit). The schemes were checked when cfg was made."""
     splits = materialize_domains(cfg)
-
-    def count(attr: str, pair: SplitPair) -> int:
-        return 1 + int(max(getattr(d, attr).max(initial=0) for d in (pair.train, pair.test)))
-
-    classes = {domain: count("labels", pair) for domain, pair in splits.items()}
+    first = next(iter(splits.values())).train
+    for domain, pair in splits.items():
+        if {pair.train.dim, pair.test.dim} != {first.dim}:
+            raise ValueError(f"domain {domain!r} has dim {pair.train.dim} (train) and "
+                             f"{pair.test.dim} (test); domain {first.domain_id!r} has {first.dim}")
+    classes = {domain: 1 + int(max(d.labels.max(initial=0) for d in (pair.train, pair.test)))
+               for domain, pair in splits.items()}
     n_classes = max(classes.values()) if cfg.n_classes is None else int(cfg.n_classes)
     for domain, found in classes.items():
         if found > n_classes:
             raise ValueError(f"n_classes: {n_classes}, but domain {domain!r} has label {found - 1}")
     if cfg.task == "binary" and n_classes != 2:
         raise ValueError(f"binary task needs exactly 2 classes, found {n_classes}")
-    return Grid(cfg, splits, n_classes, max(count("sensitive", pair) for pair in splits.values()))
+    return Grid(cfg, splits, n_classes)
 
 
 # single-source arms default to a gentler rate; any explicit setting wins
@@ -464,7 +472,7 @@ class EvalReport:
 
 def run_matrix(cfg: ExperimentConfig) -> EvalReport:
     """Train and evaluate every (target, scheme, source) cell of the grid."""
-    grid = open_grid(cfg, cfg.schemes)
+    grid = open_grid(cfg)
     ids = grid.ids
     jobs = [(target, scheme, source) for scheme in cfg.schemes for target in ids
             for source in scheme_sources(scheme, ids, target)]
@@ -478,8 +486,7 @@ def run_matrix(cfg: ExperimentConfig) -> EvalReport:
             flags.append(f"aggregated over {len(values)} of {cfg.repeats} repeats")
         results.append(CellResult(*job, values, [r.seed for r in runs], flags))
     results.sort(key=lambda c: (c.scheme, c.target, c.source))
-    metric = "auroc" if cfg.task == "binary" else "accuracy"
-    return EvalReport(cfg.task, metric, ids, list(cfg.schemes), cfg.repeats,
+    return EvalReport(cfg.task, grid.metric, ids, list(cfg.schemes), cfg.repeats,
                       cfg.base_seed, cfg.config_hash(), results)
 
 
@@ -532,35 +539,27 @@ def run_fairness(cfg: ExperimentConfig) -> FairnessMatrix:
     failed_runs; each repeat averages its surviving sources.
     """
     schemes = cfg.fairness_schemes if cfg.fairness_schemes is not None else cfg.schemes
-    grid = open_grid(cfg, schemes)
+    grid = open_grid(cfg)
     for target in grid.ids:
-        grid.fairness_groups(target)      # bins that miss a value fail before any training
+        grid.fairness_groups(target)      # bad bins or an empty group fail before any training
     cells = []
     for scheme, target in product(schemes, grid.ids):
         single = parse_scheme(scheme)[0].mode == SINGLE
         sources = scheme_sources(scheme, grid.ids, target) if single else ["-"]
-        values: dict[str, list[float]] = {"pqd": [], "dpm": [], "eom": [], "quality": []}
-        seeds, flags, failed = [], [], 0
-        basis, last = "auto", None
-        for repeat in range(cfg.repeats):
-            reports = []
-            for source in sources:
-                run = run_cell(grid, target, scheme, source, repeat, fairness=True)
-                seeds.append(run.seed)
-                if run.flag is not None:
-                    flags.append(run.flag)
-                    failed += 1
-                    continue
-                reports.append(run.score)
-                for flag in run.score.flags:
-                    if flag not in flags:
-                        flags.append(flag)
-            if reports:
-                basis, last = reports[-1].quality_basis, reports[-1].to_dict()
-                for k in values:
-                    values[k].append(float(np.mean([getattr(r, k) for r in reports])))
-        cells.append(FairnessCell(target, scheme, basis, values, seeds, len(sources), flags,
-                                  last, failed))
+        runs = [[run_cell(grid, target, scheme, source, repeat, fairness=True)
+                 for source in sources] for repeat in range(cfg.repeats)]
+        every = [run for repeat in runs for run in repeat]
+        scored = [reports for repeat in runs
+                  if (reports := [run.score for run in repeat if run.flag is None])]
+        last = scored[-1][-1] if scored else None
+        values = {k: [float(np.mean([getattr(r, k) for r in reports])) for reports in scored]
+                  for k in ("pqd", "dpm", "eom", "quality")}
+        flags = list(dict.fromkeys(flag for run in every
+                                   for flag in ([run.flag] if run.flag else run.score.flags)))
+        cells.append(FairnessCell(
+            target, scheme, last.quality_basis if last else "auto", values,
+            [run.seed for run in every], len(sources), flags,
+            last.to_dict() if last else None, sum(run.flag is not None for run in every)))
     cells.sort(key=lambda c: (c.scheme, c.target))
     return FairnessMatrix(cfg.task, cfg.config_hash(), cells)
 

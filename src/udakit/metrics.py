@@ -123,15 +123,15 @@ def _group_quality(pred: PredictionSet, basis: str) -> list[float]:
         else:
             try:
                 qualities.append(auroc(pred.scores[idx], pred.y_true[idx]))
-            except ValueError as err:
-                raise ValueError(f"group {j}: {err}") from None
+            except ValueError as err:       # keeps its class: undefined stays undefined
+                raise type(err)(f"group {j}: {err}") from None
     return qualities
 
 
 def _pqd_of(qualities: list[float]) -> float:
     top = max(qualities)
     if top == 0.0:
-        raise ValueError("PQD undefined: best group quality is 0")
+        raise UndefinedMetricError("PQD undefined: best group quality is 0")
     return min(qualities) / top
 
 
@@ -178,7 +178,7 @@ def _eom_details(pred: PredictionSet) -> tuple[float, list[list[float | None]], 
         else:
             ratios.append(_rate_ratio([r for r in recalls]))
     if not ratios:
-        raise ValueError("EOM undefined: every class lacks true instances in some group")
+        raise UndefinedMetricError("EOM undefined: every class lacks true instances in some group")
     return sum(ratios) / len(ratios), table, flags
 
 

@@ -188,7 +188,7 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
             dfeat_s[l] += align_weight * db
 
     discrepancy = 0.0
-    if discrepancy_weight > 0.0 and n_sources > 1:
+    if discrepancy_weight > 0.0:
         probs, t_acts_per_head = [], []
         dprobs = [np.zeros((len(xt), classifiers[0].out_dim)) for _ in range(n_sources)]
         for head in classifiers:

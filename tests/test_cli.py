@@ -267,7 +267,7 @@ class TestTrainEval:
                else pinned_grid_config([scheme], epochs=5))
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(cfg.to_dict()))
-        grid = harness.open_grid(cfg, cfg.schemes)
+        grid = harness.open_grid(cfg)
         test = grid.splits["d0"].test
         trained = harness.run_cell(grid, "d0", scheme, source, 4).model
         scores = trained.scores(test.features)[:, 1]
@@ -556,7 +556,7 @@ class TestMatrixCommand:
                                       scheme_overrides={"multi-m3sda": {}}),
          "scheme_overrides.multi-m3sda: multi-m3sda needs at least 3 domains"),
         ("train", lambda c: c.update(domains=c["domains"][:2]),
-         "multi-mdan needs at least 3 domains (2 sources), the experiment has 2"),
+         "--scheme: multi-mdan needs at least 3 domains (2 sources), the experiment has 2"),
         ("matrix", lambda c: c.update(schemes=["combined-erm", "combined-erm"]),
          "schemes[1]: combined-erm is already schemes[0]"),
         ("fairness", lambda c: c.update(fairness_schemes=["rs-combined-erm", "combined-erm",
@@ -725,6 +725,42 @@ class TestLoadTimeChecks:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["matrix", "fairness", "train"])
+    def test_mixed_feature_widths_fail_before_any_training(self, workspace, capsys,
+                                                           monkeypatch, command):
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        d2 = config["domains"][2]
+        d2["dim"] = 3
+        for key in ("class_means", "sensitive_mean_offset"):
+            d2[key] = [row + [0.0] for row in d2[key]]
+        config_path.write_text(json.dumps(config))
+        monkeypatch.setattr(harness, "train_cell", lambda *a: pytest.fail("trained"))
+        argv = [command, "--config", str(config_path), "--out", str(tmp / "out")]
+        if command == "train":
+            argv += ["--target", "d0", "--scheme", "combined-dann"]
+        assert main(argv) == 1
+        assert ("udakit: error: domain 'd2' has dim 3 (train) and 3 (test); domain 'd0' has 2"
+                in capsys.readouterr().err)
+        assert not (tmp / "out").exists()
+
+    @pytest.mark.parametrize("bins", [None, [[-1, 0], [0, 1], [1, 5]]])
+    def test_a_skipped_group_id_fails_fairness_before_any_training(self, workspace, capsys,
+                                                                   monkeypatch, bins):
+        # d0's rows hold sensitive ids 0 and 2; with the bins, groups 0 and 2 alike
+        tmp, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        config["domains"][0].update(sensitive_distribution=[0.5, 0.0, 0.5],
+                                    sensitive_mean_offset=[[0.0, 0.0]] * 3)
+        config["fairness_bins"] = bins
+        config_path.write_text(json.dumps(config))
+        monkeypatch.setattr(harness, "train_cell", lambda *a: pytest.fail("trained"))
+        out = tmp / "fairness.json"
+        assert main(["fairness", "--config", str(config_path), "--out", str(out)]) == 1
+        assert ("udakit: error: fairness_bins: domain 'd0': group 1 of 0 to 2 is empty"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_train_checks_the_labels_against_n_classes_before_training(
             self, workspace, capsys, monkeypatch):
         tmp, spec_path, config_path = workspace
@@ -768,6 +804,21 @@ class TestFairnessCommand:
                 assert len(cell["flags"]) == 2 and cell["summary"]["pqd"]["mean"] is None
             else:
                 assert cell["flags"] == [] and len(cell["values"]["pqd"]) == 1
+
+    def test_an_undefined_group_metric_is_flagged_and_exits_2(self, tmp_path, capsys):
+        # d2 holds class 0 only, so the AUROC of its one group is undefined
+        config = {**one_class_target_config(repeats=1).to_dict(), "schemes": ["combined-erm"]}
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "fairness.json"
+        assert main(["fairness", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "1 trainings flagged" in capsys.readouterr().err
+        cells = {c["target"]: c for c in json.loads(out.read_text())["cells"]}
+        assert cells["d2"]["flags"] == ["repeat 0: group 0: AUROC undefined: only one class "
+                                        "present in the full target"]
+        assert cells["d2"]["summary"]["pqd"] == {"mean": None, "std": None}
+        for target in ("d0", "d1"):
+            assert cells[target]["flags"] == [] and len(cells[target]["values"]["pqd"]) == 1
 
     def test_fairness_notes_keep_exit_code_zero(self, tmp_path):
         # d0 holds no class-2 rows, so its fairness report notes the absent class

@@ -153,7 +153,7 @@ class TestSchemeParsing:
     def test_a_scheme_trains_sources_and_config_of_its_row(self, scheme, monkeypatch):
         trainer, config_class, labels = SCHEME_ROWS[scheme.removeprefix("rs-")]
         cfg = quick_config([scheme], n_domains=3)
-        grid = harness.open_grid(cfg, [scheme])
+        grid = harness.open_grid(cfg)
         assert harness.scheme_sources(scheme, grid.ids, "d0") == labels
         assert type(harness.trainer_config(cfg, scheme, 2, seed=0)) is config_class
 
@@ -241,7 +241,7 @@ class TestConfigValidation:
         for overrides in ({}, {key: value}):
             cfg = quick_config([scheme], n_domains=3, train={"epochs": 2},
                                scheme_overrides={scheme: overrides})
-            grid = harness.open_grid(cfg, [scheme])
+            grid = harness.open_grid(cfg)
             source = harness.scheme_sources(scheme, grid.ids, "d0")[0]
             model = harness.train_cell(grid.splits, "d0", scheme, source, cfg, 2, seed=1)
             params = np.concatenate([net.params for net in (model.extractor, *model.classifiers)])

@@ -7,6 +7,7 @@ import pytest
 
 from udakit import (
     PredictionSet,
+    UndefinedMetricError,
     accuracy,
     auroc,
     fairness_report,
@@ -125,6 +126,22 @@ class TestPqd:
         report = fairness_report(p)
         assert report.quality_basis == "auroc"
         assert report.pqd == 1.0
+
+
+class TestUndefinedValues:
+    @pytest.mark.parametrize("y_true, y_pred, sensitive, scores, message", [
+        ([0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0.2, 0.8, 0.3, 0.4],
+         "group 1: AUROC undefined: only one class present"),
+        ([0, 1, 1], [1, 0, 0], None, None, "PQD undefined: best group quality is 0"),
+        ([0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 1, 1], None,
+         "EOM undefined: every class lacks true instances in some group"),
+    ], ids=["group-auroc", "pqd", "eom"])
+    def test_every_undefined_value_raises_undefined_metric_error(self, y_true, y_pred,
+                                                                 sensitive, scores, message):
+        p = pset(y_true, y_pred, sensitive=sensitive, scores=scores)
+        with pytest.raises(UndefinedMetricError) as caught:
+            fairness_report(p)
+        assert str(caught.value) == message
 
 
 class TestDpm:

@@ -245,7 +245,8 @@ def test_defaulted_parameters_no_call_passes_are_detected(tmp_path):
 
 def callers(root: Path, definition: str) -> list[str]:
     """The top-level definitions of src/udakit whose code calls definition
-    (module:name), once per call, as module:caller; a call outside any
+    (module:name), once per call, as module:caller, or module:Class.method
+    for a call in a method of a top-level class; a call outside any
     definition counts under "module:<module>"."""
     modules, _ = program(root)
     bindings = package_bindings(modules)
@@ -254,7 +255,10 @@ def callers(root: Path, definition: str) -> list[str]:
         definition_of = definition_resolver(tree, bindings, name)
         for top in tree.body:
             owner = getattr(top, "name", "<module>")
-            found += [f"{label}:{owner}" for node in ast.walk(top)
+            methods = top.body if isinstance(top, ast.ClassDef) else []
+            method_of = {node: f"{owner}.{method.name}" for method in methods
+                         if isinstance(method, ast.FunctionDef) for node in ast.walk(method)}
+            found += [f"{label}:{method_of.get(node, owner)}" for node in ast.walk(top)
                       if isinstance(node, ast.Call) and definition_of(node.func) == definition]
     return sorted(found)
 
@@ -270,6 +274,40 @@ def test_callers_are_found_through_bindings(tmp_path):
     root = probe_program(tmp_path)
     assert callers(root, "a:_helper") == ["a:via_module"]
     assert callers(root, "a:used_by_demo") == []
+
+
+def check_pass(root: Path) -> tuple[list[str], list[str]]:
+    """Where an experiment's schemes are checked: the callers of
+    harness:check_scheme (see callers), and the parameters of
+    harness:open_grid, which should read a config checked already."""
+    modules, _ = program(root)
+    open_grid = next(node for node in modules["udakit.harness"][1].body
+                     if isinstance(node, ast.FunctionDef) and node.name == "open_grid")
+    return (callers(root, "harness:check_scheme"),
+            [node.arg for node in ast.walk(open_grid.args) if isinstance(node, ast.arg)])
+
+
+def test_the_loader_and_udakit_train_alone_check_schemes():
+    """ExperimentConfig checks every scheme it names when it is made, and
+    udakit train checks its --scheme; open_grid takes the checked config
+    alone and checks no scheme again."""
+    assert check_pass(PACKAGE.parents[1]) == (
+        ["cli:_cmd_train", "harness:ExperimentConfig.__post_init__"], ["cfg"])
+
+
+def test_a_second_check_pass_is_detected(tmp_path):
+    root = probe_program(tmp_path)
+    (root / "src/udakit/harness.py").write_text(
+        "def check_scheme(scheme, cfg):\n    pass\n"
+        "class ExperimentConfig:\n"
+        "    def __post_init__(self):\n        check_scheme(None, self)\n"
+        "def open_grid(cfg, schemes, *, strict=True):\n"
+        "    for scheme in schemes:\n        check_scheme(scheme, cfg)\n")
+    (root / "src/udakit/cli.py").write_text(
+        "from .harness import check_scheme\n"
+        "def _cmd_train(args):\n    check_scheme(args.scheme, None)\n")
+    assert check_pass(root) == (["cli:_cmd_train", "harness:ExperimentConfig.__post_init__",
+                                 "harness:open_grid"], ["cfg", "schemes", "strict"])
 
 
 # The benchmark under perfbench/ drives udakit through these entry points;
