@@ -29,7 +29,6 @@ from .nn import (
     TrainConfig,
     backward,
     cross_entropy,
-    extract_features,
     forward,
     init_mlp,
     init_sgd,

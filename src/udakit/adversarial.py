@@ -10,6 +10,7 @@ UnlabeledDomain view, so target labels are structurally unreachable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .nn import (
     TrainConfig,
     backward,
     build_model,
+    classify_batch,
     cross_entropy,
     epoch_batches,
     forward,
@@ -115,7 +117,7 @@ def train_dann(source: DomainDataset, target: UnlabeledDomain,
     tcfg = cfg.train
     n_classes = resolve_n_classes(tcfg, source.labels)
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
-    extractor, classifier = build_model(source.dim, n_classes, tcfg, rng_init)
+    extractor, (classifier,) = build_model(source.dim, n_classes, tcfg, rng_init)
     disc = _discriminator(cfg, rng_disc)
     total_steps = tcfg.epochs * -(-source.n_samples // tcfg.batch_size)
     record = RunRecord("dann", tcfg.seed, record_config(cfg),
@@ -166,13 +168,8 @@ def _source_step(extractor: Mlp, classifier: Mlp, disc: Mlp, xs: np.ndarray, ys:
     """One source batch through the classifier, then through disc beside feats_t:
     (cls_loss, dom_loss, acts_s, classifier grad, its feature grad, disc grad,
     disc input grad)."""
-    feats_s, acts_s = forward(extractor, xs)
-    logits, c_acts = forward(classifier, feats_s)
-    cls_loss, dlogits = cross_entropy(logits, ys)
-    c_grad, dfeat_cls = backward(classifier, c_acts, dlogits)
-
-    dom_in = np.concatenate([feats_s, feats_t], axis=0)
-    dom_logits, d_acts = forward(disc, dom_in)
+    cls_loss, feats_s, acts_s, c_grad, dfeat_cls = classify_batch(extractor, classifier, xs, ys)
+    dom_logits, d_acts = forward(disc, np.concatenate([feats_s, feats_t], axis=0))
     dom_loss, ddl = cross_entropy(dom_logits, dom_labels)
     d_grad, ddom_in = backward(disc, d_acts, ddl)
     return cls_loss, dom_loss, acts_s, c_grad, dfeat_cls, d_grad, ddom_in
@@ -230,11 +227,13 @@ def train_adda(source: DomainDataset, target: UnlabeledDomain,
     run_epochs(record, {"target_extractor": target_extractor}, adapt_lr, tcfg.momentum, adapt,
                lambda: epoch_batches(rng_batch, source.labels, tcfg.batch_size,
                                      tcfg.resample, n_classes), step, ("domain",))
-    record.warnings += [f"discriminator accuracy {acc:.3f} > 0.99 through epoch {epoch}"
-                        for epoch, acc in enumerate(record.epoch_losses["discriminator_accuracy"])
-                        if acc > 0.99]
+    accs = record.epoch_losses["discriminator_accuracy"]
+    high = [epoch for epoch, acc in enumerate(accs) if acc > 0.99]
+    if high:
+        record.warnings.append(f"discriminator accuracy > 0.99 in {len(high)} of {adapt} "
+                               f"adaptation epochs, first at epoch {high[0]} ({accs[high[0]]:.3f})")
     if adapt:
-        record.final["discriminator_accuracy"] = record.epoch_losses["discriminator_accuracy"][-1]
+        record.final["discriminator_accuracy"] = accs[-1]
     return ModelBundle(target_extractor, [classifier], None, tcfg.to_dict(), tcfg.seed, record)
 
 
@@ -278,12 +277,11 @@ def train_mdan(sources: list[DomainDataset], target: UnlabeledDomain,
     tcfg = cfg.train
     n_classes = resolve_n_classes(tcfg, *[s.labels for s in sources])
     rng_init, rng_batch, rng_tgt, rng_disc = seed_streams(tcfg.seed)
-    extractor, classifier = build_model(target.dim, n_classes, tcfg, rng_init)
+    extractor, (classifier,) = build_model(target.dim, n_classes, tcfg, rng_init)
     discs = [_discriminator(cfg, rng_disc) for _ in sources]
     total_steps = tcfg.epochs * -(-max(s.n_samples for s in sources) // tcfg.batch_size)
-    loss_keys = {"classification": [], "total": []}
-    loss_keys.update({f"domain_{k}": [] for k in range(len(sources))})
-    record = RunRecord("mdan", tcfg.seed, record_config(cfg), loss_keys)
+    record = RunRecord("mdan", tcfg.seed, record_config(cfg), {
+        "classification": [], "total": [], **{f"domain_{k}": [] for k in range(len(sources))}})
     dom_labels = np.repeat(np.array([0, 1]), tcfg.batch_size)   # a source batch, then xt
 
     def step(batch, t: int) -> tuple[dict[str, float], list[np.ndarray]]:
@@ -325,24 +323,19 @@ def _mdan_step_grads(extractor: Mlp, classifier: Mlp, discs: list[Mlp],
         ez = np.exp(gamma * (e - e.max()))
         w = ez / ez.sum()
 
-    # accumulate from the first source's terms, never from zeros, so that
-    # the sums (and the signs of zero entries) match term-by-term addition
-    disc_grads: list[np.ndarray] = []
+    ext_terms, cls_terms, disc_grads = [], [], []
     dfeat_t_total = np.zeros_like(feats_t)
-    for k, (_, _, acts_s, c_grad, dfeat_cls, d_grad, ddom_in) in enumerate(per_source):
+    for wk, (_, _, acts_s, c_grad, dfeat_cls, d_grad, ddom_in) in zip(w, per_source):
         n_s = len(dfeat_cls)
         dfs = dfeat_cls - lam * ddom_in[:n_s]
-        f_grad_k, _ = backward(extractor, acts_s, w[k] * dfs, input_grad=False)
-        cls_k = w[k] * c_grad
-        if k == 0:
-            ext_grad, cls_grad = f_grad_k, cls_k
-        else:
-            ext_grad += f_grad_k
-            cls_grad += cls_k
-        disc_grads.append(w[k] * lam * d_grad)
-        dfeat_t_total -= w[k] * lam * ddom_in[n_s:]
-    ext_grad += backward(extractor, acts_t, dfeat_t_total, input_grad=False)[0]
+        ext_terms.append(backward(extractor, acts_s, wk * dfs, input_grad=False)[0])
+        cls_terms.append(wk * c_grad)
+        disc_grads.append(wk * lam * d_grad)
+        dfeat_t_total -= wk * lam * ddom_in[n_s:]
+    ext_terms.append(backward(extractor, acts_t, dfeat_t_total, input_grad=False)[0])
 
     parts = {"classification": float(np.mean([p[0] for p in per_source])), "total": total}
     parts.update({f"domain_{k}": p[1] for k, p in enumerate(per_source)})
-    return parts, [ext_grad, cls_grad, *disc_grads]
+    # reduce adds from the first term, never from zeros, so that the sums
+    # (and the signs of zero entries) match term-by-term addition
+    return parts, [reduce(np.add, ext_terms), reduce(np.add, cls_terms), *disc_grads]

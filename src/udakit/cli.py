@@ -5,8 +5,9 @@ eval, fairness, diagnose (shift matrix), matrix (full grid). Exit codes:
 0 success, 1 configuration error, 2 runtime divergence (a non-finite loss,
 gradient or overflowed activation) or an undefined metric. matrix and
 fairness still write their output when a training diverged or a metric was
-undefined, with the flags in it, and then exit 2; fairness_report's own
-notes (e.g. a skipped class) do not change the exit code.
+undefined, with the flags in it, and then exit 2; matrix also exits 2 for a
+training warning, while fairness_report's own notes (e.g. a skipped class)
+and training warnings do not change fairness's exit code.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"source must be a non-target domain, got {source_label!r}")
 
     run = run_cell(grid, args.target, args.scheme, source_label, args.repeat)
-    if run.flag is not None:
-        print(f"udakit: {run.flag}", file=sys.stderr)
+    if run.failed:
+        print(f"udakit: {run.flags[0]}", file=sys.stderr)
         return 2
     model = run.model
 
@@ -249,8 +250,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     _write(text, args.out)
     flagged = [c for c in report.cells if c.flags]
     if flagged:
-        print(f"{len(flagged)} cells flagged (divergence or undefined metric)",
-              file=sys.stderr)
+        print(f"{len(flagged)} cells flagged (divergence, undefined metric or training "
+              "warning)", file=sys.stderr)
         return 2
     return 0
 

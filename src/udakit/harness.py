@@ -10,6 +10,7 @@ of the target train split ever reaches a UDA operation.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -52,7 +53,7 @@ from .nn import (
     Mlp,
     ModelBundle,
     TrainConfig,
-    extract_features,
+    forward,
     predict,
     train_erm,
 )
@@ -380,13 +381,18 @@ def train_cell(splits: dict[str, SplitPair], target_id: str, scheme: str,
 
 @dataclass
 class CellRun:
-    """One (cell, repeat): its seed, then its model and score, or the flag
-    that replaced them when training diverged or the metric was undefined."""
+    """One (cell, repeat): its seed, its model and score (None when training
+    diverged or the metric was undefined), and its flags: the failure, or the
+    warnings of its model's record."""
 
     seed: int
     model: ModelBundle | None = None
     score: Any = None
-    flag: str | None = None
+    flags: list[str] = field(default_factory=list)
+
+    @property
+    def failed(self) -> bool:
+        return self.model is None
 
 
 def run_cell(grid: Grid, target: str, scheme: str, source: str, repeat: int,
@@ -397,20 +403,29 @@ def run_cell(grid: Grid, target: str, scheme: str, source: str, repeat: int,
     The plain score is grid.task_metric on the target's test split; with
     fairness=True it is grid.fairness over the full target, and the seed key
     gains a "fairness:" prefix. A DivergenceError or UndefinedMetricError
-    becomes the run's flag instead of propagating.
+    becomes the run's one flag instead of propagating. numpy's floating-point
+    warnings are recorded, not printed: a failed run's flag names them, and a
+    trained run appends them to its record's warnings, which become its flags.
     """
     key = f"{'fairness:' if fairness else ''}{target}|{scheme}|{source}"
     seed = cell_seed(grid.cfg.base_seed, key, repeat)
     label = f"repeat {repeat}" + (f" source {source}" if fairness and source != "-" else "")
+    log = io.StringIO()     # numpy writes one "Warning: ..." line per warning here
+    flag = None
     try:
-        model = train_cell(grid.splits, target, scheme, source, grid.cfg, grid.n_classes, seed)
-        score = grid.fairness(model, target) if fairness else grid.task_metric(model, target)
-        return CellRun(seed, model, score)
+        with np.errstate(divide="log", over="log", invalid="log", call=log):
+            model = train_cell(grid.splits, target, scheme, source, grid.cfg, grid.n_classes, seed)
+            score = grid.fairness(model, target) if fairness else grid.task_metric(model, target)
     except DivergenceError as err:
-        return CellRun(seed, flag=f"{label} diverged: {err}")
+        flag = f"{label} diverged: {err}"
     except UndefinedMetricError as err:
         where = "full target" if fairness else "target test split"
-        return CellRun(seed, flag=f"{label}: {err} in the {where}")
+        flag = f"{label}: {err} in the {where}"
+    warned = list(dict.fromkeys(log.getvalue().replace("Warning: ", "numpy: ").splitlines()))
+    if flag is not None:
+        return CellRun(seed, flags=[f"{flag} ({'; '.join(warned)})" if warned else flag])
+    model.record.warnings += warned
+    return CellRun(seed, model, score, [f"{label}: {w}" for w in model.record.warnings])
 
 
 @dataclass
@@ -480,9 +495,9 @@ def run_matrix(cfg: ExperimentConfig) -> EvalReport:
     results = []
     for job in jobs:
         runs = [run_cell(grid, *job, repeat) for repeat in range(cfg.repeats)]
-        values = [r.score for r in runs if r.flag is None]
-        flags = [r.flag for r in runs if r.flag is not None]
-        if flags and values:
+        values = [r.score for r in runs if not r.failed]
+        flags = [flag for r in runs for flag in r.flags]
+        if 0 < len(values) < cfg.repeats:
             flags.append(f"aggregated over {len(values)} of {cfg.repeats} repeats")
         results.append(CellResult(*job, values, [r.seed for r in runs], flags))
     results.sort(key=lambda c: (c.scheme, c.target, c.source))
@@ -550,16 +565,16 @@ def run_fairness(cfg: ExperimentConfig) -> FairnessMatrix:
                  for source in sources] for repeat in range(cfg.repeats)]
         every = [run for repeat in runs for run in repeat]
         scored = [reports for repeat in runs
-                  if (reports := [run.score for run in repeat if run.flag is None])]
+                  if (reports := [run.score for run in repeat if not run.failed])]
         last = scored[-1][-1] if scored else None
         values = {k: [float(np.mean([getattr(r, k) for r in reports])) for reports in scored]
                   for k in ("pqd", "dpm", "eom", "quality")}
-        flags = list(dict.fromkeys(flag for run in every
-                                   for flag in ([run.flag] if run.flag else run.score.flags)))
+        flags = list(dict.fromkeys(flag for run in every for flag in
+                                   run.flags + ([] if run.failed else run.score.flags)))
         cells.append(FairnessCell(
             target, scheme, last.quality_basis if last else "auto", values,
             [run.seed for run in every], len(sources), flags,
-            last.to_dict() if last else None, sum(run.flag is not None for run in every)))
+            last.to_dict() if last else None, sum(run.failed for run in every)))
     cells.sort(key=lambda c: (c.scheme, c.target))
     return FairnessMatrix(cfg.task, cfg.config_hash(), cells)
 
@@ -634,6 +649,6 @@ def emit_report(report: EvalReport, fmt: str = "canonical") -> str:
 def export_features(extractor: Mlp, data: DomainDataset, path: str | Path) -> None:
     """Write extractor features for external plotting tools, as a dataset
     file (id,domain,label,sensitive,f0..f{k-1}) through save_dataset."""
-    feats = extract_features(extractor, data.features)
+    feats, _ = forward(extractor, data.features)
     save_dataset(DomainDataset(data.domain_id, feats, data.labels, data.sensitive,
                                data.sample_ids), path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .nn import (
     RunRecord,
     TrainConfig,
     backward,
-    cross_entropy,
+    build_model,
+    classify_batch,
     forward,
-    init_mlp,
     multi_source_batches,
     record_config,
     resolve_n_classes,
@@ -111,9 +112,8 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
                  for s, seed in zip(sources, split_seeds)]
         train_sources, holdouts = [p.train for p in pairs], [p.test for p in pairs]
 
-    extractor = init_mlp([target.dim, *tcfg.hidden_sizes], rng_init, final="relu")
-    classifiers = [init_mlp([tcfg.hidden_sizes[-1], n_classes], rng_init, final="identity")
-                   for _ in sources]
+    extractor, classifiers = build_model(target.dim, n_classes, tcfg, rng_init,
+                                         heads=len(sources))
     keys = {"classification": [], "moment": [], "discrepancy": [], "total": []}
     for k in range(len(sources)):
         keys[f"moment:src{k}|target"] = []
@@ -126,8 +126,7 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
         return _m3sda_step_grads(extractor, classifiers, batches, xt,
                                  cfg.align_weight, cfg.discrepancy_weight)
 
-    nets = {"extractor": extractor}
-    nets.update((f"classifier{k}", c) for k, c in enumerate(classifiers))
+    nets = {"extractor": extractor, **{f"classifier{k}": c for k, c in enumerate(classifiers)}}
     run_epochs(record, nets, tcfg.learning_rate, tcfg.momentum, tcfg.epochs,
                multi_source_batches(train_sources, target, tcfg, n_classes, rng_batch, rng_tgt),
                step, ("classification", "total"))
@@ -157,19 +156,8 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
     n_sources = len(classifiers)
     feats_t, acts_t = forward(extractor, xt)
 
-    feats_s, acts_s, cls_losses = [], [], []
-    c_grads: list[np.ndarray] = []
-    dfeat_s = []
-    for (xs, ys), head in zip(batches, classifiers):
-        f, a = forward(extractor, xs)
-        logits, h_acts = forward(head, f)
-        loss, dlogits = cross_entropy(logits, ys)
-        g, df = backward(head, h_acts, dlogits)
-        feats_s.append(f)
-        acts_s.append(a)
-        cls_losses.append(loss)
-        c_grads.append(g)
-        dfeat_s.append(df)
+    cls_losses, feats_s, acts_s, c_grads, dfeat_s = map(list, zip(*[
+        classify_batch(extractor, head, xs, ys) for (xs, ys), head in zip(batches, classifiers)]))
 
     moment_total = 0.0
     dfeat_t = np.zeros_like(feats_t)
@@ -189,12 +177,9 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
 
     discrepancy = 0.0
     if discrepancy_weight > 0.0:
-        probs, t_acts_per_head = [], []
-        dprobs = [np.zeros((len(xt), classifiers[0].out_dim)) for _ in range(n_sources)]
-        for head in classifiers:
-            logits, h_acts = forward(head, feats_t)
-            probs.append(softmax(logits))
-            t_acts_per_head.append(h_acts)
+        t_outs = [forward(head, feats_t) for head in classifiers]
+        probs = [softmax(logits) for logits, _ in t_outs]
+        dprobs = [np.zeros_like(p) for p in probs]
         n_pairs = n_sources * (n_sources - 1) // 2
         for k in range(n_sources):
             for l in range(k + 1, n_sources):
@@ -206,16 +191,12 @@ def _m3sda_step_grads(extractor: Mlp, classifiers: list[Mlp],
         discrepancy /= n_pairs
         for k, head in enumerate(classifiers):
             dlogits = _softmax_vjp(probs[k], dprobs[k])
-            g, df = backward(head, t_acts_per_head[k], dlogits)
+            g, df = backward(head, t_outs[k][1], dlogits)
             c_grads[k] += discrepancy_weight * g
             dfeat_t += discrepancy_weight * df
 
-    # accumulate from the first source's term, never from zeros, so that the
-    # sums (and the signs of zero entries) match term-by-term addition
-    ext_grad, _ = backward(extractor, acts_s[0], dfeat_s[0], input_grad=False)
-    for k in range(1, n_sources):
-        ext_grad += backward(extractor, acts_s[k], dfeat_s[k], input_grad=False)[0]
-    ext_grad += backward(extractor, acts_t, dfeat_t, input_grad=False)[0]
+    ext_grad = reduce(np.add, [backward(extractor, acts, dfeat, input_grad=False)[0]
+                               for acts, dfeat in zip([*acts_s, acts_t], [*dfeat_s, dfeat_t])])
 
     classification = float(np.sum(cls_losses))
     total = classification + align_weight * moment_total + discrepancy_weight * discrepancy

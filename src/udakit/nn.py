@@ -31,8 +31,13 @@ class DivergenceError(RuntimeError):
 
 
 class NonFiniteInputError(DivergenceError, ValueError):
-    """Non-finite network input. Datasets reject non-finite features, so in
-    training this is an overflowed activation: a divergence."""
+    """Non-finite input to network, the Mlp that raised it (None when not
+    known). Datasets reject non-finite features, so in training this is an
+    overflowed activation: a divergence."""
+
+    def __init__(self, message: str, network: Mlp | None = None) -> None:
+        super().__init__(message)
+        self.network = network
 
 
 @dataclass
@@ -139,7 +144,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     if x.ndim != 2 or x.shape[1] != mlp.in_dim:
         raise ValueError(f"input shape {x.shape} does not match first layer ({mlp.in_dim} columns)")
     if not _all_finite(x):
-        raise NonFiniteInputError("non-finite network input")
+        raise NonFiniteInputError("non-finite network input", mlp)
     acts = [x]
     h = x
     for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
@@ -169,6 +174,17 @@ def backward(mlp: Mlp, acts: list[np.ndarray], grad_out: np.ndarray, *,
         np.matmul(g.T, acts[i], out=dws[i])
         g = g @ mlp.weights[i] if i or input_grad else None
     return grad, g
+
+
+def classify_batch(extractor: Mlp, head: Mlp, x: np.ndarray, labels: np.ndarray) -> tuple:
+    """A labelled batch through extractor, then head: (cross-entropy, the
+    features, the extractor's forward trace, the head's gradient, and the
+    loss gradient wrt the features, to backpropagate through that trace)."""
+    feats, acts = forward(extractor, x)
+    logits, h_acts = forward(head, feats)
+    loss, dlogits = cross_entropy(logits, labels)
+    h_grad, dfeats = backward(head, h_acts, dlogits)
+    return loss, feats, acts, h_grad, dfeats
 
 
 def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -372,9 +388,11 @@ def run_epochs(record: RunRecord, nets: dict[str, Mlp], learning_rate: float,
     non-finite loss raises DivergenceError before that step updates
     anything; otherwise sgd_step applies the gradients. Any DivergenceError
     of an epoch, from the loss check, step or sgd_step, is re-raised as its
-    own type with " at epoch N" appended. Each loss's epoch mean is appended
-    to record.epoch_losses[name]; once an epoch has run, the last mean of
-    each loss named in final is record.final["<name>_loss"].
+    own type with " at epoch N" appended, and a non-finite input to one of
+    nets names it ("non-finite classifier input at epoch N"). Each loss's
+    epoch mean is appended to record.epoch_losses[name]; once an epoch has
+    run, the last mean of each loss named in final is
+    record.final["<name>_loss"].
     """
     blocks = [(name, net.params) for name, net in nets.items()]
     opt = init_sgd(blocks, learning_rate, momentum)
@@ -390,7 +408,9 @@ def run_epochs(record: RunRecord, nets: dict[str, Mlp], learning_rate: float,
                 for name, value in losses.items():
                     trace.setdefault(name, []).append(value)
         except DivergenceError as err:
-            raise type(err)(f"{err} at epoch {epoch}") from err
+            named = [name for name, net in nets.items() if net is getattr(err, "network", None)]
+            text = f"non-finite {named[0]} input" if named else err
+            raise type(err)(f"{text} at epoch {epoch}") from err
         for name, values in trace.items():
             record.epoch_losses.setdefault(name, []).append(float(np.mean(values)))
     if epochs:
@@ -411,12 +431,13 @@ def resolve_n_classes(cfg: TrainConfig, *label_arrays: np.ndarray) -> int:
     return int(max(int(a.max()) for a in label_arrays if a.size)) + 1
 
 
-def build_model(dim: int, n_classes: int, cfg: TrainConfig,
-                rng: np.random.Generator) -> tuple[Mlp, Mlp]:
-    """Fresh extractor + label predictor. Draw order matters for determinism."""
+def build_model(dim: int, n_classes: int, cfg: TrainConfig, rng: np.random.Generator,
+                heads: int = 1) -> tuple[Mlp, list[Mlp]]:
+    """A fresh extractor and `heads` label predictors on its features, drawn
+    from rng in that order (the order fixes every trained byte)."""
     extractor = init_mlp([dim, *cfg.hidden_sizes], rng, final="relu")
-    classifier = init_mlp([cfg.hidden_sizes[-1], n_classes], rng, final="identity")
-    return extractor, classifier
+    return extractor, [init_mlp([cfg.hidden_sizes[-1], n_classes], rng, final="identity")
+                       for _ in range(heads)]
 
 
 def train_erm(source: DomainDataset, cfg: TrainConfig) -> ModelBundle:
@@ -425,14 +446,12 @@ def train_erm(source: DomainDataset, cfg: TrainConfig) -> ModelBundle:
         raise ValueError("source dataset is empty")
     n_classes = resolve_n_classes(cfg, source.labels)
     rng_init, rng_batch = seed_streams(cfg.seed)[:2]
-    extractor, classifier = build_model(source.dim, n_classes, cfg, rng_init)
+    extractor, (classifier,) = build_model(source.dim, n_classes, cfg, rng_init)
     record = RunRecord("erm", cfg.seed, cfg.to_dict(), {"classification": []})
 
     def step(idx: np.ndarray, t: int) -> tuple[dict[str, float], list[np.ndarray]]:
-        feats, f_acts = forward(extractor, source.features.take(idx, axis=0))
-        logits, c_acts = forward(classifier, feats)
-        loss, dlogits = cross_entropy(logits, source.labels.take(idx))
-        c_grad, dfeats = backward(classifier, c_acts, dlogits)
+        loss, _, f_acts, c_grad, dfeats = classify_batch(
+            extractor, classifier, source.features.take(idx, axis=0), source.labels.take(idx))
         f_grad, _ = backward(extractor, f_acts, dfeats, input_grad=False)
         return {"classification": loss}, [f_grad, c_grad]
 
@@ -447,12 +466,6 @@ def predict(model: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The model's class scores and argmax labels (ties break to the lowest index)."""
     scores = model.scores(x)
     return scores, np.argmax(scores, axis=1)
-
-
-def extract_features(extractor: Mlp, x: np.ndarray) -> np.ndarray:
-    """Feature vectors (the extractor's final rectified activation)."""
-    feats, _ = forward(extractor, x)
-    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +537,8 @@ class ModelBundle:
         """Class scores: the weighted sum of each head's softmax output."""
         weights = self.ensemble_weights or [1.0 / len(self.classifiers)] * len(self.classifiers)
         feats, _ = forward(self.extractor, x)
-        scores = None
-        for w, head in zip(weights, self.classifiers):
-            p = w * softmax(forward(head, feats)[0])
-            scores = p if scores is None else scores + p
-        return scores
+        return reduce(np.add, [w * softmax(forward(head, feats)[0])
+                               for w, head in zip(weights, self.classifiers)])
 
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +176,21 @@ class TestTrainEval:
         metrics = json.loads((out / f"{stem}.metrics.json").read_text())
         assert metrics["metric"] == "auroc"
         assert 0.0 <= metrics["value"] <= 1.0
+
+    def test_train_writes_numpy_warnings_to_the_record(self, workspace, capsys, monkeypatch):
+        real = harness.train_cell
+
+        def overflowing(*args):
+            np.float64(1e300) * np.float64(1e300)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "train_cell", overflowing)
+        tmp, _, config_path = workspace
+        code = main(["train", "--config", str(config_path), "--target", "d0",
+                     "--scheme", "combined-dann", "--out", str(tmp / "runs")])
+        assert code == 0 and "Warning" not in capsys.readouterr().err
+        record = json.loads((tmp / "runs" / "d0.combined-dann.combined.r0.record.json").read_text())
+        assert record["warnings"] == ["numpy: overflow encountered in scalar multiply"]
 
     def test_train_exports_target_test_features(self, workspace, capsys):
         tmp, _, config_path = workspace
@@ -461,8 +478,41 @@ class TestMatrixCommand:
         code = main(["train", "--config", str(config_path), "--target", "d0",
                      "--scheme", "single-erm", "--source", "d1", "--out", str(out)])
         assert code == 2
-        assert "repeat 0 diverged: non-finite network input at epoch 0" in capsys.readouterr().err
+        assert ("repeat 0 diverged: non-finite classifier input at epoch 0 "
+                "(numpy: overflow encountered in matmul)") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_numpy_warnings_go_to_the_flags_not_stderr(self, tmp_path, capsys):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(overflow_config().to_dict()))
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["matrix", "--config", str(config_path), "--out", str(out)])
+        assert code == 2 and [str(w.message) for w in caught] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        flags = [flag for c in json.loads(out.read_text())["cells"] for flag in c["flags"]]
+        assert len(flags) == 6
+        assert all(flag.endswith("(numpy: overflow encountered in matmul)") for flag in flags)
+
+    def test_a_training_warning_flags_its_cell_and_exits_2(self, tmp_path, capsys):
+        # d2 sits far from the sources, and a near-zero stage-2 rate leaves
+        # ADDA's discriminator winning
+        cfg = pinned_grid_config(["combined-adda"], epochs=20, scheme_overrides={
+            "combined-adda": {"adapt_learning_rate": 1e-12, "adapt_epochs": 80}})
+        cfg.domains[2].class_means = np.array([[40.0, 40.0], [43.0, 40.0]])
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "report.json"
+        code = main(["matrix", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert "1 cells flagged" in capsys.readouterr().err
+        cells = {c["target"]: c for c in json.loads(out.read_text())["cells"]}
+        assert [len(c["values"]) for c in cells.values()] == [1, 1, 1]
+        assert cells["d0"]["flags"] == cells["d1"]["flags"] == []
+        [flag] = cells["d2"]["flags"]
+        assert re.fullmatch(r"repeat 0: discriminator accuracy > 0\.99 in \d+ of 80 adaptation "
+                            r"epochs, first at epoch \d+ \(\d\.\d{3}\)", flag), flag
 
     def test_override_another_trainer_ignores_is_a_config_error(self, workspace, capsys):
         tmp, _, config_path = workspace

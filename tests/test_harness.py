@@ -15,7 +15,7 @@ from udakit import (
     ExperimentConfig,
     MomentConfig,
     emit_report,
-    extract_features,
+    forward,
     init_mlp,
     load_dataset,
     run_fairness,
@@ -401,9 +401,45 @@ class TestDeterminismAndAggregation:
         for cell in report.cells:
             if cell.scheme == "single-erm":
                 assert cell.values == []
-                assert cell.flags == ["repeat 0 diverged: non-finite network input at epoch 0"]
+                assert cell.flags == ["repeat 0 diverged: non-finite classifier input at epoch 0 "
+                                      "(numpy: overflow encountered in matmul)"]
             else:
                 assert cell.flags == [] and len(cell.values) == 1
+
+
+class TestRunWarnings:
+    """A run that trains but warns keeps its value, and its warnings are
+    flags in both grids: a trainer's record warnings and numpy's
+    floating-point warnings alike."""
+
+    @pytest.fixture(autouse=True)
+    def warning_trainer(self, monkeypatch):
+        real = harness.train_cell
+
+        def train_and_warn(*args):
+            model = real(*args)
+            model.record.warnings.append("a training warning")
+            np.float64(1e300) * np.float64(1e300)
+            return model
+
+        monkeypatch.setattr(harness, "train_cell", train_and_warn)
+
+    def flags(self, repeat, prefix=""):
+        return [f"repeat {repeat}{prefix}: {text}" for text in (
+            "a training warning", "numpy: overflow encountered in scalar multiply")]
+
+    def test_matrix_flags_keep_their_values(self):
+        report = run_matrix(quick_config(["combined-erm"], repeats=2))
+        for cell in report.cells:
+            assert len(cell.values) == 2
+            assert cell.flags == self.flags(0) + self.flags(1)
+
+    def test_fairness_flags_count_no_failed_run(self):
+        matrix = run_fairness(quick_config(["single-erm"], n_domains=3))
+        for cell in matrix.cells:
+            assert cell.failed_runs == 0 and len(cell.values["pqd"]) == 1
+            sources = [d for d in ("d0", "d1", "d2") if d != cell.target]
+            assert cell.flags[:4] == [f for d in sources for f in self.flags(0, f" source {d}")]
 
 
 class TestTargetLabelFirewall:
@@ -534,7 +570,7 @@ class TestExportFeatures:
         data = make_blobs("d", 3, n=30)
         extractor = init_mlp([2, 5], np.random.default_rng(0), final="relu")
         harness.export_features(extractor, data, tmp_path / "features.csv")
-        feats = extract_features(extractor, data.features)
+        feats = forward(extractor, data.features)[0]
         save_dataset(DomainDataset("d", feats, data.labels, data.sensitive, data.sample_ids),
                      tmp_path / "rows.csv")
         text = (tmp_path / "features.csv").read_text()

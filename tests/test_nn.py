@@ -12,7 +12,6 @@ from udakit import (
     TrainConfig,
     backward,
     cross_entropy,
-    extract_features,
     forward,
     init_mlp,
     init_sgd,
@@ -28,7 +27,7 @@ from udakit import (
     train_mdan,
 )
 from udakit.harness import trainer_config
-from udakit.nn import NonFiniteInputError, RunRecord, run_epochs
+from udakit.nn import NonFiniteInputError, RunRecord, build_model, run_epochs
 from conftest import make_blobs
 from oracles import finite_difference, mlp_by_hand, relative_error
 from test_harness import quick_config
@@ -165,6 +164,21 @@ def _two_pass_cross_entropy(logits, labels):
     grad = softmax(logits)
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_draws_the_extractor_then_each_head(self, heads):
+        cfg = TrainConfig(hidden_sizes=(5, 4))
+        extractor, classifiers = build_model(3, 2, cfg, np.random.default_rng(11), heads=heads)
+        rng = np.random.default_rng(11)
+        expected = [init_mlp([3, 5, 4], rng, final="relu"),
+                    *[init_mlp([4, 2], rng) for _ in range(heads)]]
+        assert len(classifiers) == heads
+        for got, want in zip([extractor, *classifiers], expected, strict=True):
+            assert [w.shape for w in got.weights] == [w.shape for w in want.weights]
+            assert got.activations == want.activations
+            assert np.array_equal(got.params, want.params)
 
 
 class TestCrossEntropy:
@@ -413,6 +427,18 @@ class TestRunEpochs:
         assert str(exc.value) == "non-finite network input at epoch 1"
         assert len(self.seen) == 5 and self.seen[-1][1] == 4 and self.moved_by(4)
 
+    @pytest.mark.parametrize("trains, text", [(True, "non-finite w input at epoch 0"),
+                                              (False, "non-finite network input at epoch 0")])
+    def test_non_finite_input_names_the_network_when_it_trains(self, trains, text):
+        net = self.net if trains else Mlp([np.zeros((1, 1))], [np.zeros(1)], ["identity"])
+
+        def losses(i, b):
+            forward(net, np.array([[np.inf]]))
+
+        with pytest.raises(NonFiniteInputError) as exc:
+            self._run(1, losses)
+        assert str(exc.value) == text
+
     def test_non_finite_gradient_names_its_epoch(self):
         with pytest.raises(DivergenceError) as exc:
             self._run(3, lambda i, b: {"a": b}, grad_at=lambda i: np.nan if i == 7 else 1.0)
@@ -511,7 +537,7 @@ class TestModelFiles:
         heads = [init_mlp([8, 3], rng) for _ in range(3)]
         weights = [0.2, 0.3, 0.5 + 4e-10]
         x = rng.normal(size=(7, 2))
-        feats = extract_features(ext, x)
+        feats = forward(ext, x)[0]
         expected = sum(w * softmax(forward(h, feats)[0]) for w, h in zip(weights, heads))
         assert np.array_equal(ModelBundle(ext, heads, weights).scores(x), expected)
         equal = sum((1.0 / 3) * softmax(forward(h, feats)[0]) for h in heads)

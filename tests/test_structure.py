@@ -270,6 +270,13 @@ def test_only_run_epochs_and_the_adda_discriminator_set_up_sgd():
                                                           "nn:run_epochs"]
 
 
+def test_only_build_model_and_the_discriminator_initialise_networks():
+    """Every trainer builds its extractor and heads through build_model (one
+    call each for the two); the adversarial trainers add their discriminators."""
+    assert sorted(set(callers(PACKAGE.parents[1], "nn:init_mlp"))) == [
+        "adversarial:_discriminator", "nn:build_model"]
+
+
 def test_callers_are_found_through_bindings(tmp_path):
     root = probe_program(tmp_path)
     assert callers(root, "a:_helper") == ["a:via_module"]
