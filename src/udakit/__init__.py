@@ -72,7 +72,7 @@ from .shift import (
     pearson,
     save_shift_csv,
     save_shift_summary,
-    wasserstein_feature_distance,
+    wasserstein_feature_distances,
 )
 from .harness import (
     CellResult,

@@ -257,7 +257,7 @@ def _adda_inversion_grads(target_extractor: Mlp, disc: Mlp, feats_t: np.ndarray,
     output and trace on the batch."""
     inv_logits, d_acts = forward(disc, feats_t)
     inv_loss, ddl = cross_entropy(inv_logits, np.zeros(len(feats_t), dtype=np.int64))
-    _, dfeat = backward(disc, d_acts, ddl)
+    _, dfeat = backward(disc, d_acts, ddl, param_grad=False)
     return inv_loss, backward(target_extractor, t_acts, dfeat, input_grad=False)[0]
 
 

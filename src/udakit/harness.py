@@ -403,7 +403,8 @@ def run_cell(grid: Grid, target: str, scheme: str, source: str, repeat: int,
     The plain score is grid.task_metric on the target's test split; with
     fairness=True it is grid.fairness over the full target, and the seed key
     gains a "fairness:" prefix. A DivergenceError or UndefinedMetricError
-    becomes the run's one flag instead of propagating. numpy's floating-point
+    becomes the run's one flag instead of propagating; an undefined metric in
+    scoring, not in training, also names the target data. numpy's floating-point
     warnings are recorded, not printed: a failed run's flag names them, and a
     trained run appends them to its record's warnings, which become its flags.
     """
@@ -411,16 +412,16 @@ def run_cell(grid: Grid, target: str, scheme: str, source: str, repeat: int,
     seed = cell_seed(grid.cfg.base_seed, key, repeat)
     label = f"repeat {repeat}" + (f" source {source}" if fairness and source != "-" else "")
     log = io.StringIO()     # numpy writes one "Warning: ..." line per warning here
-    flag = None
+    flag = where = None
     try:
         with np.errstate(divide="log", over="log", invalid="log", call=log):
             model = train_cell(grid.splits, target, scheme, source, grid.cfg, grid.n_classes, seed)
+            where = "full target" if fairness else "target test split"
             score = grid.fairness(model, target) if fairness else grid.task_metric(model, target)
     except DivergenceError as err:
         flag = f"{label} diverged: {err}"
     except UndefinedMetricError as err:
-        where = "full target" if fairness else "target test split"
-        flag = f"{label}: {err} in the {where}"
+        flag = f"{label}: {err}" + (f" in the {where}" if where else "")
     warned = list(dict.fromkeys(log.getvalue().replace("Warning: ", "numpy: ").splitlines()))
     if flag is not None:
         return CellRun(seed, flags=[f"{flag} ({'; '.join(warned)})" if warned else flag])

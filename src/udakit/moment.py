@@ -16,6 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .data import DomainDataset, UnlabeledDomain, check_fields, require_unlabeled, stratified_split
+from .metrics import UndefinedMetricError
 from .nn import (
     Mlp,
     ModelBundle,
@@ -141,8 +142,8 @@ def train_m3sda(sources: list[DomainDataset], target: UnlabeledDomain,
         record.final["source_accuracies"] = accuracies
         acc = np.asarray(accuracies, dtype=np.float64)
         if acc.sum() <= 0:
-            raise ValueError("every head scored 0 on its held-out slice, so accuracy "
-                             "weights are undefined")
+            raise UndefinedMetricError("every head scored 0 on its held-out slice, so "
+                                       "accuracy weights are undefined")
         weights = (acc / acc.sum()).tolist()
     return ModelBundle(extractor, classifiers, weights, tcfg.to_dict(), tcfg.seed, record)
 

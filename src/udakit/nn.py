@@ -157,21 +157,24 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def backward(mlp: Mlp, acts: list[np.ndarray], grad_out: np.ndarray, *,
-             input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+             input_grad: bool = True,
+             param_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Backpropagate grad_out through a forward() activation trace.
 
-    Returns (gradient wrt mlp.params, gradient wrt the input, or None with
-    input_grad=False). The parameter gradient is one flat array in the params
-    layout (dW0, db0, dW1, db1, ...); mlp.layer_views(grad) splits it per layer.
+    Returns (gradient wrt mlp.params, or None with param_grad=False; gradient
+    wrt the input, or None with input_grad=False). The parameter gradient is
+    one flat array in the params layout (dW0, db0, dW1, db1, ...);
+    mlp.layer_views(grad) splits it per layer.
     """
-    grad = np.empty_like(mlp.params)
-    dws, dbs = mlp.layer_views(grad)
+    grad = np.empty_like(mlp.params) if param_grad else None
+    dws, dbs = mlp.layer_views(grad) if param_grad else ((), ())
     g = grad_out
     for i in range(len(mlp.weights) - 1, -1, -1):
         if mlp.activations[i] == "relu":
             g = g * (acts[i + 1] > 0.0)
-        np.add.reduce(g, axis=0, out=dbs[i])
-        np.matmul(g.T, acts[i], out=dws[i])
+        if param_grad:
+            np.add.reduce(g, axis=0, out=dbs[i])
+            np.matmul(g.T, acts[i], out=dws[i])
         g = g @ mlp.weights[i] if i or input_grad else None
     return grad, g
 

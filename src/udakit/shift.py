@@ -8,6 +8,7 @@ single-source test errors to correlate each kind of shift with difficulty.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,32 +30,33 @@ def _features_of(data) -> np.ndarray:
     return feats
 
 
-# projections are sorted _PROJECTION_BLOCK at a time into one reused buffer,
-# which stays small next to the projection matrices; each transposing copy
-# reads a band of _ROW_BAND rows, which stays in cache, instead of striding
-# down whole columns
+# each cloud's projections are sorted _PROJECTION_BLOCK at a time into its own
+# small buffer, and every pair is merged from those buffers; each transposing
+# copy reads a band of _ROW_BAND rows, which stays in cache, instead of
+# striding down whole columns
 _PROJECTION_BLOCK = 8
 _ROW_BAND = 256
 
 
-def _sort_columns_into(out: np.ndarray, cols: np.ndarray) -> None:
-    """Write each column of `cols` into a row of `out`, then sort the rows."""
+def _sort_columns_into(out: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Write each column of `cols` into a row of `out`, sort the rows, return `out`."""
     for r0 in range(0, cols.shape[0], _ROW_BAND):
         out[:, r0:r0 + _ROW_BAND] = cols[r0:r0 + _ROW_BAND].T
     out.sort()
+    return out
 
 
-def _w1_per_projection(proj_a: np.ndarray, proj_b: np.ndarray) -> list[float]:
-    """Exact 1-D W1 between column k of proj_a and column k of proj_b, for every k.
+def _w1_rows(u: np.ndarray, v: np.ndarray, buffer: np.ndarray) -> list[float]:
+    """Exact 1-D W1 between row k of u and row k of v, both sorted, for every k.
 
     Equal sizes reduce to the mean absolute difference of matched order
     statistics. Unequal sizes integrate the CDF gap over the merged
     breakpoints: a stable argsort merges the two sorted samples, and the
     count of first-sample entries up to each merged position k gives both
-    CDFs. That count has a closed form, since both halves of the buffer are
-    ascending and the sort is stable: it is order[k] + 1 when entry k comes
-    from the first sample, and k + n_a - order[k] when it comes from the
-    second. The smaller of the two is always the right one. For a
+    CDFs. That count has a closed form, since both halves of the merged row
+    are ascending and the sort is stable: it is order[k] + 1 when entry k
+    comes from the first sample, and k + n_a - order[k] when it comes from
+    the second. The smaller of the two is always the right one. For a
     first-sample entry the other is n_a plus the second-sample entries up to
     k, never below the count; for a second-sample entry the other is
     order[k] + 1 > n_a, while the count is at most n_a. The counts are
@@ -62,33 +64,24 @@ def _w1_per_projection(proj_a: np.ndarray, proj_b: np.ndarray) -> list[float]:
     gap is 0, so how ties are counted does not change any term. Each
     projection's terms are summed as one contiguous 1-D array, so the
     pairwise summation order, and with it every bit of the result, is that
-    of a one-projection-at-a-time loop.
+    of a one-projection-at-a-time loop. `buffer` holds the merged rows.
     """
-    na, nb = proj_a.shape[0], proj_b.shape[0]
-    n_proj = proj_a.shape[1]
+    na, nb = u.shape[1], v.shape[1]
+    if na == nb:
+        return [float(np.mean(gaps)) for gaps in np.abs(u - v)]
     steps = np.arange(1.0, na + nb)
     past = np.arange(na, 2.0 * na + nb)     # k + n_a at merged position k
-    buffer = np.empty((min(_PROJECTION_BLOCK, n_proj), na + nb))
     values: list[float] = []
-    for k0 in range(0, n_proj, _PROJECTION_BLOCK):
-        k1 = min(k0 + _PROJECTION_BLOCK, n_proj)
-        block = buffer[:k1 - k0]
-        u, v = block[:, :na], block[:, na:]
-        _sort_columns_into(u, proj_a[:, k0:k1])
-        _sort_columns_into(v, proj_b[:, k0:k1])
-        if na == nb:
-            values.extend(float(np.mean(gaps)) for gaps in np.abs(u - v))
-            continue
-        for runs in block:
-            order = np.argsort(runs, kind="stable")
-            merged = runs[order]
-            first = order.astype(np.float64)
-            cnt_u = np.minimum(first + 1.0, past - first)[:-1]
-            terms = cnt_u / na
-            terms -= (steps - cnt_u) / nb
-            np.abs(terms, out=terms)
-            terms *= merged[1:] - merged[:-1]
-            values.append(float(np.add.reduce(terms)))
+    for runs in np.concatenate((u, v), axis=1, out=buffer[:len(u), :na + nb]):
+        order = np.argsort(runs, kind="stable")
+        merged = runs[order]
+        first = order.astype(np.float64)
+        cnt_u = np.minimum(first + 1.0, past - first)[:-1]
+        terms = cnt_u / na
+        terms -= (steps - cnt_u) / nb
+        np.abs(terms, out=terms)
+        terms *= merged[1:] - merged[:-1]
+        values.append(float(np.add.reduce(terms)))
     return values
 
 
@@ -102,28 +95,50 @@ def _mean_abs_projection(dim: int) -> float:
     return math.gamma(dim / 2.0) / (math.sqrt(math.pi) * math.gamma((dim + 1) / 2.0))
 
 
-def wasserstein_feature_distance(a, b, projections: int = 256, seed: int = 0) -> float:
-    """Sliced Wasserstein-1 between two feature clouds.
+def wasserstein_feature_distances(clouds, projections: int = 256, seed: int = 0) -> np.ndarray:
+    """Sliced Wasserstein-1 between every pair of feature clouds, as a
+    symmetric matrix with a zero diagonal.
 
     Averages the exact 1-D W1 over `projections` random unit directions and
     rescales by the mean absolute projection of a unit vector; in 1-D this is
     the exact W1 regardless of the projection count. Deterministic given seed.
+    Each cloud is projected and sorted once per block of directions, and
+    every pair is measured from those sorted blocks.
     """
-    fa, fb = _features_of(a), _features_of(b)
-    if fa.shape[1] != fb.shape[1]:
-        raise ValueError(f"dimension mismatch: {fa.shape[1]} vs {fb.shape[1]}")
+    feats = [_features_of(c) for c in clouds]
+    dim = feats[0].shape[1]
+    for f in feats[1:]:
+        if f.shape[1] != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {f.shape[1]}")
     if projections < 1:
         raise ValueError("projections must be >= 1")
-    dim = fa.shape[1]
-    if dim == 1:
-        return _w1_per_projection(fa, fb)[0]
-    rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((projections, dim))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    # one product per cloud: products over subsets of directions can round
-    # differently in the last bit
-    total = sum(_w1_per_projection(fa @ directions.T, fb @ directions.T))
-    return total / projections / _mean_abs_projection(dim)
+    blocks = [feats]
+    if dim > 1:
+        rng = np.random.default_rng(seed)
+        directions = rng.standard_normal((projections, dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        # on the OpenBLAS kernels measured, a product over a whole block of
+        # directions has the bits of those columns of one product over all of
+        # them; over a narrower last block it can round differently, so those
+        # columns are cut from that full product
+        whole = projections - projections % _PROJECTION_BLOCK
+        blocks = itertools.chain(
+            ([f @ directions[k0:k0 + _PROJECTION_BLOCK].T for f in feats]
+             for k0 in range(0, whole, _PROJECTION_BLOCK)),
+            [[(f @ directions.T)[:, whole:].copy() for f in feats]] if whole < projections else [])
+    runs = [np.empty((_PROJECTION_BLOCK, f.shape[0])) for f in feats]
+    buffer = np.empty((_PROJECTION_BLOCK, sum(sorted(f.shape[0] for f in feats)[-2:])))
+    values = {pair: [] for pair in itertools.combinations(range(len(feats)), 2)}
+    for products in blocks:
+        block = [_sort_columns_into(r[:p.shape[1]], p) for r, p in zip(runs, products)]
+        for (i, j), pair_values in values.items():
+            pair_values.extend(_w1_rows(block[i], block[j], buffer))
+    out = np.zeros((len(feats), len(feats)))
+    for (i, j), pair_values in values.items():
+        total = sum(pair_values)    # in projection order, as one pair at a time would
+        out[i, j] = out[j, i] = (total if dim == 1 else
+                                 total / projections / _mean_abs_projection(dim))
+    return out
 
 
 # added to each target class probability in the chi-square denominator
@@ -215,21 +230,15 @@ def build_shift_matrix(domains: list[DomainDataset],
     if n_classes is None:
         n_classes = int(max(d.labels.max() for d in domains)) + 1
 
-    # sliced W1 is bit-for-bit symmetric (both orders project onto the same
-    # directions and integrate over the same merged breakpoints), so each
-    # unordered pair is measured once; chi-square is asymmetric
-    w1: dict[tuple[int, int], float] = {}
-    for i in range(len(domains)):
-        for j in range(i + 1, len(domains)):
-            w1[(i, j)] = w1[(j, i)] = wasserstein_feature_distance(
-                domains[i], domains[j], projections, seed)
+    # sliced W1 is measured once per unordered pair; chi-square is asymmetric
+    w1 = wasserstein_feature_distances(domains, projections, seed)
     pairs: dict[tuple[str, str], PairShift] = {}
     for i, src in enumerate(domains):
         for j, tgt in enumerate(domains):
             if i == j:
                 continue
             pairs[(src.domain_id, tgt.domain_id)] = PairShift(
-                feature_distance=w1[(i, j)],
+                feature_distance=float(w1[i, j]),
                 label_distance=chi_square_label_divergence(src, tgt, n_classes=n_classes),
             )
 

@@ -3,10 +3,14 @@
 Everything here deliberately avoids the package's computation paths:
 finite differences instead of backprop, O(n^2) pair counting instead of
 rank sums, linear programming instead of sliced projections, and plain
-Python counting loops instead of vectorized group tables.
+Python counting loops instead of vectorized group tables. The one exception
+is sliced_w1_per_pair, the package's former sliced W1 of one pair, kept so
+that the shared-projection kernel can be checked against it bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -177,3 +181,40 @@ def load_predictions(path) -> dict[str, object]:
     has_scores = any(r[3] != "" for r in rows)
     columns["score"] = np.array([float(r[3]) for r in rows]) if has_scores else None
     return columns
+
+
+def sliced_w1_per_pair(a, b, projections: int, seed: int) -> tuple[list[float], float]:
+    """Sliced W1 of one pair as the package measured it before its pairs
+    shared their projections: one product of each cloud with every
+    direction, each projection of both clouds sorted for this pair alone,
+    the two sorted samples merged by a stable argsort, and the per-projection
+    values summed in projection order. Returns those values and the distance."""
+    fa = np.asarray(getattr(a, "features", a), dtype=np.float64)
+    fb = np.asarray(getattr(b, "features", b), dtype=np.float64)
+    dim = fa.shape[1]
+    if dim == 1:
+        proj_a, proj_b = fa, fb
+    else:
+        directions = np.random.default_rng(seed).standard_normal((projections, dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        proj_a, proj_b = fa @ directions.T, fb @ directions.T
+    na, nb = fa.shape[0], fb.shape[0]
+    values = []
+    for k in range(proj_a.shape[1]):
+        u, v = np.sort(proj_a[:, k]), np.sort(proj_b[:, k])
+        if na == nb:
+            values.append(float(np.mean(np.abs(u - v))))
+            continue
+        runs = np.concatenate([u, v])
+        order = np.argsort(runs, kind="stable")
+        merged = runs[order]
+        first = order.astype(np.float64)
+        # first-sample entries up to each merged position, in closed form
+        cnt_u = np.minimum(first + 1.0, np.arange(na, 2.0 * na + nb) - first)[:-1]
+        terms = np.abs(cnt_u / na - (np.arange(1.0, na + nb) - cnt_u) / nb)
+        terms *= merged[1:] - merged[:-1]
+        values.append(float(np.add.reduce(terms)))
+    if dim == 1:
+        return values, values[0]
+    mean_abs = math.gamma(dim / 2.0) / (math.sqrt(math.pi) * math.gamma((dim + 1) / 2.0))
+    return values, sum(values) / projections / mean_abs

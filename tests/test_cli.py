@@ -20,7 +20,7 @@ from udakit import (
 )
 from udakit import harness
 from udakit.cli import main
-from udakit.data import spec_to_dict
+from udakit.data import class_distribution, spec_to_dict
 from test_harness import (
     MOMENT_KEYS,
     OWN_KEYS,
@@ -60,6 +60,29 @@ DIAGNOSE_FILES_SHA256 = {
     ".json": "1a7ad3a5241a4d2c805919a722d5563e955cf3156e3b037e7ebfb175f8e7a313",
 }
 
+
+# sha256 of the report `udakit fairness` writes for fairness_multiclass_config():
+# the benchmark's fairness-multiclass workload at its seed 0
+FAIRNESS_REPORT_SHA256 = "584674b383005d4c0dac8d02d485df365f4a685e3ea34845a57156df4d3c2fda"
+
+
+def fairness_multiclass_config():
+    """Four 4-class, 4-D domains of 200 rows, label-shifted by the isic2018,
+    pad, fitz and d7pt presets, each with a 15% minority group offset by
+    (1.2, -1.2, 1.2, -1.2); class means 2.5 I plus U(-0.3, 0.3) jitter from
+    seed 0. Five schemes, one repeat, 60 epochs."""
+    rng = np.random.default_rng(0)
+    domains = [{"domain_id": f"d{i}", "n_samples": 200, "dim": 4,
+                "class_means": (2.5 * np.eye(4) + rng.uniform(-0.3, 0.3, size=(4, 4))).tolist(),
+                "class_cov_scale": 1.0,
+                "label_distribution": class_distribution(preset, (0, 1, 2, 3)).tolist(),
+                "sensitive_distribution": [0.85, 0.15],
+                "sensitive_mean_offset": [[0.0] * 4, [1.2, -1.2, 1.2, -1.2]], "seed": 300 + i}
+               for i, preset in enumerate(("isic2018", "pad", "fitz", "d7pt"))]
+    return {"task": "multiclass", "domains": domains, "repeats": 1, "base_seed": 11,
+            "n_classes": 4, "train": {"epochs": 60, "learning_rate": 3e-3, "momentum": 0.5},
+            "schemes": ["single-erm", "combined-erm", "rs-combined-dann", "multi-mdan",
+                        "rs-multi-m3sda"]}
 
 def train_files_config(scheme_overrides=None):
     """The pinned grid's domains at 3 epochs: all seven scheme bases, plus
@@ -457,6 +480,30 @@ class TestMatrixCommand:
                 assert cell["flags"][0].startswith("repeat 0: AUROC undefined")
             else:
                 assert len(cell["values"]) == 1 and cell["flags"] == []
+
+    def test_undefined_m3sda_head_weights_flag_their_cell_and_keep_the_rest(self, tmp_path,
+                                                                            capsys):
+        # untrained heads (0 epochs) weighted by 5% held-out slices, one row per
+        # class of each source: for target d1 every head misses both of its rows
+        domains = [{"domain_id": f"d{i}", "n_samples": 40, "dim": 2,
+                    "class_means": [[0, 0], [2.6, 0]], "class_cov_scale": 0.9,
+                    "label_distribution": [0.5, 0.5], "sensitive_distribution": [1.0],
+                    "sensitive_mean_offset": [[0, 0]], "seed": 1940 + i} for i in range(3)]
+        config = {"task": "binary", "schemes": ["multi-m3sda"], "domains": domains,
+                  "base_seed": 19, "repeats": 1, "train": {"epochs": 0},
+                  "scheme_overrides": {"multi-m3sda": {"holdout_ratio": 0.05}}}
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "report.json"
+        code = main(["matrix", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert "1 cells flagged" in capsys.readouterr().err
+        cells = {c["target"]: c for c in json.loads(out.read_text())["cells"]}
+        assert cells["d1"]["flags"] == ["repeat 0: every head scored 0 on its held-out slice, "
+                                        "so accuracy weights are undefined"]
+        assert cells["d1"]["values"] == []
+        for target in ("d0", "d2"):
+            assert cells[target]["flags"] == [] and len(cells[target]["values"]) == 1
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_overflow_counts_as_divergence(self, tmp_path, capsys):
@@ -869,6 +916,13 @@ class TestFairnessCommand:
         assert cells["d2"]["summary"]["pqd"] == {"mean": None, "std": None}
         for target in ("d0", "d1"):
             assert cells[target]["flags"] == [] and len(cells[target]["values"]["pqd"]) == 1
+
+    def test_fairness_report_is_pinned(self, tmp_path):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(fairness_multiclass_config()))
+        out = tmp_path / "fairness.json"
+        assert main(["fairness", "--config", str(config_path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FAIRNESS_REPORT_SHA256
 
     def test_fairness_notes_keep_exit_code_zero(self, tmp_path):
         # d0 holds no class-2 rows, so its fairness report notes the absent class

@@ -153,6 +153,22 @@ class TestBackwardWithoutInputGradient:
             assert same_bits(params_only, full)
 
 
+class TestBackwardWithoutParameterGradient:
+    @pytest.mark.parametrize("sizes, final", [([32, 16, 2], "identity"), ([2, 32, 32], "relu"),
+                                              ([5, 7, 3, 2], "identity"), ([3, 6], "relu")])
+    def test_same_input_gradient_bits(self, sizes, final):
+        rng = np.random.default_rng(10 + len(sizes))
+        mlp = init_mlp(sizes, rng, final=final)
+        mlp.params += rng.normal(scale=0.1, size=mlp.params.size)
+        for n in (1, 44, 64):
+            _, acts = forward(mlp, rng.normal(size=(n, sizes[0])))
+            grad_out = rng.normal(size=(n, sizes[-1]))
+            _, dx = backward(mlp, acts, grad_out)
+            none, input_only = backward(mlp, acts, grad_out, param_grad=False)
+            assert none is None
+            assert same_bits(input_only, dx)
+
+
 class TestForwardAndBackward:
     """forward and backward against the former formulas, in every layer shape
     a trainer builds and in degenerate ones."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,11 +13,11 @@ from udakit import (
     pearson,
     save_shift_csv,
     save_shift_summary,
-    wasserstein_feature_distance,
+    wasserstein_feature_distances,
 )
 from udakit import shift
 from conftest import make_blobs
-from oracles import transport_cost_lp
+from oracles import sliced_w1_per_pair, transport_cost_lp
 
 
 def w1_exact_1d_reference(u, v):
@@ -53,52 +54,52 @@ def sliced_w1_reference(a, b, projections, seed):
 class TestWasserstein:
     def test_identity_is_zero(self, rng):
         a = rng.normal(size=(20, 3))
-        assert wasserstein_feature_distance(a, a.copy(), projections=16, seed=0) == 0.0
+        assert wasserstein_feature_distances([a, a.copy()], projections=16, seed=0)[0, 1] == 0.0
 
     def test_1d_point_mass_translation(self):
         a = np.array([[0.0], [0.0]])
         b = np.array([[1.0], [1.0]])
-        assert wasserstein_feature_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert wasserstein_feature_distances([a, b])[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_1d_is_exact_regardless_of_projections(self, rng):
         a = rng.normal(size=(23, 1))
         b = rng.normal(size=(41, 1)) + 1.3
         exact = transport_cost_lp(a, b)
         for projections in (1, 4, 256):
-            got = wasserstein_feature_distance(a, b, projections=projections, seed=5)
+            got = wasserstein_feature_distances([a, b], projections=projections, seed=5)[0, 1]
             assert got == pytest.approx(exact, rel=1e-9)
 
     def test_equal_sizes_reduce_to_matched_order_statistics(self, rng):
         a = rng.normal(size=(30, 1))
         b = rng.normal(size=(30, 1)) * 2 + 0.5
         expected = np.mean(np.abs(np.sort(a[:, 0]) - np.sort(b[:, 0])))
-        assert wasserstein_feature_distance(a, b) == pytest.approx(expected, abs=1e-12)
+        assert wasserstein_feature_distances([a, b])[0, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric(self, rng):
         a = rng.normal(size=(15, 2))
         b = rng.normal(size=(25, 2)) + 1.0
-        d1 = wasserstein_feature_distance(a, b, projections=64, seed=3)
-        d2 = wasserstein_feature_distance(b, a, projections=64, seed=3)
+        d1 = wasserstein_feature_distances([a, b], projections=64, seed=3)[0, 1]
+        d2 = wasserstein_feature_distances([b, a], projections=64, seed=3)[0, 1]
         assert d1 == pytest.approx(d2, abs=1e-12)
 
     def test_1d_translation_covariance_disjoint_supports(self, rng):
         a = rng.uniform(0.0, 1.0, size=(17, 1))
         b = rng.uniform(0.0, 1.0, size=(11, 1)) + 5.0
-        base = wasserstein_feature_distance(a, b)
-        shifted = wasserstein_feature_distance(a, b + 2.0)
+        base = wasserstein_feature_distances([a, b])[0, 1]
+        shifted = wasserstein_feature_distances([a, b + 2.0])[0, 1]
         assert shifted - base == pytest.approx(2.0, abs=1e-9)
 
     def test_translating_identical_cloud_gives_shift_norm(self, rng):
         a = rng.normal(size=(40, 3))
         shift = np.array([1.0, -2.0, 2.0])
-        d = wasserstein_feature_distance(a, a + shift, projections=512, seed=1)
+        d = wasserstein_feature_distances([a, a + shift], projections=512, seed=1)[0, 1]
         assert d == pytest.approx(np.linalg.norm(shift), rel=0.05)
 
     def test_deterministic_given_seed(self, rng):
         a = rng.normal(size=(20, 2))
         b = rng.normal(size=(20, 2)) + 0.5
-        d1 = wasserstein_feature_distance(a, b, projections=32, seed=9)
-        d2 = wasserstein_feature_distance(a, b, projections=32, seed=9)
+        d1 = wasserstein_feature_distances([a, b], projections=32, seed=9)[0, 1]
+        d2 = wasserstein_feature_distances([a, b], projections=32, seed=9)[0, 1]
         assert d1 == d2
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -118,7 +119,7 @@ class TestWasserstein:
                 else:
                     shift = rng.uniform(1.5, 3.0, size=dim) * rng.choice([-1, 1], size=dim)
                     b = rng.normal(size=(m, dim)) * 1.5 + shift
-                est = wasserstein_feature_distance(a, b, projections=512, seed=7)
+                est = wasserstein_feature_distances([a, b], projections=512, seed=7)[0, 1]
                 exact = transport_cost_lp(a, b)
                 assert abs(est - exact) / exact < 0.15
 
@@ -129,17 +130,17 @@ class TestWasserstein:
         devs = {p: [] for p in (64, 128)}
         for trial in range(20):
             for p in devs:
-                est = wasserstein_feature_distance(a, b, projections=p, seed=trial)
+                est = wasserstein_feature_distances([a, b], projections=p, seed=trial)[0, 1]
                 devs[p].append(abs(est - exact))
         assert np.mean(devs[128]) <= np.mean(devs[64]) + 1e-12
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            wasserstein_feature_distance(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))
+            wasserstein_feature_distances([rng.normal(size=(5, 2)), rng.normal(size=(5, 3))])[0, 1]
 
     def test_empty_dataset(self, rng):
         with pytest.raises(ValueError, match="empty"):
-            wasserstein_feature_distance(np.zeros((0, 2)), rng.normal(size=(5, 2)))
+            wasserstein_feature_distances([np.zeros((0, 2)), rng.normal(size=(5, 2))])[0, 1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dim", [1, 3])
@@ -148,9 +149,9 @@ class TestWasserstein:
         dirty = rng.normal(size=(5, dim))
         dirty[2, dim - 1] = bad
         with pytest.raises(ValueError, match="features must be finite"):
-            wasserstein_feature_distance(dirty, clean)
+            wasserstein_feature_distances([dirty, clean])[0, 1]
         with pytest.raises(ValueError, match="features must be finite"):
-            wasserstein_feature_distance(clean, dirty)
+            wasserstein_feature_distances([clean, dirty])[0, 1]
 
 
 class TestWassersteinBitIdentity:
@@ -159,9 +160,9 @@ class TestWassersteinBitIdentity:
     BLOCK = shift._PROJECTION_BLOCK
 
     def assert_same(self, a, b, projections, seed):
-        got = wasserstein_feature_distance(a, b, projections, seed)
+        got = wasserstein_feature_distances([a, b], projections, seed)[0, 1]
         assert got == sliced_w1_reference(a, b, projections, seed)
-        assert got == wasserstein_feature_distance(b, a, projections, seed)
+        assert got == wasserstein_feature_distances([b, a], projections, seed)[0, 1]
 
     @pytest.mark.parametrize("sizes", [(37, 61), (61, 37), (50, 50), (1, 9), (1, 1), (300, 299)])
     @pytest.mark.parametrize("dim", [1, 2, 5, 16])
@@ -195,7 +196,7 @@ class TestWassersteinBitIdentity:
             "all-equal", "tied-runs-split-across-both"])
     def test_closed_form_count_cases(self, u, v):
         for a, b in ((u, v), (v, u)):
-            got = wasserstein_feature_distance(a[:, None], b[:, None])
+            got = wasserstein_feature_distances([a[:, None], b[:, None]])[0, 1]
             assert got == w1_exact_1d_reference(a, b)
 
     def test_projection_counts_off_the_block_size(self):
@@ -210,6 +211,47 @@ class TestWassersteinBitIdentity:
         b = make_blobs("b", 22, n=2 * shift._ROW_BAND + 1, mix=[0.3, 0.7])
         self.assert_same(a, b, projections=20, seed=3)
         self.assert_same(a.features, a.features[::-1].copy(), projections=20, seed=3)
+
+
+class TestWassersteinMatrix:
+    """Every pair of the matrix equals the former per-pair algorithm's value,
+    bit for bit, and so does each of its per-projection values."""
+
+    @pytest.mark.parametrize("projections", [1, 2, 7, 8, 9, 16, 17, 257])
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_every_pair_matches_the_per_pair_oracle(self, monkeypatch, dim, projections):
+        rng = np.random.default_rng(100 * dim + projections)
+        # unequal sizes, two equal ones, and a single row
+        sizes = (37, 150, 150, 401, 1)
+        clouds = [rng.normal(size=(n, dim)) * rng.uniform(0.5, 2.0) + rng.normal(size=dim)
+                  for n in sizes]
+        # a differing last bit of one projection can vanish in the distance's
+        # rounding, so the per-projection values are compared too
+        merges, w1_rows = [], shift._w1_rows
+        monkeypatch.setattr(shift, "_w1_rows",
+                            lambda u, v, buffer: merges.append(w1_rows(u, v, buffer)) or merges[-1])
+        got = wasserstein_feature_distances(clouds, projections, seed=projections)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
+        pairs = list(itertools.combinations(range(len(clouds)), 2))
+        for k, (i, j) in enumerate(pairs):
+            values, distance = sliced_w1_per_pair(clouds[i], clouds[j], projections, projections)
+            # one merge per pair per block, pairs in this order within a block
+            assert [v for block in merges[k::len(pairs)] for v in block] == values, (i, j)
+            assert got[i, j] == distance, (i, j)
+
+    def test_a_later_cloud_is_checked_like_the_first_two(self, rng):
+        clean = [rng.normal(size=(6, 3)), rng.normal(size=(7, 3))]
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            wasserstein_feature_distances([*clean, rng.normal(size=(5, 2))])
+        with pytest.raises(ValueError, match="empty dataset"):
+            wasserstein_feature_distances([*clean, np.zeros((0, 3))])
+        dirty = rng.normal(size=(5, 3))
+        dirty[4, 0] = np.nan
+        with pytest.raises(ValueError, match="features must be finite"):
+            wasserstein_feature_distances([*clean, dirty])
+        with pytest.raises(ValueError, match="projections must be >= 1"):
+            wasserstein_feature_distances(clean, projections=0)
 
 
 class TestChiSquare:
@@ -290,22 +332,31 @@ class TestBuildShiftMatrix:
         assert len(report.pairs) == 30
         assert all(s != t for s, t in report.pairs)
 
-    def test_w1_measured_once_per_unordered_pair(self, monkeypatch):
-        import udakit.shift as shift
+    @pytest.mark.parametrize("projections, widths", [(16, [8, 8]), (20, [8, 8, 20])])
+    def test_w1_projects_and_sorts_each_domain_once_per_block(self, monkeypatch, projections,
+                                                              widths):
+        class CountingFeatures(np.ndarray):
+            def __matmul__(self, other):
+                products.append((id(self), other.shape[1]))
+                return np.asarray(self) @ other
 
         # unequal sizes take the merged-breakpoint path; two equal sizes the other
         domains = [make_blobs(f"d{i}", 30 + i, n=n) for i, n in enumerate((40, 55, 55, 70))]
-        calls = []
-
-        def counting(a, b, projections=256, seed=0):
-            calls.append((a.domain_id, b.domain_id))
-            return wasserstein_feature_distance(a, b, projections, seed)
-
-        monkeypatch.setattr(shift, "wasserstein_feature_distance", counting)
-        report = build_shift_matrix(domains, projections=16, seed=2)
-        n = len(domains)
-        assert len(calls) == n * (n - 1) // 2
-        assert len({frozenset(c) for c in calls}) == len(calls)
+        for d in domains:
+            d.features = d.features.view(CountingFeatures)
+        products, sorts, merges = [], [], []
+        sort_into, w1_rows = shift._sort_columns_into, shift._w1_rows
+        monkeypatch.setattr(shift, "_sort_columns_into",
+                            lambda out, cols: sorts.append(cols) or sort_into(out, cols))
+        monkeypatch.setattr(shift, "_w1_rows",
+                            lambda u, v, buffer: merges.append(u) or w1_rows(u, v, buffer))
+        report = build_shift_matrix(domains, projections=projections, seed=2)
+        n, blocks = len(domains), len(widths)
+        # one product per domain per block: a whole block's directions, or all
+        # of them for the last, narrower block
+        assert sorted(products) == sorted((id(d.features), w) for d in domains for w in widths)
+        assert len(sorts) == n * blocks
+        assert len(merges) == n * (n - 1) // 2 * blocks
         for s in domains:
             for t in domains:
                 if s is t:
@@ -313,7 +364,7 @@ class TestBuildShiftMatrix:
                 d = report.pairs[(s.domain_id, t.domain_id)].feature_distance
                 assert d == report.pairs[(t.domain_id, s.domain_id)].feature_distance
                 # the stored value is what measuring this order would give, bit for bit
-                assert d == wasserstein_feature_distance(s, t, 16, 2)
+                assert d == wasserstein_feature_distances([s, t], projections, 2)[0, 1]
 
     def test_missing_error_pairs_listed(self):
         domains = [make_blobs(f"d{i}", i, n=40) for i in range(3)]
