@@ -364,7 +364,8 @@ def save_dataset(data: DomainDataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> DomainDataset:
-    """Read a dataset CSV; inverse of save_dataset. A bad field is named by row and column."""
+    """Read a dataset CSV; inverse of save_dataset. A bad field is named by row
+    and column; blank lines are skipped but counted, so row N is line N + 1."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -375,23 +376,23 @@ def load_dataset(path: str | Path) -> DomainDataset:
     dim = len(header) - 4
     if dim < 1 or header[4:] != [f"f{j}" for j in range(dim)]:
         raise ValueError(f"{path}: malformed feature columns in header")
-    rows = [ln for ln in lines[1:] if ln]
-    if not rows:
+    numbered = [(row, ln) for row, ln in enumerate(lines[1:], start=1) if ln]
+    if not numbered:
         raise ValueError(f"{path}: empty dataset (header only)")
 
     ids: list[str] = []
     domains: set[str] = set()
-    labels = np.empty(len(rows), dtype=np.int64)
-    sensitive = np.empty(len(rows), dtype=np.int64)
-    features = np.empty((len(rows), dim), dtype=np.float64)
-    for r, line in enumerate(rows):
+    labels = np.empty(len(numbered), dtype=np.int64)
+    sensitive = np.empty(len(numbered), dtype=np.int64)
+    features = np.empty((len(numbered), dim), dtype=np.float64)
+    for r, (row, line) in enumerate(numbered):
         parts = line.split(",")
         if len(parts) != 4 + dim:
-            raise ValueError(f"{path}: row {r + 1} has {len(parts)} fields, expected {4 + dim}")
+            raise ValueError(f"{path}: row {row} has {len(parts)} fields, expected {4 + dim}")
         ids.append(parts[0])
         domains.add(parts[1])
-        labels[r] = _parse_id_field(parts[2], "label", r, path)
-        sensitive[r] = _parse_id_field(parts[3], "sensitive", r, path)
+        labels[r] = _parse_id_field(parts[2], "label", row, path)
+        sensitive[r] = _parse_id_field(parts[3], "sensitive", row, path)
         try:
             features[r] = [float(t) for t in parts[4:]]
         except ValueError:
@@ -401,13 +402,14 @@ def load_dataset(path: str | Path) -> DomainDataset:
                     float(text)
                 except ValueError:
                     raise ValueError(
-                        f"{path}: non-numeric feature {text!r} at row {r + 1}, column f{j}"
+                        f"{path}: non-numeric feature {text!r} at row {row}, column f{j}"
                     ) from None
     # float() also reads nan, inf and overflowing text such as 1e999
     if not np.isfinite(features).all():
         r, j = np.argwhere(~np.isfinite(features))[0]
-        raise ValueError(f"{path}: non-finite feature {rows[r].split(',')[4 + j]!r} "
-                         f"at row {r + 1}, column f{j}")
+        row, line = numbered[r]
+        raise ValueError(f"{path}: non-finite feature {line.split(',')[4 + j]!r} "
+                         f"at row {row}, column f{j}")
     if len(domains) != 1:
         raise ValueError(f"{path}: mixed domain ids {sorted(domains)}")
     return DomainDataset(domains.pop(), features, labels, sensitive, tuple(ids))
@@ -417,10 +419,10 @@ def _parse_id_field(text: str, column: str, row: int, path: Path) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise ValueError(f"{path}: non-integer {column} {text!r} at row {row + 1}, column {column}") from None
+        raise ValueError(f"{path}: non-integer {column} {text!r} at row {row}, column {column}") from None
     if value < 0:
         raise ValueError(
-            f"{path}: {column} {value} out of range at row {row + 1}, column {column}"
+            f"{path}: {column} {value} out of range at row {row}, column {column}"
         )
     return value
 

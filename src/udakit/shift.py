@@ -19,19 +19,28 @@ import numpy as np
 from .data import DomainDataset
 
 
-def _features_of(data) -> np.ndarray:
-    feats = data.features if isinstance(data, DomainDataset) else np.asarray(data, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
-    if feats.shape[0] == 0:
-        raise ValueError("empty dataset")
-    if not np.isfinite(feats).all():
-        raise ValueError("features must be finite")
+def _checked_features(clouds) -> list[np.ndarray]:
+    """Each cloud's features, checked; a bad cloud is named by index, and domain id if any."""
+    feats: list[np.ndarray] = []
+    for k, data in enumerate(clouds):
+        if isinstance(data, DomainDataset):
+            name, f = f"cloud {k}, domain {data.domain_id!r}", data.features
+        else:
+            name, f = f"cloud {k}", np.asarray(data, dtype=np.float64)
+        if f.ndim != 2:
+            raise ValueError(f"{name}: features must be a 2-D matrix")
+        if f.shape[0] == 0:
+            raise ValueError(f"{name}: empty dataset")
+        if feats and f.shape[1] != feats[0].shape[1]:
+            raise ValueError(f"{name}: dimension mismatch: {feats[0].shape[1]} vs {f.shape[1]}")
+        if not np.isfinite(f).all():
+            raise ValueError(f"{name}: features must be finite")
+        feats.append(f)
     return feats
 
 
 # each cloud's projections are sorted _PROJECTION_BLOCK at a time into its own
-# small buffer, and every pair is merged from those buffers; each transposing
+# small buffer, and every pair is measured from those buffers; each transposing
 # copy reads a band of _ROW_BAND rows, which stays in cache, instead of
 # striding down whole columns
 _PROJECTION_BLOCK = 8
@@ -46,43 +55,33 @@ def _sort_columns_into(out: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _w1_rows(u: np.ndarray, v: np.ndarray, buffer: np.ndarray) -> list[float]:
-    """Exact 1-D W1 between row k of u and row k of v, both sorted, for every k.
+def _quantile_plan(na: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How the 1-D W1 of an na-sample and an nb-sample reads their sorted values.
 
-    Equal sizes reduce to the mean absolute difference of matched order
-    statistics. Unequal sizes integrate the CDF gap over the merged
-    breakpoints: a stable argsort merges the two sorted samples, and the
-    count of first-sample entries up to each merged position k gives both
-    CDFs. That count has a closed form, since both halves of the merged row
-    are ascending and the sort is stable: it is order[k] + 1 when entry k
-    comes from the first sample, and k + n_a - order[k] when it comes from
-    the second. The smaller of the two is always the right one. For a
-    first-sample entry the other is n_a plus the second-sample entries up to
-    k, never below the count; for a second-sample entry the other is
-    order[k] + 1 > n_a, while the count is at most n_a. The counts are
-    integers, exact in float64 below 2**53. Where values tie the breakpoint
-    gap is 0, so how ties are counted does not change any term. Each
-    projection's terms are summed as one contiguous 1-D array, so the
-    pairwise summation order, and with it every bit of the result, is that
-    of a one-projection-at-a-time loop. `buffer` holds the merged rows.
+    W1 is the L1 distance between the two quantile functions, step functions
+    with breakpoints i/na and j/nb. Merged, and kept as exact integers over
+    na*nb, the breakpoints give each interval its order statistic of each
+    sample (iu, iv) and its width. Swapping na and nb swaps iu and iv and
+    keeps the widths, so a pair's W1 has the same bits in either order.
     """
-    na, nb = u.shape[1], v.shape[1]
-    if na == nb:
-        return [float(np.mean(gaps)) for gaps in np.abs(u - v)]
-    steps = np.arange(1.0, na + nb)
-    past = np.arange(na, 2.0 * na + nb)     # k + n_a at merged position k
-    values: list[float] = []
-    for runs in np.concatenate((u, v), axis=1, out=buffer[:len(u), :na + nb]):
-        order = np.argsort(runs, kind="stable")
-        merged = runs[order]
-        first = order.astype(np.float64)
-        cnt_u = np.minimum(first + 1.0, past - first)[:-1]
-        terms = cnt_u / na
-        terms -= (steps - cnt_u) / nb
-        np.abs(terms, out=terms)
-        terms *= merged[1:] - merged[:-1]
-        values.append(float(np.add.reduce(terms)))
-    return values
+    total = na * nb
+    # np.union1d gives the same starts, but on numpy 2.4 its first call alone
+    # adds about 1.6 MB to the process's resident memory
+    starts = np.sort(np.concatenate((np.arange(na) * nb, np.arange(nb) * na)))
+    starts = starts[np.diff(starts, prepend=-1) != 0]
+    return ((starts // nb).astype(np.int32), (starts // na).astype(np.int32),
+            np.diff(starts, append=total) / total)
+
+
+def _w1_rows(u: np.ndarray, v: np.ndarray, plan) -> np.ndarray:
+    """Exact 1-D W1 between row k of u and row k of v, both sorted, for every
+    k: the sum over the plan's intervals of |u[iu] - v[iv]| times the width."""
+    iu, iv, widths = plan
+    gaps = u.take(iu, axis=1)
+    gaps -= v.take(iv, axis=1)
+    np.abs(gaps, out=gaps)
+    gaps *= widths
+    return np.add.reduce(gaps, axis=1)
 
 
 def _mean_abs_projection(dim: int) -> float:
@@ -103,13 +102,11 @@ def wasserstein_feature_distances(clouds, projections: int = 256, seed: int = 0)
     rescales by the mean absolute projection of a unit vector; in 1-D this is
     the exact W1 regardless of the projection count. Deterministic given seed.
     Each cloud is projected and sorted once per block of directions, and
-    every pair is measured from those sorted blocks.
+    every pair is measured from those sorted blocks through its quantile
+    plan, which depends on the two sample sizes alone and is built once.
     """
-    feats = [_features_of(c) for c in clouds]
+    feats = _checked_features(clouds)
     dim = feats[0].shape[1]
-    for f in feats[1:]:
-        if f.shape[1] != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {f.shape[1]}")
     if projections < 1:
         raise ValueError("projections must be >= 1")
     blocks = [feats]
@@ -120,19 +117,20 @@ def wasserstein_feature_distances(clouds, projections: int = 256, seed: int = 0)
         # on the OpenBLAS kernels measured, a product over a whole block of
         # directions has the bits of those columns of one product over all of
         # them; over a narrower last block it can round differently, so those
-        # columns are cut from that full product
+        # columns are cut from that full product. Each is made as its cloud is sorted.
         whole = projections - projections % _PROJECTION_BLOCK
         blocks = itertools.chain(
-            ([f @ directions[k0:k0 + _PROJECTION_BLOCK].T for f in feats]
+            ((f @ directions[k0:k0 + _PROJECTION_BLOCK].T for f in feats)
              for k0 in range(0, whole, _PROJECTION_BLOCK)),
-            [[(f @ directions.T)[:, whole:].copy() for f in feats]] if whole < projections else [])
+            [((f @ directions.T)[:, whole:].copy() for f in feats)] if whole < projections else [])
     runs = [np.empty((_PROJECTION_BLOCK, f.shape[0])) for f in feats]
-    buffer = np.empty((_PROJECTION_BLOCK, sum(sorted(f.shape[0] for f in feats)[-2:])))
-    values = {pair: [] for pair in itertools.combinations(range(len(feats)), 2)}
+    plans = {(i, j): _quantile_plan(len(feats[i]), len(feats[j]))
+             for i, j in itertools.combinations(range(len(feats)), 2)}
+    values: dict[tuple[int, int], list[float]] = {pair: [] for pair in plans}
     for products in blocks:
         block = [_sort_columns_into(r[:p.shape[1]], p) for r, p in zip(runs, products)]
-        for (i, j), pair_values in values.items():
-            pair_values.extend(_w1_rows(block[i], block[j], buffer))
+        for (i, j), plan in plans.items():
+            values[i, j].extend(_w1_rows(block[i], block[j], plan).tolist())
     out = np.zeros((len(feats), len(feats)))
     for (i, j), pair_values in values.items():
         total = sum(pair_values)    # in projection order, as one pair at a time would
@@ -227,11 +225,11 @@ def build_shift_matrix(domains: list[DomainDataset],
     ids = [d.domain_id for d in domains]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate domain ids in {ids}")
+    # sliced W1 checks every domain, naming a bad one, before any label is
+    # read; it is measured once per unordered pair, chi-square is asymmetric
+    w1 = wasserstein_feature_distances(domains, projections, seed)
     if n_classes is None:
         n_classes = int(max(d.labels.max() for d in domains)) + 1
-
-    # sliced W1 is measured once per unordered pair; chi-square is asymmetric
-    w1 = wasserstein_feature_distances(domains, projections, seed)
     pairs: dict[tuple[str, str], PairShift] = {}
     for i, src in enumerate(domains):
         for j, tgt in enumerate(domains):

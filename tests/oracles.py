@@ -2,15 +2,17 @@
 
 Everything here deliberately avoids the package's computation paths:
 finite differences instead of backprop, O(n^2) pair counting instead of
-rank sums, linear programming instead of sliced projections, and plain
+rank sums, linear programming instead of sliced projections, exact
+rational arithmetic instead of floating-point 1-D transport, and plain
 Python counting loops instead of vectorized group tables. The one exception
 is sliced_w1_per_pair, the package's former sliced W1 of one pair, kept so
-that the shared-projection kernel can be checked against it bit for bit.
+that the quantile-plan kernel can be checked against it value by value.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -146,6 +148,31 @@ def transport_cost_lp(a: np.ndarray, b: np.ndarray) -> float:
     return float(res.fun)
 
 
+def w1_exact_rational(u, v) -> Fraction:
+    """Exact 1-D W1 between two samples of floats, as a Fraction.
+
+    Integrates |F_u - F_v| between consecutive distinct values of the merged
+    sample, the CDF form rather than the quantile form. Each float is an
+    integer over a power of two, so over the largest of those denominators
+    every value, CDF count and gap is an integer and nothing is rounded.
+    """
+    ratios = [x.as_integer_ratio() for x in sorted(map(float, u))]
+    ratios += [x.as_integer_ratio() for x in sorted(map(float, v))]
+    scale = max(d for _, d in ratios)
+    values = [n * (scale // d) for n, d in ratios]
+    na, nb = len(u), len(v)
+    a, b = values[:na], values[na:]
+    total = i = j = 0
+    merged = sorted(set(values))
+    for lo, hi in zip(merged, merged[1:]):
+        while i < na and a[i] <= lo:
+            i += 1
+        while j < nb and b[j] <= lo:
+            j += 1
+        total += abs(i * nb - j * na) * (hi - lo)
+    return Fraction(total, na * nb * scale)
+
+
 def nearest_mean_labels(features: np.ndarray, class_means: np.ndarray) -> np.ndarray:
     dists = np.linalg.norm(features[:, None, :] - class_means[None, :, :], axis=2)
     return np.argmin(dists, axis=1)
@@ -187,8 +214,9 @@ def sliced_w1_per_pair(a, b, projections: int, seed: int) -> tuple[list[float], 
     """Sliced W1 of one pair as the package measured it before its pairs
     shared their projections: one product of each cloud with every
     direction, each projection of both clouds sorted for this pair alone,
-    the two sorted samples merged by a stable argsort, and the per-projection
-    values summed in projection order. Returns those values and the distance."""
+    the two sorted samples merged by a stable argsort (matched order
+    statistics at equal sizes), and the per-projection values summed in
+    projection order. Returns those values and the distance."""
     fa = np.asarray(getattr(a, "features", a), dtype=np.float64)
     fb = np.asarray(getattr(b, "features", b), dtype=np.float64)
     dim = fa.shape[1]

@@ -56,8 +56,8 @@ TRAIN_FILES_SHA256 = {
 # TestDiagnoseCommand.test_diagnose_files_are_pinned; the shift path's
 # counterpart of PINNED_REPORT_SHA256
 DIAGNOSE_FILES_SHA256 = {
-    ".csv": "353694bfa603cd37cd3cc5a4957bdf7ad0dcf20867ae6a37f2b5911f71fc1861",
-    ".json": "1a7ad3a5241a4d2c805919a722d5563e955cf3156e3b037e7ebfb175f8e7a313",
+    ".csv": "6f783c3eff3e4227029b90138f9974b1d9849e8d881c3d5bc7982c6e94ba10dc",
+    ".json": "f1e12ca0f639ce591e20e656da49e25b72841b5a6943151fea914c247ae71da2",
 }
 
 
@@ -973,8 +973,7 @@ class TestDiagnoseCommand:
         assert summary["pearson_label_error"] is not None
 
     def test_diagnose_files_are_pinned(self, tmp_path):
-        # three unequal sizes take the merged-CDF path of sliced W1, the
-        # equal-size twin t1 of d1 the matched order-statistics path
+        # three unequal sizes, and t1, the equal-size twin of d1
         specs = [blob_spec(f"d{i}", 60 + i, n=n, mean_shift=0.5 * i)
                  for i, n in enumerate((70, 95, 130))]
         specs.append(blob_spec("t1", 64, n=95, mean_shift=1.3, mix=(0.3, 0.7)))

@@ -306,6 +306,35 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"non-numeric feature 'bad1' at row 1, column f1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("f,d,0,0,oops", "non-numeric feature 'oops' at row 7, column f0"),
+        ("f,d,0,0", "row 7 has 4 fields, expected 5"),
+        ("f,d,x,0,1.0", "non-integer label 'x' at row 7, column label"),
+        ("f,d,0,-2,1.0", "sensitive -2 out of range at row 7, column sensitive"),
+        ("f,d,0,0,nan", "non-finite feature 'nan' at row 7, column f0"),
+    ], ids=["non-numeric", "field-count", "label", "sensitive", "non-finite"])
+    def test_rows_after_blank_lines_keep_their_file_numbers(self, tmp_path, bad_row, message):
+        # a blank line after data row 2, a trailing one after row 3: row N is file line N + 1
+        lines = ["id,domain,label,sensitive,f0", "a,d,0,0,1.0", "b,d,1,0,2.0", "",
+                 "c,d,0,0,3.0", "", "e,d,1,0,4.0", bad_row, "g,d,0,0,5.0"]
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert lines[7] == bad_row
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        data = make_blobs("domain-a", 3, n=5)
+        path = tmp_path / "d.csv"
+        save_dataset(data, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:3], "", "", *lines[3:], ""]) + "\n")
+        back = load_dataset(path)
+        assert back.sample_ids == data.sample_ids
+        assert back.features.tobytes() == data.features.tobytes()
+        assert np.array_equal(back.labels, data.labels)
+
     def test_spec_round_trip(self):
         spec = simple_spec(seed=123)
         back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))

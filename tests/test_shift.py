@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from udakit import (
     save_shift_summary,
     wasserstein_feature_distances,
 )
-from udakit import shift
+from udakit import DomainDataset, shift
 from conftest import make_blobs
-from oracles import sliced_w1_per_pair, transport_cost_lp
+from oracles import sliced_w1_per_pair, transport_cost_lp, w1_exact_rational
 
 
 def w1_exact_1d_reference(u, v):
@@ -35,20 +37,54 @@ def w1_exact_1d_reference(u, v):
 
 
 def sliced_w1_reference(a, b, projections, seed):
-    """The former sliced W1: one reference kernel call per projection column."""
+    """The former sliced W1: one reference kernel call per projection column.
+    Returns the per-projection values and the distance."""
     a = np.asarray(getattr(a, "features", a), dtype=np.float64)
     b = np.asarray(getattr(b, "features", b), dtype=np.float64)
     dim = a.shape[1]
     if dim == 1:
-        return w1_exact_1d_reference(a[:, 0], b[:, 0])
+        value = w1_exact_1d_reference(a[:, 0], b[:, 0])
+        return [value], value
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((projections, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     proj_a = a @ directions.T
     proj_b = b @ directions.T
-    total = sum(w1_exact_1d_reference(proj_a[:, k], proj_b[:, k]) for k in range(projections))
-    return total / projections / (math.gamma(dim / 2.0)
-                                  / (math.sqrt(math.pi) * math.gamma((dim + 1) / 2.0)))
+    values = [w1_exact_1d_reference(proj_a[:, k], proj_b[:, k]) for k in range(projections)]
+    return values, sum(values) / projections / (math.gamma(dim / 2.0)
+                                                / (math.sqrt(math.pi) * math.gamma((dim + 1) / 2.0)))
+
+
+@contextlib.contextmanager
+def recorded_w1_rows():
+    """Route shift._w1_rows through a recorder: each call appends its two
+    blocks of sorted projections and its per-projection values."""
+    calls, w1_rows = [], shift._w1_rows
+
+    def recording(u, v, *rest):
+        got = w1_rows(u, v, *rest)
+        calls.append((u.copy(), v.copy(), [float(x) for x in got]))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shift, "_w1_rows", recording)
+        yield calls
+
+
+def assert_close(got, want, rel):
+    """|got - want| <= rel * |want| in exact arithmetic; want may be a Fraction."""
+    assert abs(Fraction(got) - Fraction(want)) <= Fraction(rel) * abs(Fraction(want)), \
+        (got, float(want))
+
+
+def assert_exact_per_projection(calls):
+    """Every recorded per-projection value is within 1e-13 of the exact W1 of
+    the sorted projections it was measured from."""
+    assert calls
+    for u, v, values in calls:
+        assert len(values) == len(u) == len(v)
+        for k, value in enumerate(values):
+            assert_close(value, w1_exact_rational(u[k], v[k]), 1e-13)
 
 
 class TestWasserstein:
@@ -154,14 +190,24 @@ class TestWasserstein:
             wasserstein_feature_distances([clean, dirty])[0, 1]
 
 
-class TestWassersteinBitIdentity:
-    """Every distance equals the former per-projection kernel's, bit for bit."""
+class TestWassersteinPerProjection:
+    """Every per-projection value is within 1e-13 of the exact W1 of its
+    sorted projections and within 1e-12 of the former per-projection
+    kernel's, the distance is within 1e-12 of the former one, and swapping
+    the pair changes no bit."""
 
     BLOCK = shift._PROJECTION_BLOCK
 
     def assert_same(self, a, b, projections, seed):
-        got = wasserstein_feature_distances([a, b], projections, seed)[0, 1]
-        assert got == sliced_w1_reference(a, b, projections, seed)
+        with recorded_w1_rows() as calls:
+            got = wasserstein_feature_distances([a, b], projections, seed)[0, 1]
+        assert_exact_per_projection(calls)
+        values, distance = sliced_w1_reference(a, b, projections, seed)
+        measured = [value for *_, block in calls for value in block]
+        assert len(measured) == len(values)
+        for value, former in zip(measured, values):
+            assert_close(value, former, 1e-12)
+        assert_close(got, distance, 1e-12)
         assert got == wasserstein_feature_distances([b, a], projections, seed)[0, 1]
 
     @pytest.mark.parametrize("sizes", [(37, 61), (61, 37), (50, 50), (1, 9), (1, 1), (300, 299)])
@@ -192,12 +238,15 @@ class TestWassersteinBitIdentity:
         (np.linspace(0.0, 5.0, 9), np.array([-1.0])),
         (np.full(6, 1.5), np.full(11, 1.5)),
         (np.r_[np.zeros(40), np.ones(25), [3.0]], np.r_[[-1.0], np.zeros(30), np.ones(70)]),
+        (np.arange(6.0), np.arange(4.0)[::-1] * 1.5),
     ], ids=["disjoint-below", "disjoint-above", "size-1-first", "size-1-second",
-            "all-equal", "tied-runs-split-across-both"])
-    def test_closed_form_count_cases(self, u, v):
+            "all-equal", "tied-runs-split-across-both", "sizes-sharing-a-breakpoint"])
+    def test_1d_edge_cases(self, u, v):
         for a, b in ((u, v), (v, u)):
             got = wasserstein_feature_distances([a[:, None], b[:, None]])[0, 1]
-            assert got == w1_exact_1d_reference(a, b)
+            assert_close(got, w1_exact_rational(a, b), 1e-13)
+            assert_close(got, w1_exact_1d_reference(a, b), 1e-12)
+            assert got == wasserstein_feature_distances([b[:, None], a[:, None]])[0, 1]
 
     def test_projection_counts_off_the_block_size(self):
         rng = np.random.default_rng(5)
@@ -214,44 +263,67 @@ class TestWassersteinBitIdentity:
 
 
 class TestWassersteinMatrix:
-    """Every pair of the matrix equals the former per-pair algorithm's value,
-    bit for bit, and so does each of its per-projection values."""
+    """Every per-projection value of every pair is within 1e-13 of the exact
+    W1 of its sorted projections and within 1e-12 of the former per-pair
+    algorithm's, and so is each distance; the matrix is symmetric with a
+    zero diagonal, bit for bit."""
 
     @pytest.mark.parametrize("projections", [1, 2, 7, 8, 9, 16, 17, 257])
     @pytest.mark.parametrize("dim", [1, 2, 16])
-    def test_every_pair_matches_the_per_pair_oracle(self, monkeypatch, dim, projections):
+    def test_every_pair_matches_the_per_pair_oracle(self, dim, projections):
         rng = np.random.default_rng(100 * dim + projections)
         # unequal sizes, two equal ones, and a single row
         sizes = (37, 150, 150, 401, 1)
         clouds = [rng.normal(size=(n, dim)) * rng.uniform(0.5, 2.0) + rng.normal(size=dim)
                   for n in sizes]
-        # a differing last bit of one projection can vanish in the distance's
-        # rounding, so the per-projection values are compared too
-        merges, w1_rows = [], shift._w1_rows
-        monkeypatch.setattr(shift, "_w1_rows",
-                            lambda u, v, buffer: merges.append(w1_rows(u, v, buffer)) or merges[-1])
-        got = wasserstein_feature_distances(clouds, projections, seed=projections)
+        # an error in one projection can vanish in the distance's rounding,
+        # so the per-projection values are compared too
+        with recorded_w1_rows() as calls:
+            got = wasserstein_feature_distances(clouds, projections, seed=projections)
         assert np.array_equal(got, got.T)
         assert np.all(np.diag(got) == 0.0)
+        assert_exact_per_projection(calls)
         pairs = list(itertools.combinations(range(len(clouds)), 2))
         for k, (i, j) in enumerate(pairs):
             values, distance = sliced_w1_per_pair(clouds[i], clouds[j], projections, projections)
-            # one merge per pair per block, pairs in this order within a block
-            assert [v for block in merges[k::len(pairs)] for v in block] == values, (i, j)
-            assert got[i, j] == distance, (i, j)
+            # one call per pair per block, pairs in this order within a block
+            measured = [value for *_, block in calls[k::len(pairs)] for value in block]
+            assert len(measured) == len(values), (i, j)
+            for value, former in zip(measured, values):
+                assert_close(value, former, 1e-12)
+            assert_close(got[i, j], distance, 1e-12)
+
+    @pytest.mark.parametrize("dim, projections", [(1, 1), (3, 20), (16, 33)])
+    def test_permuting_the_clouds_permutes_the_matrix(self, dim, projections):
+        rng = np.random.default_rng(7 * dim + projections)
+        clouds = [rng.normal(size=(n, dim)) + rng.normal(size=dim) for n in (23, 40, 40, 57, 1)]
+        base = wasserstein_feature_distances(clouds, projections, seed=4)
+        for order in ([4, 3, 2, 1, 0], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3]):
+            got = wasserstein_feature_distances([clouds[k] for k in order], projections, seed=4)
+            assert np.array_equal(got, base[np.ix_(order, order)]), order
 
     def test_a_later_cloud_is_checked_like_the_first_two(self, rng):
         clean = [rng.normal(size=(6, 3)), rng.normal(size=(7, 3))]
-        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        with pytest.raises(ValueError, match="^cloud 2: dimension mismatch: 3 vs 2$"):
             wasserstein_feature_distances([*clean, rng.normal(size=(5, 2))])
-        with pytest.raises(ValueError, match="empty dataset"):
+        with pytest.raises(ValueError, match="^cloud 2: empty dataset$"):
             wasserstein_feature_distances([*clean, np.zeros((0, 3))])
         dirty = rng.normal(size=(5, 3))
         dirty[4, 0] = np.nan
-        with pytest.raises(ValueError, match="features must be finite"):
+        with pytest.raises(ValueError, match="^cloud 2: features must be finite$"):
             wasserstein_feature_distances([*clean, dirty])
         with pytest.raises(ValueError, match="projections must be >= 1"):
             wasserstein_feature_distances(clean, projections=0)
+
+    def test_a_bad_domain_is_named_by_index_and_id(self):
+        a, b = make_blobs("a", 1, n=20), make_blobs("b", 2, n=30)
+        b.features[3, 1] = np.inf
+        with pytest.raises(ValueError, match="^cloud 1, domain 'b': features must be finite$"):
+            wasserstein_feature_distances([a, b])
+        wide = DomainDataset("w", np.zeros((4, 3)), [0, 1, 0, 1], [0, 0, 0, 0], "0123")
+        with pytest.raises(ValueError,
+                           match="^cloud 2, domain 'w': dimension mismatch: 2 vs 3$"):
+            wasserstein_feature_distances([a, a, wide])
 
 
 class TestChiSquare:
@@ -340,22 +412,28 @@ class TestBuildShiftMatrix:
                 products.append((id(self), other.shape[1]))
                 return np.asarray(self) @ other
 
-        # unequal sizes take the merged-breakpoint path; two equal sizes the other
+        # unequal sizes, and two equal ones
         domains = [make_blobs(f"d{i}", 30 + i, n=n) for i, n in enumerate((40, 55, 55, 70))]
         for d in domains:
             d.features = d.features.view(CountingFeatures)
-        products, sorts, merges = [], [], []
-        sort_into, w1_rows = shift._sort_columns_into, shift._w1_rows
+        products, sorts, plans, merges = [], [], [], []
+        sort_into, quantile_plan, w1_rows = (shift._sort_columns_into, shift._quantile_plan,
+                                             shift._w1_rows)
         monkeypatch.setattr(shift, "_sort_columns_into",
                             lambda out, cols: sorts.append(cols) or sort_into(out, cols))
+        monkeypatch.setattr(shift, "_quantile_plan",
+                            lambda na, nb: plans.append((na, nb)) or quantile_plan(na, nb))
         monkeypatch.setattr(shift, "_w1_rows",
-                            lambda u, v, buffer: merges.append(u) or w1_rows(u, v, buffer))
+                            lambda u, v, plan: merges.append(u) or w1_rows(u, v, plan))
         report = build_shift_matrix(domains, projections=projections, seed=2)
         n, blocks = len(domains), len(widths)
         # one product per domain per block: a whole block's directions, or all
         # of them for the last, narrower block
         assert sorted(products) == sorted((id(d.features), w) for d in domains for w in widths)
         assert len(sorts) == n * blocks
+        # one plan per unordered pair, whatever the number of blocks
+        assert plans == [(len(s.labels), len(t.labels))
+                         for s, t in itertools.combinations(domains, 2)]
         assert len(merges) == n * (n - 1) // 2 * blocks
         for s in domains:
             for t in domains:
@@ -365,6 +443,13 @@ class TestBuildShiftMatrix:
                 assert d == report.pairs[(t.domain_id, s.domain_id)].feature_distance
                 # the stored value is what measuring this order would give, bit for bit
                 assert d == wasserstein_feature_distances([s, t], projections, 2)[0, 1]
+
+    def test_an_empty_domain_is_named_before_any_label_is_read(self):
+        a = make_blobs("a", 1, n=20)
+        empty = DomainDataset("e", np.zeros((0, 2)), [], [], ())
+        for domains, index in (([a, empty], 1), ([empty, a], 0)):
+            with pytest.raises(ValueError, match=f"^cloud {index}, domain 'e': empty dataset$"):
+                build_shift_matrix(domains)
 
     def test_missing_error_pairs_listed(self):
         domains = [make_blobs(f"d{i}", i, n=40) for i in range(3)]

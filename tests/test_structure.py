@@ -283,6 +283,47 @@ def test_callers_are_found_through_bindings(tmp_path):
     assert callers(root, "a:used_by_demo") == []
 
 
+# numpy calls that hand their work to BLAS, beside the `@` operator
+BLAS_CALLS = {"matmul", "dot", "vdot", "inner", "einsum"}
+
+
+def blas_calls(tree: ast.Module, names: set[str]) -> list[str]:
+    """Each `@` and each call of a BLAS_CALLS name, as a function or a
+    method, in the named top-level functions, as name:line operation."""
+    found = []
+    for top in tree.body:
+        if not (isinstance(top, ast.FunctionDef) and top.name in names):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{top.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called in BLAS_CALLS:
+                    found.append(f"{top.name}:{node.lineno} {called}")
+    return sorted(found)
+
+
+def test_the_1d_w1_kernel_makes_no_blas_call():
+    """The quantile plan and the per-projection W1 kernel compute without
+    BLAS, so the shift files depend on the BLAS kernel through the
+    projection product alone (README, byte stability)."""
+    tree = ast.parse((PACKAGE / "shift.py").read_text(encoding="utf-8"))
+    kernel = {"_quantile_plan", "_w1_rows"}
+    assert kernel <= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert blas_calls(tree, kernel) == []
+
+
+def test_blas_calls_are_detected():
+    tree = ast.parse("def f(a, b):\n    c = a @ b\n    c @= b\n"
+                     "    return np.dot(a, b) + a.vdot(b) + inner(a, b)\n"
+                     "def g(a):\n    return np.einsum('ij->i', a) + np.matmul(a, a) + a.sum()\n"
+                     "def h(a):\n    return a @ a\n")
+    assert blas_calls(tree, {"f", "g"}) == ["f:2 @", "f:3 @", "f:4 dot", "f:4 inner",
+                                            "f:4 vdot", "g:6 einsum", "g:6 matmul"]
+
+
 def check_pass(root: Path) -> tuple[list[str], list[str]]:
     """Where an experiment's schemes are checked: the callers of
     harness:check_scheme (see callers), and the parameters of
