@@ -17,40 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .data import (
-    check_domain_ids,
-    domain_specs,
-    generate_domain,
-    load_dataset,
-    save_dataset,
-    stratified_split,
-    within,
-)
-from .harness import (
-    SINGLE,
-    ExperimentConfig,
-    check_scheme,
-    emit_report,
-    export_features,
-    load_experiment_config,
-    open_grid,
-    prediction_set,
-    run_cell,
-    run_fairness,
-    run_matrix,
-    scheme_sources,
-)
-from .metrics import accuracy, auroc, save_predictions
-from .nn import DivergenceError, load_model, save_model, save_run_record
-from .shift import (
-    build_shift_matrix,
-    load_error_table,
-    save_shift_csv,
-    save_shift_summary,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the toolkit reserves 2 for runtime
@@ -118,6 +84,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .data import check_domain_ids, domain_specs, generate_domain, save_dataset
+
     if not args.config:
         raise ValueError("gen needs --config pointing at a domain spec file")
     payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -135,6 +103,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
+    from .data import load_dataset, save_dataset, stratified_split
+
     data = load_dataset(args.data)
     pair = stratified_split(data, args.ratio, args.seed if args.seed is not None else 0)
     out_dir = Path(args.out or Path(args.data).parent)
@@ -147,7 +117,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace):
+    """The experiment config at --config, with --seed as its base seed."""
+    from .harness import load_experiment_config
+
     if not args.config:
         raise ValueError("this command needs --config pointing at an experiment file")
     cfg = load_experiment_config(args.config)
@@ -165,6 +138,10 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .data import within
+    from .harness import SINGLE, check_scheme, export_features, open_grid, run_cell, scheme_sources
+    from .nn import save_model, save_run_record
+
     cfg = _load_config(args)
     single = within("--scheme: ", lambda: check_scheme(args.scheme, cfg)).mode == SINGLE
     if single and args.source is None:
@@ -202,6 +179,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .data import load_dataset
+    from .harness import export_features, prediction_set
+    from .metrics import accuracy, auroc, save_predictions
+    from .nn import load_model
+
     bundle = load_model(args.model)
     data = load_dataset(args.data)
     pred = prediction_set(bundle, data, data.sensitive)
@@ -217,6 +201,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_fairness(args: argparse.Namespace) -> int:
+    from .harness import run_fairness
+
     cfg = _load_config(args)
     matrix = run_fairness(cfg)
     text = json.dumps(matrix.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -229,6 +215,9 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    from .data import load_dataset
+    from .shift import build_shift_matrix, load_error_table, save_shift_csv, save_shift_summary
+
     domains = [load_dataset(p) for p in args.data]
     table = load_error_table(args.errors) if args.errors else None
     report = build_shift_matrix(domains, table, projections=args.projections,
@@ -244,6 +233,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .harness import emit_report, run_matrix
+
     cfg = _load_config(args)
     report = run_matrix(cfg)
     text = emit_report(report, args.format)
@@ -267,11 +258,19 @@ _COMMANDS = {
 }
 
 
+def _divergence_error() -> type[Exception]:
+    """nn's DivergenceError; main's except clause calls this only once an
+    exception reaches it, so a command that raises none never loads nn."""
+    from .nn import DivergenceError
+
+    return DivergenceError
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DivergenceError as err:
+    except _divergence_error() as err:
         print(f"udakit: divergence: {err}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:

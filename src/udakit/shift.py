@@ -106,6 +106,8 @@ def wasserstein_feature_distances(clouds, projections: int = 256, seed: int = 0)
     plan, which depends on the two sample sizes alone and is built once.
     """
     feats = _checked_features(clouds)
+    if len(feats) < 2:
+        raise ValueError(f"need at least 2 feature clouds, got {len(feats)}")
     dim = feats[0].shape[1]
     if projections < 1:
         raise ValueError("projections must be >= 1")

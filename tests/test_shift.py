@@ -315,6 +315,12 @@ class TestWassersteinMatrix:
         with pytest.raises(ValueError, match="projections must be >= 1"):
             wasserstein_feature_distances(clean, projections=0)
 
+    def test_fewer_than_two_clouds_are_refused(self, rng):
+        with pytest.raises(ValueError, match="^need at least 2 feature clouds, got 0$"):
+            wasserstein_feature_distances([])
+        with pytest.raises(ValueError, match="^need at least 2 feature clouds, got 1$"):
+            wasserstein_feature_distances([rng.normal(size=(3, 2))])
+
     def test_a_bad_domain_is_named_by_index_and_id(self):
         a, b = make_blobs("a", 1, n=20), make_blobs("b", 2, n=30)
         b.features[3, 1] = np.inf

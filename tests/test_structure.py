@@ -40,10 +40,12 @@ def test_private_imports_are_detected(tmp_path):
     module.write_text("from .nn import forward, _erm_step_grads\n"
                       "from udakit.adversarial import _dann_step_grads\n"
                       "from numpy import _globals\n"
-                      "from __future__ import annotations\n")
+                      "from __future__ import annotations\n"
+                      "def run():\n    from .nn import _x, backward\n")
     assert private_imports(module) == [
         "probe.py:1 _erm_step_grads from .nn",
         "probe.py:2 _dann_step_grads from udakit.adversarial",
+        "probe.py:6 _x from .nn",
     ]
 
 
@@ -74,21 +76,34 @@ def imported_module(node: ast.ImportFrom) -> str | None:
     return node.module if (node.module or "").split(".")[0] == "udakit" else None
 
 
+def export_table(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """The package's export table, module -> the names `udakit.<name>`
+    reads from it, as the literal `_EXPORTS` of __init__.py; {} without one."""
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == "_EXPORTS" for target in node.targets)),
+                {})
+
+
 def package_bindings(modules: dict[str, tuple[str, ast.Module]]) -> dict[str, dict[str, str]]:
     """Each module's top-level names that are bound to a udakit function or
-    class, by its definition or by an import, as name -> module:definition."""
+    class, by its definition, by an import or, for the package, by its
+    export table, as name -> module:definition."""
     bindings = {name: {node.name: f"{label}:{node.name}" for node in tree.body
                        if isinstance(node, ast.FunctionDef | ast.ClassDef)}
                 for name, (label, tree) in modules.items()}
-    imports = [(name, imported_module(node), alias)
+    imports = [(name, imported_module(node), alias.name, alias.asname or alias.name)
                for name, (_, tree) in modules.items() for node in tree.body
                if isinstance(node, ast.ImportFrom) and imported_module(node) in bindings
                for alias in node.names]
+    imports += [("udakit", f"udakit.{module}", export, export)
+                for module, exports in export_table(modules["udakit"][1]).items()
+                if f"udakit.{module}" in bindings for export in exports]
     changed = True
     while changed:      # a module may import a name that another module imported
         changed = False
-        for name, source, alias in imports:
-            bound, target = alias.asname or alias.name, bindings[source].get(alias.name)
+        for name, source, imported, bound in imports:
+            target = bindings[source].get(imported)
             if target and bound not in bindings[name]:
                 bindings[name][bound] = target
                 changed = True
@@ -176,7 +191,9 @@ def probe_program(root: Path) -> Path:
     README, each using some of a.py's definitions."""
     for folder in ("src/udakit", "demos", "perfbench"):
         (root / folder).mkdir(parents=True)
-    (root / "src/udakit/__init__.py").write_text("from .a import Kept, used_by_demo\n")
+    (root / "src/udakit/__init__.py").write_text(
+        "import importlib\n_EXPORTS = {'a': ('Kept', 'used_by_demo')}\n"
+        "def __getattr__(name):\n    return getattr(importlib.import_module('udakit.a'), name)\n")
     (root / "src/udakit/a.py").write_text(
         "def used_by_demo(x, scale=1.0, *, mode='a'):\n    return x\n"
         "def via_module(x, flag=False, level=0):\n    return _helper(y=1) + _unused_flag()\n"
