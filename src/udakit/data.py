@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import types
 import typing
 from dataclasses import dataclass
@@ -226,16 +227,15 @@ class DomainSpec:
         check_fields(self)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.n_samples >= 2 ** 63:    # numpy draws sample counts as int64
+            raise ValueError(f"n_samples must be < 2**63, got {self.n_samples}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.class_cov_scale <= 0:
             raise ValueError("class_cov_scale must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.class_means.shape != (self.n_classes, self.dim):
-            raise ValueError("class_means must be (n_classes, dim)")
-        if self.sensitive_mean_offset.shape != (self.n_groups, self.dim):
-            raise ValueError("sensitive_mean_offset must be (n_groups, dim)")
+        # before n_classes and n_groups read the vectors' lengths
         for name, dist in (("label_distribution", self.label_distribution),
                            ("sensitive_distribution", self.sensitive_distribution)):
             if dist.ndim != 1 or dist.size < 1:
@@ -244,6 +244,10 @@ class DomainSpec:
                 raise ValueError(f"{name} has negative probabilities")
             if abs(dist.sum() - 1.0) > _PROB_TOL:
                 raise ValueError(f"{name} sums to {dist.sum()!r}, not 1")
+        if self.class_means.shape != (self.n_classes, self.dim):
+            raise ValueError("class_means must be (n_classes, dim)")
+        if self.sensitive_mean_offset.shape != (self.n_groups, self.dim):
+            raise ValueError("sensitive_mean_offset must be (n_groups, dim)")
 
     @property
     def n_classes(self) -> int:
@@ -344,11 +348,14 @@ def class_balanced_probabilities(labels: np.ndarray, n_classes: int) -> np.ndarr
 # CSV dataset files: header id,domain,label,sensitive,f0,...,f{dim-1}
 # ---------------------------------------------------------------------------
 
+def _header(dim: int) -> list[str]:
+    return ["id", "domain", "label", "sensitive"] + [f"f{j}" for j in range(dim)]
+
+
 def save_dataset(data: DomainDataset, path: str | Path) -> None:
     """Write a dataset as CSV with full round-trip float precision."""
     path = Path(path)
-    header = ["id", "domain", "label", "sensitive"] + [f"f{j}" for j in range(data.dim)]
-    lines = [",".join(header)]
+    lines = [",".join(_header(data.dim))]
     # load_dataset splits rows at every line boundary str.splitlines knows
     for name in (data.domain_id, *data.sample_ids):
         if "," in name or "".join(name.splitlines()) != name:
@@ -365,16 +372,64 @@ def save_dataset(data: DomainDataset, path: str | Path) -> None:
 
 def load_dataset(path: str | Path) -> DomainDataset:
     """Read a dataset CSV; inverse of save_dataset. A bad field is named by row
-    and column; blank lines are skipped but counted, so row N is line N + 1."""
+    and column; blank lines are skipped but counted, so row N is line N + 1.
+
+    numpy's C tokenizer reads the file in one pass. A file it refuses, or
+    whose values fail a check, is read again row by row, and that reader
+    alone accepts or refuses it, so both give the same dataset or message."""
     path = Path(path)
+    data = _load_table(path)
+    return _load_rows(path) if data is None else data
+
+
+# Line boundaries str.splitlines knows that the tokenizer reads as text (it
+# splits at \n and \r only), and \x1f, which it strips from a number as
+# whitespace where int() and float() refuse it; the non-ASCII ones are looked
+# for only in a non-ASCII file, as a multi-byte `in` takes 1 ms per megabyte
+_ROW_READER_BYTES = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_ROW_READER_CHARS = tuple(c.encode() for c in "\x85\u2028\u2029")
+
+
+def _load_table(path: Path) -> DomainDataset | None:
+    """The dataset in path from one np.loadtxt pass, or None for a file that
+    the row reader must read."""
+    raw = path.read_bytes()
+    head = re.match(rb"([^\r\n]*)[\r\n]+[^\r\n]", raw)  # the header, if a data line follows
+    if head is None or any(b in raw for b in _ROW_READER_BYTES) or (
+            not raw.isascii() and any(c in raw for c in _ROW_READER_CHARS)):
+        return None
+    dim = head[1].count(b",") - 3
+    if dim < 1 or head[1] != ",".join(_header(dim)).encode():
+        return None
+    del raw, head    # loadtxt reads the file again; the bytes would add to its peak
+    fields = [("id", object), ("domain", object), ("label", np.int64),
+              ("sensitive", np.int64), ("f", np.float64, (dim,))]
+    # an open file, as given a path loadtxt decompresses by the file name's suffix
+    with path.open(encoding="utf-8") as lines:
+        try:
+            table = np.loadtxt(lines, fields, delimiter=",", skiprows=1, comments=None, ndmin=1)
+        except ValueError:    # a UnicodeDecodeError too
+            return None
+    domains = table["domain"]
+    labels, sensitive, features = (np.ascontiguousarray(table[k])
+                                   for k in ("label", "sensitive", "f"))
+    if (labels.min() < 0 or sensitive.min() < 0 or not np.isfinite(features).all()
+            or (domains != domains[0]).any()):
+        return None
+    return DomainDataset(domains[0], features, labels, sensitive, table["id"].tolist())
+
+
+def _load_rows(path: Path) -> DomainDataset:
+    """load_dataset's reader for the files the tokenizer does not take: row by
+    row, naming the first bad field."""
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")
-    if header[:4] != ["id", "domain", "label", "sensitive"]:
+    if header[:4] != _header(0):
         raise ValueError(f"{path}: malformed header {lines[0]!r}")
     dim = len(header) - 4
-    if dim < 1 or header[4:] != [f"f{j}" for j in range(dim)]:
+    if dim < 1 or header != _header(dim):
         raise ValueError(f"{path}: malformed feature columns in header")
     numbered = [(row, ln) for row, ln in enumerate(lines[1:], start=1) if ln]
     if not numbered:
@@ -382,37 +437,34 @@ def load_dataset(path: str | Path) -> DomainDataset:
 
     ids: list[str] = []
     domains: set[str] = set()
-    labels = np.empty(len(numbered), dtype=np.int64)
-    sensitive = np.empty(len(numbered), dtype=np.int64)
-    features = np.empty((len(numbered), dim), dtype=np.float64)
-    for r, (row, line) in enumerate(numbered):
+    labels: list[int] = []
+    sensitive: list[int] = []
+    features: list[float] = []
+    for row, line in numbered:
         parts = line.split(",")
         if len(parts) != 4 + dim:
             raise ValueError(f"{path}: row {row} has {len(parts)} fields, expected {4 + dim}")
         ids.append(parts[0])
         domains.add(parts[1])
-        labels[r] = _parse_id_field(parts[2], "label", row, path)
-        sensitive[r] = _parse_id_field(parts[3], "sensitive", row, path)
-        try:
-            features[r] = [float(t) for t in parts[4:]]
-        except ValueError:
-            # only a failed row pays for finding its first bad column
-            for j, text in enumerate(parts[4:]):
-                try:
-                    float(text)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric feature {text!r} at row {row}, column f{j}"
-                    ) from None
+        labels.append(_parse_id_field(parts[2], "label", row, path))
+        sensitive.append(_parse_id_field(parts[3], "sensitive", row, path))
+        for j, text in enumerate(parts[4:]):
+            try:
+                features.append(float(text))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric feature {text!r} at row {row}, column f{j}"
+                ) from None
     # float() also reads nan, inf and overflowing text such as 1e999
-    if not np.isfinite(features).all():
-        r, j = np.argwhere(~np.isfinite(features))[0]
+    matrix = np.reshape(features, (len(numbered), dim))
+    if not np.isfinite(matrix).all():
+        r, j = np.argwhere(~np.isfinite(matrix))[0]
         row, line = numbered[r]
         raise ValueError(f"{path}: non-finite feature {line.split(',')[4 + j]!r} "
                          f"at row {row}, column f{j}")
     if len(domains) != 1:
         raise ValueError(f"{path}: mixed domain ids {sorted(domains)}")
-    return DomainDataset(domains.pop(), features, labels, sensitive, tuple(ids))
+    return DomainDataset(domains.pop(), matrix, labels, sensitive, tuple(ids))
 
 
 def _parse_id_field(text: str, column: str, row: int, path: Path) -> int:
@@ -420,7 +472,7 @@ def _parse_id_field(text: str, column: str, row: int, path: Path) -> int:
         value = int(text)
     except ValueError:
         raise ValueError(f"{path}: non-integer {column} {text!r} at row {row}, column {column}") from None
-    if value < 0:
+    if not 0 <= value < 2 ** 63:    # a nonnegative int64
         raise ValueError(
             f"{path}: {column} {value} out of range at row {row}, column {column}"
         )

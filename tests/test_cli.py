@@ -184,6 +184,23 @@ class TestGenAndSplit:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("label_distribution", 0.5, "label_distribution must be a nonempty vector"),
+        ("sensitive_distribution", True, "sensitive_distribution must be a nonempty vector"),
+        ("n_samples", 10 ** 30, f"n_samples must be < 2**63, got {10 ** 30}"),
+    ], ids=["scalar-labels", "scalar-groups", "n-samples-past-int64"])
+    @pytest.mark.parametrize("command", ["gen", "matrix"])
+    def test_a_spec_field_numpy_cannot_take_is_named(self, workspace, capsys, command, field,
+                                                     value, message):
+        tmp, spec_path, config_path = workspace
+        path = spec_path if command == "gen" else config_path
+        payload = json.loads(path.read_text())
+        (payload if command == "gen" else payload["domains"])[1][field] = value
+        path.write_text(json.dumps(payload))
+        assert main([command, "--config", str(path), "--out", str(tmp / "out")]) == 1
+        assert f"udakit: error: domains[1]: {message}\n" == capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
 
 class TestTrainEval:
     def test_train_writes_model_record_metrics(self, workspace, capsys):
@@ -992,6 +1009,19 @@ class TestDiagnoseCommand:
         assert code == 0
         assert {suffix: hashlib.sha256(out.with_suffix(suffix).read_bytes()).hexdigest()
                 for suffix in (".csv", ".json")} == DIAGNOSE_FILES_SHA256
+
+    def test_a_label_past_int64_is_a_config_error(self, workspace, capsys):
+        tmp, spec_path, _ = workspace
+        main(["gen", "--config", str(spec_path), "--out", str(tmp / "data")])
+        path = tmp / "data" / "d1.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = "a,d1,99999999999999999999,0," + lines[1].split(",", 4)[4]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["diagnose", "--data", str(tmp / "data" / "d0.csv"), str(path),
+                     "--projections", "8", "--out", str(tmp / "shift")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"udakit: error: {path}: label 99999999999999999999 "
+                                           "out of range at row 1, column label\n")
 
     @pytest.mark.parametrize("bad_row, message", [
         ("d1,d0,nan", "line 4: test error 'nan' is not finite"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from udakit import (
     stratified_split,
     weighted_sampler_weights,
 )
+from udakit import data as data_module
 from udakit.data import check_value, spec_from_dict, spec_to_dict
 from conftest import make_blobs
 from oracles import nearest_mean_labels
@@ -32,6 +34,9 @@ def simple_spec(**overrides):
     )
     base.update(overrides)
     return DomainSpec(**base)
+
+
+H = b"id,domain,label,sensitive,f0,f1\n"    # the header of a two-feature dataset file
 
 
 class TestDomainSpec:
@@ -312,7 +317,9 @@ class TestDatasetFiles:
         ("f,d,x,0,1.0", "non-integer label 'x' at row 7, column label"),
         ("f,d,0,-2,1.0", "sensitive -2 out of range at row 7, column sensitive"),
         ("f,d,0,0,nan", "non-finite feature 'nan' at row 7, column f0"),
-    ], ids=["non-numeric", "field-count", "label", "sensitive", "non-finite"])
+        ("f,d,99999999999999999999,0,1.0",
+         "label 99999999999999999999 out of range at row 7, column label"),
+    ], ids=["non-numeric", "field-count", "label", "sensitive", "non-finite", "label-overflow"])
     def test_rows_after_blank_lines_keep_their_file_numbers(self, tmp_path, bad_row, message):
         # a blank line after data row 2, a trailing one after row 3: row N is file line N + 1
         lines = ["id,domain,label,sensitive,f0", "a,d,0,0,1.0", "b,d,1,0,2.0", "",
@@ -334,6 +341,93 @@ class TestDatasetFiles:
         assert back.sample_ids == data.sample_ids
         assert back.features.tobytes() == data.features.tobytes()
         assert np.array_equal(back.labels, data.labels)
+
+    @pytest.mark.parametrize("text, outcome", [
+        (H + b"a,d,0,1,1.5,-2.25\r\nb,d,1,0,3,4\r\n", None),
+        (H + b"a,d,0,1,1.5,-2.25\rb,d,1,0,3,4\r", None),
+        (H + b"a,d,0,1,1.5,-2.25\nb,d,1,0,3,4", None),
+        (H + b"\na,d,0,1,1.5,-2.25\n\n\r\nb,d,1,0,3,4\n\n", None),
+        (H + b"a,d,0,1,1.5,-2.25\n \t\nb,d,1,0,3,4\n", "row 2 has 1 fields, expected 6"),
+        (H + b"a\x0cx,d,0,1,1.5,-2.25\n", "row 1 has 1 fields, expected 6"),
+        (H + "a\x85x,d,0,1,1.5,-2.25\n".encode(), "row 1 has 1 fields, expected 6"),
+        (H + "a\u2028x,d,0,1,1.5,-2.25\n".encode(), "row 1 has 1 fields, expected 6"),
+        (H + b",d,0,1,1.5,-2.25\n", None),
+        (H + b'"a",d,0,1,1.5,-2.25\n#b,d,1,0,3,4\nc#,d,1,0,5,6\n', None),
+        (H + b"a,d,0,1,1.5,-2.25,\nb,d,1,0,3,4,\n", "row 1 has 7 fields, expected 6"),
+        (H + b"a,d,1_0,1,1_0.5,-2.25\n", None),
+        (H + "a,d,\u0663,1,\u0663.5,-2.25\n".encode(), None),
+        (H + b"a,d,0,1,1.5,-2.25\nb,d,1,0,3,nan\n", "non-finite feature 'nan' at row 2, column f1"),
+        (H + b"a,d,0,1,1e999,-2.25\n", "non-finite feature '1e999' at row 1, column f0"),
+        (H + b"a,d,9223372036854775808,1,1.5,-2.25\n",
+         "label 9223372036854775808 out of range at row 1, column label"),
+        (H + b"a,d,9223372036854775807,1,1.5,-2.25\n", None),
+        (H + b"a,d, 3 ,+3,00012,-0\n", None),
+        (H + b"a,d,1.0,1,1.5,-2.25\n", "non-integer label '1.0' at row 1, column label"),
+        (H + b"a,d,\x1f1,1,1.5,-2.25\n", "non-integer label '\\x1f1' at row 1, column label"),
+        (H + b"a,d,0,-1,1.5,-2.25\n", "sensitive -1 out of range at row 1, column sensitive"),
+        (H + b"a,d,0,1,1.5,-2.25\nb,e,1,0,3,4\n", "mixed domain ids ['d', 'e']"),
+        (H + b"a,d,0,1,1.5,-2.25\na,d,1,0,3,4\n", "sample_ids are not unique within domain 'd'"),
+        (H + b"a\xff,d,0,1,1.5,-2.25\n", "can't decode byte 0xff"),
+        (H + b"a\x00b, e ,0,1,1.5,-2.25\n", None),
+        (H + b"a,d,0,1,1.5,-2.25\n", None),
+        (b"\xef\xbb\xbf" + H + b"a,d,0,1,1.5,-2.25\n", "malformed header '\\ufeffid,domain,"),
+        (H, "empty dataset (header only)"),
+        (H + b"\n\r\n", "empty dataset (header only)"),
+    ], ids=["crlf", "lone-cr", "no-final-newline", "blank-lines", "whitespace-line",
+            "form-feed-in-id", "nel-in-id", "line-separator-in-id", "empty-id",
+            "quote-and-hash-ids", "trailing-comma", "underscores", "arabic-indic-digits", "nan",
+            "1e999", "label-2**63", "label-2**63-1", "spelled-integers", "float-label",
+            "unit-separator", "negative-group", "mixed-domains", "repeated-id", "not-utf-8",
+            "nul-and-spaces", "one-row", "bom", "header-only", "header-and-blank-lines"])
+    def test_the_tokenizer_and_the_row_reader_agree(self, tmp_path, text, outcome):
+        # outcome: None for a dataset, else a part of the message both readers give
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        results = []
+        for reader in (load_dataset, data_module._load_rows):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = reader(path)
+            except ValueError as err:
+                results.append(str(err))
+            else:
+                results.append((got.domain_id, got.sample_ids, got.features.shape,
+                                got.features.tobytes(), got.labels.tobytes(),
+                                got.sensitive.tobytes()))
+        assert results[0] == results[1]
+        if outcome is None:
+            assert isinstance(results[0], tuple)
+        else:
+            assert outcome in results[0]
+
+    def test_saved_files_take_the_tokenizer(self, tmp_path, monkeypatch):
+        data = make_blobs("domain a", 5, n=40, groups=(0.5, 0.5), group_offsets=[(0, 0), (1, 1)])
+        data.features[0] = [0.1 + 0.2, -0.0]
+        data.features[1] = [5e-324, 1.7976931348623157e308]
+        data.sample_ids = (" e ", '"q"', "#", "", "\u00fc\u2603", *data.sample_ids[5:])
+        path = tmp_path / "d.csv"
+        save_dataset(data, path)
+
+        def row_reader(path):
+            raise AssertionError(f"{path} went to the row reader")
+
+        monkeypatch.setattr(data_module, "_load_rows", row_reader)
+        back = load_dataset(path)
+        assert (back.domain_id, back.sample_ids) == (data.domain_id, data.sample_ids)
+        assert back.features.tobytes() == data.features.tobytes()
+        assert back.labels.tobytes() == data.labels.tobytes()
+        assert back.sensitive.tobytes() == data.sensitive.tobytes()
+        # the patch is live: a file that the tokenizer's checks refuse reaches it
+        path.write_text(path.read_text().replace("-0.0", "nan", 1))
+        with pytest.raises(AssertionError, match="went to the row reader"):
+            load_dataset(path)
+
+    def test_a_plain_file_named_like_an_archive_is_read_as_text(self, tmp_path):
+        data = make_blobs("domain-a", 3, n=6)
+        path = tmp_path / "d.csv.gz"
+        save_dataset(data, path)
+        assert load_dataset(path).features.tobytes() == data.features.tobytes()
 
     def test_spec_round_trip(self):
         spec = simple_spec(seed=123)

@@ -1,6 +1,7 @@
 """Property tests: AUROC against the pair-count oracle, sliced W1 symmetry
-and translation, exact model and dataset file round trips, experiment
-files with one malformed setting, and every gradient check on drawn shapes.
+and translation, exact model and dataset file round trips (the dataset
+ones through both readers), experiment files with one malformed setting,
+and every gradient check on drawn shapes.
 
 Hypothesis runs derandomized with no example database, so every run draws
 the same examples and Tier-1 stays deterministic.
@@ -30,6 +31,7 @@ from udakit import (
     save_model,
 )
 from udakit.cli import main
+from udakit.data import _load_rows
 from udakit.metrics import UndefinedMetricError, auroc
 from udakit.shift import wasserstein_feature_distances
 from gradcheck_cases import ALL_CASES, H
@@ -153,6 +155,30 @@ def test_dataset_file_round_trip_is_exact_or_refused(tmp_path_factory, data, n, 
     assert back.features.tobytes() == dataset.features.tobytes()
     assert np.array_equal(back.labels, dataset.labels)
     assert np.array_equal(back.sensitive, dataset.sensitive)
+
+
+# the extremes of float64 and a signed zero, then every finite double
+edge_floats = st.one_of(st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                         -1.7976931348623157e308]), finite)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 12), st.integers(1, 4))
+def test_saved_datasets_read_back_exactly_through_both_readers(tmp_path_factory, data, n, dim):
+    field = st.text(max_size=6).filter(is_one_csv_field)
+    dataset = DomainDataset(
+        data.draw(field),
+        data.draw(arrays(np.float64, (n, dim), elements=edge_floats)),
+        data.draw(arrays(np.int64, n, elements=st.integers(0, 2 ** 63 - 1))),
+        data.draw(arrays(np.int64, n, elements=st.integers(0, 9))),
+        data.draw(st.lists(field, min_size=n, max_size=n, unique=True)))
+    path = tmp_path_factory.mktemp("data") / "d.csv"
+    save_dataset(dataset, path)
+    for back in (load_dataset(path), _load_rows(path)):
+        assert (back.domain_id, back.sample_ids) == (dataset.domain_id, dataset.sample_ids)
+        assert back.features.tobytes() == dataset.features.tobytes()
+        assert back.labels.tobytes() == dataset.labels.tobytes()
+        assert back.sensitive.tobytes() == dataset.sensitive.tobytes()
 
 
 def experiment() -> dict:
