@@ -84,11 +84,12 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from .data import check_domain_ids, domain_specs, generate_domain, save_dataset
+    from .data import check_domain_ids, domain_specs, generate_domain, save_dataset, within
 
     if not args.config:
         raise ValueError("gen needs --config pointing at a domain spec file")
-    payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    payload = within(f"{args.config}: ",
+                     lambda: json.loads(Path(args.config).read_text(encoding="utf-8")))
     specs = domain_specs(payload if isinstance(payload, list) else [payload])
     check_domain_ids(specs)
     out_dir = Path(args.out or ".")
@@ -273,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except _divergence_error() as err:
         print(f"udakit: divergence: {err}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"udakit: error: {err}", file=sys.stderr)
         return 1
 

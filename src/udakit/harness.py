@@ -202,7 +202,8 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return ExperimentConfig.from_dict(
+        within(f"{path}: ", lambda: json.loads(Path(path).read_text(encoding="utf-8"))))
 
 
 def cell_seed(base_seed: int, cell_key: str, repeat: int) -> int:

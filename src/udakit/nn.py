@@ -23,7 +23,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .data import DomainDataset, UnlabeledDomain, check_fields, check_value, class_balanced_probabilities
+from .data import (DomainDataset, UnlabeledDomain, check_fields, check_value,
+                   class_balanced_probabilities, within)
 
 
 class DivergenceError(RuntimeError):
@@ -557,7 +558,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelBundle:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = within(f"{path}: ", lambda: json.loads(Path(path).read_text(encoding="utf-8")))
     heads = payload.get("classifiers") if isinstance(payload, dict) else None
     if not isinstance(heads, list):
         raise ValueError('a model file needs a "classifiers" list of networks')

@@ -39,20 +39,8 @@ def _checked_features(clouds) -> list[np.ndarray]:
     return feats
 
 
-# each cloud's projections are sorted _PROJECTION_BLOCK at a time into its own
-# small buffer, and every pair is measured from those buffers; each transposing
-# copy reads a band of _ROW_BAND rows, which stays in cache, instead of
-# striding down whole columns
+# directions per block: each cloud holds this many sorted projections at a time
 _PROJECTION_BLOCK = 8
-_ROW_BAND = 256
-
-
-def _sort_columns_into(out: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Write each column of `cols` into a row of `out`, sort the rows, return `out`."""
-    for r0 in range(0, cols.shape[0], _ROW_BAND):
-        out[:, r0:r0 + _ROW_BAND] = cols[r0:r0 + _ROW_BAND].T
-    out.sort()
-    return out
 
 
 def _quantile_plan(na: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,26 +99,19 @@ def wasserstein_feature_distances(clouds, projections: int = 256, seed: int = 0)
     dim = feats[0].shape[1]
     if projections < 1:
         raise ValueError("projections must be >= 1")
-    blocks = [feats]
     if dim > 1:
         rng = np.random.default_rng(seed)
         directions = rng.standard_normal((projections, dim))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        # on the OpenBLAS kernels measured, a product over a whole block of
-        # directions has the bits of those columns of one product over all of
-        # them; over a narrower last block it can round differently, so those
-        # columns are cut from that full product. Each is made as its cloud is sorted.
-        whole = projections - projections % _PROJECTION_BLOCK
-        blocks = itertools.chain(
-            ((f @ directions[k0:k0 + _PROJECTION_BLOCK].T for f in feats)
-             for k0 in range(0, whole, _PROJECTION_BLOCK)),
-            [((f @ directions.T)[:, whole:].copy() for f in feats)] if whole < projections else [])
-    runs = [np.empty((_PROJECTION_BLOCK, f.shape[0])) for f in feats]
     plans = {(i, j): _quantile_plan(len(feats[i]), len(feats[j]))
              for i, j in itertools.combinations(range(len(feats)), 2)}
     values: dict[tuple[int, int], list[float]] = {pair: [] for pair in plans}
-    for products in blocks:
-        block = [_sort_columns_into(r[:p.shape[1]], p) for r, p in zip(runs, products)]
+    for k0 in range(0, projections if dim > 1 else 1, _PROJECTION_BLOCK):
+        block = []
+        for f in feats:
+            runs = (f if dim == 1 else f @ directions[k0:k0 + _PROJECTION_BLOCK].T).T.copy()
+            runs.sort()
+            block.append(runs)
         for (i, j), plan in plans.items():
             values[i, j].extend(_w1_rows(block[i], block[j], plan).tolist())
     out = np.zeros((len(feats), len(feats)))

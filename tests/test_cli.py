@@ -889,6 +889,19 @@ class TestLoadTimeChecks:
                      "--scheme", "combined-erm", "--out", str(tmp / "out")]) == 1
         assert "n_classes: 2, but domain 'd1' has label 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--config"], ["matrix", "--config"], ["fairness", "--config"],
+        ["train", "--target", "d0", "--scheme", "combined-erm", "--config"],
+        ["eval", "--data", "d0.csv", "--model"],
+    ], ids=["gen", "matrix", "fairness", "train", "eval"])
+    def test_a_json_file_that_does_not_parse_is_named(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"task": ')
+        assert main([*argv, str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"udakit: error: {bad}: Expecting value: line 1 column 10 (char 9)\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFairnessCommand:
     def test_fairness_output(self, workspace):

@@ -255,9 +255,9 @@ class TestWassersteinPerProjection:
         for projections in (1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, 3 * self.BLOCK + 5):
             self.assert_same(a, b, projections, seed=projections)
 
-    def test_domain_datasets_and_more_rows_than_one_row_band(self):
-        a = make_blobs("a", 21, n=shift._ROW_BAND + 37)
-        b = make_blobs("b", 22, n=2 * shift._ROW_BAND + 1, mix=[0.3, 0.7])
+    def test_domain_datasets_of_several_hundred_rows(self):
+        a = make_blobs("a", 21, n=293)
+        b = make_blobs("b", 22, n=513, mix=[0.3, 0.7])
         self.assert_same(a, b, projections=20, seed=3)
         self.assert_same(a.features, a.features[::-1].copy(), projections=20, seed=3)
 
@@ -410,7 +410,7 @@ class TestBuildShiftMatrix:
         assert len(report.pairs) == 30
         assert all(s != t for s, t in report.pairs)
 
-    @pytest.mark.parametrize("projections, widths", [(16, [8, 8]), (20, [8, 8, 20])])
+    @pytest.mark.parametrize("projections, widths", [(16, [8, 8]), (20, [8, 8, 4])])
     def test_w1_projects_and_sorts_each_domain_once_per_block(self, monkeypatch, projections,
                                                               widths):
         class CountingFeatures(np.ndarray):
@@ -422,25 +422,33 @@ class TestBuildShiftMatrix:
         domains = [make_blobs(f"d{i}", 30 + i, n=n) for i, n in enumerate((40, 55, 55, 70))]
         for d in domains:
             d.features = d.features.view(CountingFeatures)
-        products, sorts, plans, merges = [], [], [], []
-        sort_into, quantile_plan, w1_rows = (shift._sort_columns_into, shift._quantile_plan,
-                                             shift._w1_rows)
-        monkeypatch.setattr(shift, "_sort_columns_into",
-                            lambda out, cols: sorts.append(cols) or sort_into(out, cols))
+        products, plans, merges = [], [], []
+        quantile_plan, w1_rows = shift._quantile_plan, shift._w1_rows
         monkeypatch.setattr(shift, "_quantile_plan",
                             lambda na, nb: plans.append((na, nb)) or quantile_plan(na, nb))
         monkeypatch.setattr(shift, "_w1_rows",
-                            lambda u, v, plan: merges.append(u) or w1_rows(u, v, plan))
+                            lambda u, v, plan: merges.append((u, v)) or w1_rows(u, v, plan))
         report = build_shift_matrix(domains, projections=projections, seed=2)
         n, blocks = len(domains), len(widths)
-        # one product per domain per block: a whole block's directions, or all
-        # of them for the last, narrower block
+        # one product per domain per block, the last block holding only the
+        # directions left over
         assert sorted(products) == sorted((id(d.features), w) for d in domains for w in widths)
-        assert len(sorts) == n * blocks
         # one plan per unordered pair, whatever the number of blocks
         assert plans == [(len(s.labels), len(t.labels))
                          for s, t in itertools.combinations(domains, 2)]
-        assert len(merges) == n * (n - 1) // 2 * blocks
+        pairs = list(itertools.combinations(range(n), 2))
+        assert len(merges) == len(pairs) * blocks
+        # within a block every pair reads one sorted array per domain: each
+        # domain is sorted once per block
+        for b, width in enumerate(widths):
+            read = [[] for _ in domains]
+            for (i, j), (u, v) in zip(pairs, merges[b * len(pairs):(b + 1) * len(pairs)]):
+                read[i].append(u)
+                read[j].append(v)
+            for d, runs in zip(domains, read):
+                assert all(run is runs[0] for run in runs)
+                assert runs[0].shape == (width, len(d.labels))
+            assert len({id(runs[0]) for runs in read}) == n
         for s in domains:
             for t in domains:
                 if s is t:
